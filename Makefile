@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint vet build test race chaos-smoke fuzz-smoke bench-smoke bench-merge-scale
+.PHONY: check lint vet build test test-benchmark race chaos-smoke fuzz-smoke bench-smoke bench-merge-scale
 
 # check is the full pre-merge gate: static checks, the whole test suite
 # (including the fault-injection suite), the race detector over the
@@ -8,7 +8,7 @@ GO ?= go
 # streaming merge pipeline, and the fault-tolerant I/O layers), a short
 # fuzz of the profile reader, salvager, and the daemon's upload ingest,
 # and a one-iteration merge benchmark smoke to catch gross regressions.
-check: lint build test race chaos-smoke fuzz-smoke bench-smoke bench-merge-scale
+check: lint build test test-benchmark race chaos-smoke fuzz-smoke bench-smoke bench-merge-scale
 
 # lint: formatting drift is an error, then go vet.
 lint:
@@ -26,6 +26,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark is a nested module (benchmark/go.mod), which
+# ./... above does not enter, yet it compiles against internal/ packages:
+# vet and test it here so an internal API change cannot break it unseen.
+test-benchmark:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/sim ./internal/analysis ./internal/profio ./internal/faultio ./internal/profiler ./internal/server ./internal/push ./internal/temporal ./internal/cct
@@ -58,7 +64,7 @@ bench-smoke:
 		$(GO) test -run='^TestMiddlewareOverheadGate$$' -count=1 ./internal/server
 
 # Merge-scale gate: sweep {1k, 10k} profiles x {1, 4, 8} workers through
-# the sharded streaming merge, enforce the v3 size win and the scaling
+# the file loader, enforce the v3 size win and the scaling
 # (or, on CPU-constrained hosts, overhead) bounds, and fail on >20%
 # regression of 8-worker 1k-profile throughput vs the committed report.
 bench-merge-scale:

@@ -62,8 +62,6 @@ func main() {
 		entries    = flag.Int("cache-entries", 64, "max cached merged views (LRU)")
 		workers    = flag.Int("workers", 0, "merge workers per load (0 = GOMAXPROCS); alias for -merge-workers")
 		mergeWork  = flag.Int("merge-workers", 0, "merge workers per load (0 = GOMAXPROCS); takes precedence over -workers")
-		mergeShard = flag.Int("merge-shards", 0, "per-class fold shards (0 = derived from workers)")
-		sectionPar = flag.Int("merge-section-parallel", 0, "concurrent tree-section decodes per file (0/1 = sequential)")
 		maxUp      = flag.Int64("max-upload-mb", 1024, "max accepted upload size in MiB")
 		maxUploads = flag.Int("max-uploads", 64, "max concurrent uploads before shedding 429")
 		maxMerges  = flag.Int("max-merges", 4, "max concurrent view merges before shedding 503")
@@ -86,8 +84,6 @@ func main() {
 		DataDir:               *data,
 		CacheEntries:          *entries,
 		Workers:               effWorkers,
-		Shards:                *mergeShard,
-		SectionParallel:       *sectionPar,
 		MaxUploadBytes:        *maxUp << 20,
 		MaxInflightUploads:    *maxUploads,
 		MaxConcurrentMerges:   *maxMerges,

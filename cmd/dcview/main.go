@@ -67,8 +67,6 @@ func main() {
 		diffDir    = flag.String("diff", "", "second measurement directory to compare against (before -> after)")
 		asJSON     = flag.Bool("json", false, "dump the merged database as JSON and exit")
 		workers    = flag.Int("workers", 0, "streaming ingest/merge workers (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 0, "fold shards per storage class (0 = derive from -workers); the merged result is identical for every value")
-		sectionPar = flag.Int("section-parallel", 0, "decode each file's class-tree sections with up to this many goroutines (<= 1 = sequential)")
 		stats      = flag.Bool("stats", false, "print streaming merge pipeline statistics")
 		strict     = flag.Bool("strict", false, "abort on the first unreadable profile (the default)")
 		quarantine = flag.Bool("quarantine", false, "skip unreadable profiles and report them instead of aborting")
@@ -127,7 +125,7 @@ func main() {
 
 	load := func(dir string) (*analysis.Database, analysis.MergeStats, error) {
 		return analysis.LoadDirStreamingCtx(context.Background(), dir,
-			analysis.LoadOptions{Workers: *workers, Shards: *shards, SectionParallel: *sectionPar, Policy: policy})
+			analysis.LoadOptions{Workers: *workers, Policy: policy})
 	}
 
 	db, st, err := load(*dir)

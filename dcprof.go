@@ -144,12 +144,12 @@ type Profile = cct.Profile
 // Database is the merged analysis result.
 type Database = analysis.Database
 
-// MergeStats reports streaming merge pipeline observability (bytes read,
-// node counts, per-stage wall times, peak decoded-profile residency,
-// quarantined files).
+// MergeStats reports load and merge observability (bytes read, node
+// counts, per-stage wall times, peak staged-file residency, quarantined
+// files).
 type MergeStats = analysis.MergeStats
 
-// ErrorPolicy selects how the streaming ingest treats unreadable files;
+// ErrorPolicy selects how a measurement load treats unreadable files;
 // QuarantinedFile records one file it could not (fully) use.
 type (
 	ErrorPolicy     = analysis.ErrorPolicy
@@ -168,7 +168,7 @@ const (
 // LoadOptions configures LoadMeasurementsStreamingCtx.
 type LoadOptions = analysis.LoadOptions
 
-// Merge reduces per-thread profiles with the streaming channel-fed
+// Merge reduces per-thread profiles with the channel-fed in-memory
 // reduction (workers <= 0 uses GOMAXPROCS). The inputs are consumed; use
 // MergePreserving to merge the same profiles more than once.
 func Merge(profiles []*Profile, workers int) *Database { return analysis.Merge(profiles, workers) }
@@ -183,9 +183,10 @@ func LoadMeasurements(dir string, workers int) (*Database, error) {
 	return analysis.LoadDir(dir, workers)
 }
 
-// LoadMeasurementsStreaming reads and merges a measurement directory
-// through the bounded-residency streaming pipeline, returning its
-// statistics alongside the database. It is strict: one unreadable file
+// LoadMeasurementsStreaming reads and merges a measurement directory —
+// every file decoded straight into a worker's accumulator, no decoded
+// profile ever held — returning the load's statistics alongside the
+// database. It is strict: one unreadable file
 // fails the load. Use LoadMeasurementsStreamingCtx to choose a
 // fault-tolerance policy or to cancel mid-merge.
 func LoadMeasurementsStreaming(dir string, workers int) (*Database, MergeStats, error) {

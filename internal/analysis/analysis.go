@@ -3,12 +3,12 @@
 // threads and MPI processes — into one compact database for presentation.
 //
 // Merging is structural CCT merge (heap variables coalesce by allocation
-// call path, statics by symbol), executed as a streaming channel-fed
-// reduction — the Go analogue of the paper's MPI-based reduction-tree
-// merge. Profiles are decoded, split by storage class, and folded into
-// bounded per-class accumulators as they arrive (see stream.go), so
-// neither wall-clock nor memory grows with the number of profiles held
-// resident at once.
+// call path, statics by symbol), executed as the Go analogue of the
+// paper's MPI-based reduction-tree merge: measurement files are decoded
+// straight into per-worker accumulators that a pairwise reduce joins
+// (load.go), profiles already in memory are folded by a channel-fed
+// engine (stream.go). Either way neither wall-clock nor memory grows with
+// the number of profiles held resident at once.
 package analysis
 
 import (
@@ -36,7 +36,7 @@ type Database struct {
 
 // Merge reduces the profiles into a database using up to `workers`
 // concurrent folders (workers <= 0 uses GOMAXPROCS); it is a thin wrapper
-// over the streaming engine in stream.go.
+// over the in-memory engine in stream.go.
 //
 // The input profiles are CONSUMED: each folder adopts the first tree it
 // receives as its accumulator and mutates it in place, so after Merge
@@ -56,8 +56,8 @@ func MergePreserving(profiles []*cct.Profile, workers int) *Database {
 	return db
 }
 
-// LoadDir reads a measurement directory written by profio.WriteDir and
-// merges it through the streaming pipeline, discarding the statistics.
+// LoadDir reads and merges a measurement directory written by
+// profio.WriteDir, discarding the statistics.
 func LoadDir(dir string, workers int) (*Database, error) {
 	db, _, err := LoadDirStreaming(dir, workers)
 	return db, err

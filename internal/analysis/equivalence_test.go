@@ -56,8 +56,8 @@ func TestMicroPipelineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MaxResident > 2*3+2 {
-		t.Errorf("peak residency %d exceeds ~2x workers", st.MaxResident)
+	if st.MaxResident > 3 {
+		t.Errorf("peak residency %d exceeds the worker count", st.MaxResident)
 	}
 
 	opts := view.Options{Metric: metric.Latency, MaxRows: 50, MaxDepth: 16, MinShare: 0}

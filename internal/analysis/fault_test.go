@@ -19,11 +19,9 @@ import (
 	"testing"
 	"time"
 
-	"dcprof/internal/cct"
 	"dcprof/internal/faultio"
 	"dcprof/internal/metric"
 	"dcprof/internal/profio"
-	"dcprof/internal/telemetry"
 )
 
 // renderDB is the deterministic byte rendering fault tests compare merge
@@ -311,33 +309,6 @@ func TestDecodePanicQuarantined(t *testing.T) {
 		LoadOptions{Workers: 2, Policy: PolicyStrict, Open: open})
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Errorf("strict error = %v, want decode panic surfaced as error", err)
-	}
-}
-
-// TestFoldPanicQuarantined injects a profile whose class tree is nil
-// straight into the merge engine: the fold worker's recovery must convert
-// the panic into a quarantine record attributed to the source file.
-func TestFoldPanicQuarantined(t *testing.T) {
-	good := randomProfiles(17, 1, 1)[0]
-	poisoned := randomProfiles(17, 1, 2)[1]
-	poisoned.Trees[cct.ClassHeap] = nil // MergeFrom will dereference this
-
-	items := make(chan streamItem, 2)
-	items <- streamItem{p: good, path: "good.dcprof"}
-	items <- streamItem{p: poisoned, path: "poisoned.dcprof"}
-	close(items)
-
-	quar := newQuarantineLog()
-	db, _ := mergeItems(context.Background(), items, 1, 0, false, telemetry.New(), nil, quar, nil)
-	if db == nil {
-		t.Fatal("merge returned nil database")
-	}
-	recs := quar.sorted()
-	if len(recs) != 1 || recs[0].Path != "poisoned.dcprof" {
-		t.Fatalf("quarantine records %+v, want one for poisoned.dcprof", recs)
-	}
-	if !strings.Contains(recs[0].Reason, "panic") {
-		t.Errorf("reason %q does not mention the panic", recs[0].Reason)
 	}
 }
 

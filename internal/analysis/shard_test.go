@@ -14,18 +14,13 @@ import (
 	"dcprof/internal/cct"
 	"dcprof/internal/metric"
 	"dcprof/internal/profio"
-	"dcprof/internal/telemetry"
 )
 
 // encodeDB renders a merged profile to its canonical v3 byte image —
 // the strongest equality we can ask of two merge results.
 func encodeDB(t testing.TB, db *Database) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := profio.WriteProfile(&buf, db.Merged); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodeProfile(t, db.Merged)
 }
 
 // TestMergeShardInvariance is the tentpole correctness property: the
@@ -43,7 +38,7 @@ func TestMergeShardInvariance(t *testing.T) {
 			}
 			close(items)
 		}()
-		db, _ := mergeItems(context.Background(), items, 4, shards, true, telemetry.New(), nil, nil, nil)
+		db, _ := mergeItems(items, 4, shards, true)
 		if got := encodeDB(t, db); !bytes.Equal(got, want) {
 			t.Errorf("shards=%d: merged encoding differs from default merge", shards)
 		}
@@ -51,8 +46,9 @@ func TestMergeShardInvariance(t *testing.T) {
 }
 
 // TestLoadShardInvariance runs the same property end to end through the
-// file pipeline: same directory, different Shards/Workers/SectionParallel
-// settings, byte-identical merged database.
+// file loader: same directory, different worker counts and policies (and
+// the Shards/SectionParallel fields file loads now ignore), byte-identical
+// merged database.
 func TestLoadShardInvariance(t *testing.T) {
 	ps := randomProfiles(101, 2, 24)
 	dir := filepath.Join(t.TempDir(), "m")
@@ -111,14 +107,14 @@ type scaleReport struct {
 }
 
 // TestMergeScaleGate is the 10k-profile scaling gate: it sweeps
-// {1k, 10k} profiles x {1, 4, 8} workers through the sharded streaming
-// merge, writes BENCH_merge_scale.json, and enforces
+// {1k, 10k} profiles x {1, 4, 8} workers through the file loader, writes
+// BENCH_merge_scale.json, and enforces
 //
 //   - >= 3x speedup for 10k profiles at 8 workers vs 1 — but only when
 //     the machine actually has 8 CPUs to scale onto; on smaller hosts the
 //     sweep still runs and the gate degrades to "8 workers must not be
-//     more than 40% slower than 1" (bounding the sharding + goroutine
-//     overhead an oversubscribed single CPU pays), with
+//     more than 40% slower than 1" (bounding what the extra accumulators
+//     and goroutines cost an oversubscribed host), with
 //     constrained_by_cpus recorded so readers know why.
 //   - >= 2x v3-vs-v2 size reduction on the sweep corpus, always.
 //   - <= 20% regression of 8-worker 1k-profile throughput against the
@@ -157,7 +153,7 @@ func TestMergeScaleGate(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				t0 := time.Now()
 				if _, _, err := LoadDirStreamingCtx(context.Background(), dirs[n],
-					LoadOptions{Workers: w, SectionParallel: min(w, cct.NumClasses)}); err != nil {
+					LoadOptions{Workers: w}); err != nil {
 					t.Fatal(err)
 				}
 				if d := time.Since(t0); d < best {
@@ -240,7 +236,7 @@ func TestMergeScaleGate(t *testing.T) {
 			t.Errorf("10k-profile 8-vs-1 worker speedup %.2fx, want >= 3x", speedup)
 		}
 	} else if speedup < 0.6 {
-		t.Errorf("10k-profile merge at 8 workers is %.2fx of 1-worker speed on a %d-CPU host — sharding overhead exceeds the 40%% bound", speedup, rep.NumCPU)
+		t.Errorf("10k-profile merge at 8 workers is %.2fx of 1-worker speed on a %d-CPU host — worker overhead exceeds the 40%% bound", speedup, rep.NumCPU)
 	}
 }
 

@@ -26,30 +26,31 @@ type MergeStats struct {
 	// a GOMAXPROCS-worker reduction over (copies of) the same inputs.
 	SequentialMerge, ParallelMerge time.Duration
 
-	// Workers is the concurrency the streaming pipeline ran with.
+	// Workers is the concurrency the load or merge ran with.
 	Workers int
-	// BytesRead is the total on-disk measurement size ingested (0 for
-	// in-memory merges).
+	// BytesRead is the total size of the measurement files merged, as
+	// read by the loader (0 for in-memory merges).
 	BytesRead int64
-	// DecodeWall and MergeWall are per-stage wall times of the streaming
-	// pipeline, both measured from pipeline start: DecodeWall ends when
-	// the last profile finished decoding, MergeWall when the merged
-	// database was assembled. The stages overlap — that they nearly
-	// coincide is the pipelining win.
+	// DecodeWall and MergeWall are stage wall times, both measured from
+	// the start: DecodeWall ends when the last file finished staging (for
+	// an in-memory merge, when the last profile arrived), MergeWall when
+	// the merged database was assembled. The stages overlap — every worker
+	// applies a file as soon as it has staged it.
 	DecodeWall, MergeWall time.Duration
 	// FoldWall and ReduceWall break MergeWall down: FoldWall (also from
-	// pipeline start) ends when every shard folder has drained, ReduceWall
-	// is the duration of the final shard-accumulator reduce alone — the
-	// only barrier in the pipeline, and with shared-nothing sharding it
-	// should be near zero (pointer adoption, not tree walks).
+	// the start) ends when the last worker has applied its last file,
+	// ReduceWall is the duration of the final pairwise reduce of the
+	// accumulators alone — the only barrier. For a file load that is a
+	// walk over workers−1 accumulator trees; for an in-memory merge it is
+	// pointer adoption between shared-nothing shards.
 	FoldWall, ReduceWall time.Duration
-	// MaxResident is the peak number of decoded profiles simultaneously
-	// alive in the pipeline — bounded by ~2×Workers regardless of how
-	// many files the measurement holds (0 for in-memory merges, where
-	// the caller already owns every profile).
+	// MaxResident is the peak number of files staged but not yet applied
+	// — at most Workers, however many files the measurement holds; no
+	// decoded profile is ever held (0 for in-memory merges, where the
+	// caller already owns every profile).
 	MaxResident int
-	// DecodeFileP50/P95/P99 are per-file decode latency quantiles from
-	// the streaming pipeline's histogram — the tail a slow disk or one
+	// DecodeFileP50/P95/P99 are per-file decode latency quantiles (open,
+	// read, stage) from the loader's histogram — the tail a slow disk or one
 	// pathological file produces, invisible in DecodeWall's total (zero
 	// for in-memory merges).
 	DecodeFileP50, DecodeFileP95, DecodeFileP99 time.Duration

@@ -1,117 +1,26 @@
-// Streaming ingestion and merge: the pipelined analogue of the paper's
-// MPI reduction tree. Profiles are decoded by a bounded worker pool,
-// split into their storage-class trees, and folded into per-class
-// accumulators as they arrive — there is no barrier between decoding and
-// merging, and at no point are more than ~2×workers decoded profiles
-// resident, which is what lets the analyzer ingest thousand-thread
-// measurements without holding the whole measurement in memory first.
-//
-// The pipeline is also the system's fault boundary. At the scale the
-// paper targets (one file per thread per rank) killed ranks, full
-// filesystems, and torn writes are routine, so ingestion supports three
-// error policies: fail fast (PolicyStrict), skip-and-report
-// (PolicyQuarantine), and partial recovery of the intact class trees of
-// damaged files (PolicySalvage). A context cancels the whole pipeline
-// promptly, and a panic in a decode or fold worker becomes a per-file
-// quarantine record instead of a crashed analyzer.
+// The in-memory merge engine: profiles already decoded (or built) in this
+// process arrive on a channel, are split by storage class and root-subtree
+// hash, and are folded into shared-nothing (class, shard) accumulators
+// that a pairwise Absorb reduce joins at the end. It serves Merge,
+// MergePreserving and MergeStream. Measurement files do not come through
+// here: they are decoded straight into per-worker accumulators (load.go).
 
 package analysis
 
 import (
-	"context"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dcprof/internal/cct"
 	"dcprof/internal/metric"
-	"dcprof/internal/profio"
-	"dcprof/internal/telemetry"
-	"dcprof/internal/telemetry/spanlog"
 	"dcprof/internal/temporal"
 )
 
-// ErrorPolicy selects how ingestion reacts to unreadable profile files.
-type ErrorPolicy int
-
-const (
-	// PolicyStrict aborts the merge on the first unreadable file — the
-	// right default when a measurement is expected to be complete.
-	PolicyStrict ErrorPolicy = iota
-	// PolicyQuarantine skips unreadable files entirely, records each one
-	// in MergeStats.Quarantined (path, reason, salvageable-tree count),
-	// and merges the rest. The result is exactly the merge of the intact
-	// files.
-	PolicyQuarantine
-	// PolicySalvage is PolicyQuarantine plus partial recovery: complete,
-	// checksum-valid class trees recovered from damaged files are folded
-	// into the merge as well. Damaged files still appear in Quarantined.
-	PolicySalvage
-)
-
-// String names the policy as the dcview flags spell it.
-func (p ErrorPolicy) String() string {
-	switch p {
-	case PolicyStrict:
-		return "strict"
-	case PolicyQuarantine:
-		return "quarantine"
-	case PolicySalvage:
-		return "salvage"
-	default:
-		return fmt.Sprintf("ErrorPolicy(%d)", int(p))
-	}
-}
-
-// LoadOptions configures LoadDirStreamingCtx.
-type LoadOptions struct {
-	// Workers is the decode/fold concurrency (<= 0 uses GOMAXPROCS).
-	Workers int
-	// Shards is the number of fold shards per storage class (<= 0 derives
-	// from Workers). Each profile's root subtrees are partitioned across
-	// shards by frame-ID hash, so no two shard accumulators ever share a
-	// node — folds proceed shared-nothing and the final reduce adopts
-	// pointers instead of copying trees. The merged result is
-	// byte-identical for every shard count.
-	Shards int
-	// SectionParallel, when > 1, decodes each profile file's class-tree
-	// sections concurrently (profio.ReadProfileAt) with up to this many
-	// goroutines per file. The fast path requires an intact file and a
-	// random-access handle; anything else falls back to the sequential
-	// reader, whose error semantics (strict/quarantine/salvage) are
-	// authoritative.
-	SectionParallel int
-	// Policy selects strict, quarantine, or salvage error handling.
-	Policy ErrorPolicy
-	// Open overrides how profile files are opened (nil uses os.Open) —
-	// the seam the fault-injection test suite hooks to script read
-	// errors, slow media, and decoder panics.
-	Open func(path string) (io.ReadCloser, error)
-	// Telemetry, when non-nil, receives the load's instrument totals
-	// (names under "analysis.") absorbed once at completion. The pipeline
-	// itself always accounts into a private per-load registry — the same
-	// registry MergeStats is a view over — so sharing a process-wide
-	// registry here never skews a later load's statistics.
-	Telemetry *telemetry.Registry
-	// Spans, when non-nil, receives Chrome trace-event spans for every
-	// pipeline stage: one span per file decode (per worker row), one per
-	// class folder, and the whole-merge span, plus instant markers for
-	// quarantine decisions.
-	Spans *spanlog.Log
-}
-
-// streamItem is one decoded profile entering the merge pipeline.
+// streamItem is one profile entering the merge engine.
 type streamItem struct {
 	p     *cct.Profile
-	path  string // source file ("" when merged from memory)
-	bytes int64  // on-disk size (0 when merged from memory)
-	nodes int    // CCT nodes decoded (0 when unknown)
+	nodes int // CCT nodes in p (0 when unknown)
 }
 
 // shardItem is one profile's contribution to one (class, shard) fold: the
@@ -120,67 +29,6 @@ type streamItem struct {
 type shardItem struct {
 	roots       []*cct.Node
 	rootMetrics metric.Vector
-	path        string // source file, for fault attribution
-	rem         *int32 // shard items of the owning profile not yet folded
-}
-
-// Instrument names the merge pipeline accounts under. Decoded-profile
-// residency (the bounded-memory guarantee the streaming path exists to
-// provide) and fold-queue depth are gauges with tracked maxima; the rest
-// are counters. MergeStats is a view over these — there is no second
-// bookkeeping path.
-const (
-	instProfilesMerged  = "analysis.profiles.merged"
-	instNodesInput      = "analysis.nodes.input"
-	instNodesMerged     = "analysis.nodes.merged"
-	instBytesRead       = "analysis.bytes.read"
-	instResidency       = "analysis.pipeline.residency"
-	instFoldQueue       = "analysis.pipeline.fold_queue"
-	instFoldPanics      = "analysis.fold.panics"
-	instQuarFiles       = "analysis.quarantine.files"
-	instQuarSalvaged    = "analysis.quarantine.salvaged_trees"
-	instFilesDiscovered = "analysis.files.discovered"
-	instDecodeLatencyUS = "analysis.decode.file_latency_us"
-	instDecodeWallUS    = "analysis.wall.decode_us"
-	instMergeWallUS     = "analysis.wall.merge_us"
-	instFoldWallUS      = "analysis.wall.fold_us"
-	instReduceWallUS    = "analysis.wall.reduce_us"
-	instShards          = "analysis.pipeline.shards"
-	instTemporalSeries  = "analysis.temporal.series"
-	instTemporalDropped = "analysis.temporal.dropped"
-)
-
-// quarantineLog accumulates per-file failure records across the decode and
-// fold workers. Entries are deduplicated by path (several trees of one
-// file can fail independently) and reported sorted for determinism.
-type quarantineLog struct {
-	mu     sync.Mutex
-	byPath map[string]*QuarantinedFile
-}
-
-func newQuarantineLog() *quarantineLog {
-	return &quarantineLog{byPath: map[string]*QuarantinedFile{}}
-}
-
-func (q *quarantineLog) add(path, reason string, salvaged int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if rec, ok := q.byPath[path]; ok {
-		rec.Reason += "; " + reason
-		return
-	}
-	q.byPath[path] = &QuarantinedFile{Path: path, Reason: reason, SalvagedTrees: salvaged}
-}
-
-func (q *quarantineLog) sorted() []QuarantinedFile {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]QuarantinedFile, 0, len(q.byPath))
-	for _, rec := range q.byPath {
-		out = append(out, *rec)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
 }
 
 // shardOf maps a root subtree's frame ID to its fold shard (Fibonacci
@@ -195,26 +43,8 @@ func defaultShards(workers int) int {
 	return (workers + cct.NumClasses - 1) / cct.NumClasses
 }
 
-// EffectiveWorkers resolves the decode/fold concurrency this option set
-// would actually run with — the number observability surfaces report.
-func (o LoadOptions) EffectiveWorkers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// EffectiveShards resolves the per-class fold shard count this option set
-// would actually run with.
-func (o LoadOptions) EffectiveShards() int {
-	if o.Shards > 0 {
-		return o.Shards
-	}
-	return defaultShards(o.EffectiveWorkers())
-}
-
 // mergeItems is the channel-fed reduction engine behind Merge,
-// MergePreserving, MergeStream, and LoadDirStreaming.
+// MergePreserving and MergeStream.
 //
 // Each arriving profile is split twice: by storage class, then by a hash
 // of each root subtree's frame ID into one of `shards` fold shards. Every
@@ -231,20 +61,7 @@ func (o LoadOptions) EffectiveShards() int {
 // With preserve=false incoming subtrees are adopted into the accumulators
 // (the input profiles are consumed); with preserve=true they are copied
 // in and the inputs are never mutated.
-//
-// When ctx is cancelled the split stage stops folding and drains the
-// remaining items so upstream decoders unblock. When quar is non-nil a
-// panic while folding one shard item is recovered into a quarantine
-// record for the item's source file instead of crashing the process (nil
-// — the in-memory merge paths — preserves the old panic-through
-// behavior).
-//
-// reg is the per-merge telemetry registry every stage accounts into and
-// the returned MergeStats is a view over; callers create a fresh one per
-// merge. res is the decoded-profile residency gauge (nil for in-memory
-// merges, where the caller already owns every profile); spans, when
-// non-nil, receives per-stage trace events.
-func mergeItems(ctx context.Context, items <-chan streamItem, workers, shards int, preserve bool, reg *telemetry.Registry, res *telemetry.Gauge, quar *quarantineLog, spans *spanlog.Log) (*Database, MergeStats) {
+func mergeItems(items <-chan streamItem, workers, shards int, preserve bool) (*Database, MergeStats) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -252,14 +69,7 @@ func mergeItems(ctx context.Context, items <-chan streamItem, workers, shards in
 		shards = defaultShards(workers)
 	}
 	start := time.Now()
-	var (
-		inputs     = reg.Counter(instProfilesMerged)
-		inputNodes = reg.Counter(instNodesInput)
-		bytesRead  = reg.Counter(instBytesRead)
-		foldQueue  = reg.Gauge(instFoldQueue)
-		foldPanics = reg.Counter(instFoldPanics)
-	)
-	reg.Gauge(instShards).Set(int64(shards))
+	st := MergeStats{Workers: workers}
 
 	chans := make([][]chan shardItem, cct.NumClasses)
 	for c := range chans {
@@ -277,19 +87,9 @@ func mergeItems(ctx context.Context, items <-chan streamItem, workers, shards in
 			fwg.Add(1)
 			go func(c, k int) {
 				defer fwg.Done()
-				defer spans.Span(fmt.Sprintf("fold %s[%d]", cct.Class(c), k), "merge",
-					0, foldTidBase+c*shards+k, nil)()
 				acc := cct.New()
 				for it := range chans[c][k] {
-					foldQueue.Add(-1)
-					if quar == nil {
-						foldShard(acc, it, preserve)
-					} else {
-						foldShardRecovering(acc, it, preserve, cct.Class(c), quar, foldPanics)
-					}
-					if atomic.AddInt32(it.rem, -1) == 0 {
-						res.Add(-1)
-					}
+					foldShard(acc, it, preserve)
 				}
 				accs[c][k] = acc
 			}(c, k)
@@ -299,79 +99,34 @@ func mergeItems(ctx context.Context, items <-chan streamItem, workers, shards in
 	// Split stage: runs inline, recording identity while fanning subtrees
 	// out to their shards.
 	var (
-		ranks        = map[int]bool{}
-		bestRank     int
-		bestThread   int
-		bestEvent    string
-		have         bool
+		id           identity
 		lastItemSeen time.Time
-		cancelled    bool
 		tix          = temporal.NewIndex()
 		buckets      = make([]*shardItem, cct.NumClasses*shards)
 	)
 	for it := range items {
-		if !cancelled && ctx.Err() != nil {
-			cancelled = true
-		}
-		if cancelled {
-			// Drain without folding so blocked decoders can finish.
-			res.Add(-1)
-			continue
-		}
-		inputs.Inc()
-		inputNodes.Add(uint64(it.nodes))
-		bytesRead.Add(uint64(it.bytes))
-		ranks[it.p.Rank] = true
-		if !have || it.p.Rank < bestRank || (it.p.Rank == bestRank && it.p.Thread < bestThread) {
-			bestRank, bestThread, bestEvent = it.p.Rank, it.p.Thread, it.p.Event
-			have = true
-		}
+		st.Inputs++
+		st.InputNodes += it.nodes
+		id.see(it.p.Rank, it.p.Thread, it.p.Event)
 		// Fold the profile's temporal sidecar BEFORE fanning its trees out:
 		// the index walks node parent chains, and folders adopt and mutate
 		// trees concurrently once they are on the shard channels. The fold
 		// copies everything it needs, so it holds no node references after.
-		if err := tix.AddSeries(it.p); err != nil && quar != nil {
-			quar.add(it.path, fmt.Sprintf("temporal sidecar dropped: %v", err), 0)
-		}
-		// Group the profile's root subtrees by (class, shard). rem counts
-		// the shard items actually produced, so residency drops exactly
-		// when the profile's last piece is folded. A panic while grouping
-		// (a nil or structurally damaged tree the decoder let through) is
-		// the fault boundary the folders used to own; with quarantining on
-		// it becomes a per-file record, without it (the in-memory merge
-		// paths) it propagates as before.
-		sent, gerr := groupShards(it, shards, buckets, quar != nil)
-		if gerr != nil {
-			for i := range buckets {
-				buckets[i] = nil
-			}
-			quar.add(it.path, gerr.Error(), 0)
-			foldPanics.Inc()
-			res.Add(-1)
-			lastItemSeen = time.Now()
-			continue
-		}
-		if sent == 0 {
-			res.Add(-1)
-			lastItemSeen = time.Now()
-			continue
-		}
-		rem := new(int32)
-		*rem = int32(sent)
+		// An in-memory merge has nowhere to report a rejected sidecar; the
+		// index counts it as dropped.
+		_ = tix.AddSeries(it.p)
+		groupShards(it, shards, buckets)
 		for i, b := range buckets {
 			if b == nil {
 				continue
 			}
 			buckets[i] = nil
-			b.rem = rem
-			foldQueue.Add(1)
 			chans[i/shards][i%shards] <- *b
 		}
 		lastItemSeen = time.Now()
 	}
-	decodeWall := time.Duration(0)
-	if have {
-		decodeWall = lastItemSeen.Sub(start)
+	if st.Inputs > 0 {
+		st.DecodeWall = lastItemSeen.Sub(start)
 	}
 	for c := range chans {
 		for k := range chans[c] {
@@ -379,119 +134,93 @@ func mergeItems(ctx context.Context, items <-chan streamItem, workers, shards in
 		}
 	}
 	fwg.Wait()
-	foldWall := time.Since(start)
+	st.FoldWall = time.Since(start)
 
 	// Hierarchical reduce: per class, pairwise parallel rounds over the
 	// shard accumulators. Shards partition root subtrees, so each Absorb
 	// moves pointers instead of walking trees.
 	reduceStart := time.Now()
-	reduceDone := spans.Span("reduce accumulators", "merge", 0, 0,
-		map[string]any{"shards": shards})
-	merged := cct.NewProfile(bestRank, bestThread, bestEvent)
+	merged := cct.NewProfile(id.rank, id.thread, id.event)
 	var rwg sync.WaitGroup
 	for c := 0; c < cct.NumClasses; c++ {
 		rwg.Add(1)
 		go func(c int) {
 			defer rwg.Done()
-			defer spans.Span(fmt.Sprintf("reduce %s", cct.Class(c)), "merge",
-				0, foldTidBase+c*shards, nil)()
 			trees := accs[c]
-			for n := len(trees); n > 1; {
-				half := (n + 1) / 2
-				var pwg sync.WaitGroup
-				for i := 0; i+half < n; i++ {
-					pwg.Add(1)
-					go func(i int) {
-						defer pwg.Done()
-						trees[i].Absorb(trees[i+half])
-					}(i)
-				}
-				pwg.Wait()
-				n = half
-			}
+			reducePairwise(len(trees), func(dst, src int) { trees[dst].Absorb(trees[src]) })
 			merged.Trees[c] = trees[0]
 		}(c)
 	}
 	rwg.Wait()
-	reduceDone()
-	reduceWall := time.Since(reduceStart)
-	mergeWall := time.Since(start)
-	spans.Complete("merge pipeline", "merge", 0, 0, start, mergeWall,
-		map[string]any{"workers": workers})
+	st.ReduceWall = time.Since(reduceStart)
+	st.MergeWall = time.Since(start)
+	st.MergedNodes = countNodes(merged)
 
-	// Publish the remaining roll-ups, then build MergeStats as a pure view
-	// over the registry.
-	reg.Gauge(instNodesMerged).Set(int64(merged.NumNodes()))
-	reg.Gauge(instDecodeWallUS).Set(decodeWall.Microseconds())
-	reg.Gauge(instMergeWallUS).Set(mergeWall.Microseconds())
-	reg.Gauge(instFoldWallUS).Set(foldWall.Microseconds())
-	reg.Gauge(instReduceWallUS).Set(reduceWall.Microseconds())
-	var quarantined []QuarantinedFile
-	if quar != nil {
-		quarantined = quar.sorted()
-		salvaged := 0
-		for _, q := range quarantined {
-			salvaged += q.SalvagedTrees
-		}
-		reg.Counter(instQuarFiles).Add(uint64(len(quarantined)))
-		reg.Counter(instQuarSalvaged).Add(uint64(salvaged))
-	}
-	reg.Counter(instTemporalSeries).Add(uint64(tix.Series))
-	reg.Counter(instTemporalDropped).Add(uint64(tix.Dropped))
-	st := statsView(reg, workers, quarantined)
-	db := &Database{Merged: merged, Ranks: len(ranks), Threads: st.Inputs, Event: bestEvent}
+	db := &Database{Merged: merged, Ranks: len(id.ranks), Threads: st.Inputs, Event: id.event}
 	if tix.NumWindows() > 0 {
 		db.Temporal = tix
 	}
 	return db, st
 }
 
-// foldTidBase offsets folder goroutines' trace rows past the decode
-// workers' (tid 1..workers), so viewers show the two stages separately.
-const foldTidBase = 100
+// reducePairwise folds n accumulators into accumulator 0 in parallel
+// rounds: each round absorbs the upper half into the lower half, pair by
+// pair, so the depth is log2(n) — the shape of the paper's reduction tree.
+func reducePairwise(n int, absorb func(dst, src int)) {
+	for n > 1 {
+		half := (n + 1) / 2
+		var wg sync.WaitGroup
+		for i := 0; i+half < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				absorb(i, i+half)
+			}(i)
+		}
+		wg.Wait()
+		n = half
+	}
+}
 
-// statsView assembles MergeStats by reading the per-merge registry — the
-// struct is presentation, the registry is the single source of truth.
-func statsView(reg *telemetry.Registry, workers int, quarantined []QuarantinedFile) MergeStats {
-	s := reg.Snapshot()
-	dh := s.Histograms[instDecodeLatencyUS]
-	return MergeStats{
-		Workers:       workers,
-		Inputs:        int(s.Counters[instProfilesMerged]),
-		InputNodes:    int(s.Counters[instNodesInput]),
-		MergedNodes:   int(s.Gauges[instNodesMerged].Value),
-		BytesRead:     int64(s.Counters[instBytesRead]),
-		DecodeWall:    time.Duration(s.Gauges[instDecodeWallUS].Value) * time.Microsecond,
-		MergeWall:     time.Duration(s.Gauges[instMergeWallUS].Value) * time.Microsecond,
-		FoldWall:      time.Duration(s.Gauges[instFoldWallUS].Value) * time.Microsecond,
-		ReduceWall:    time.Duration(s.Gauges[instReduceWallUS].Value) * time.Microsecond,
-		MaxResident:   int(s.Gauges[instResidency].Max),
-		DecodeFileP50: time.Duration(dh.P50) * time.Microsecond,
-		DecodeFileP95: time.Duration(dh.P95) * time.Microsecond,
-		DecodeFileP99: time.Duration(dh.P99) * time.Microsecond,
-		Quarantined:   quarantined,
+// identity tracks which sources a merge has seen: the set of ranks, and
+// the lowest (rank, thread) with its event — the merged profile's identity,
+// chosen so it does not depend on arrival order.
+type identity struct {
+	ranks        map[int]struct{}
+	rank, thread int
+	event        string
+}
+
+func (id *identity) see(rank, thread int, event string) {
+	if id.ranks == nil {
+		id.ranks = map[int]struct{}{}
+	}
+	first := len(id.ranks) == 0
+	id.ranks[rank] = struct{}{}
+	if first || rank < id.rank || (rank == id.rank && thread < id.thread) {
+		id.rank, id.thread, id.event = rank, thread, event
+	}
+}
+
+// absorb folds another merge's sightings into id.
+func (id *identity) absorb(o *identity) {
+	if len(o.ranks) == 0 {
+		return
+	}
+	id.see(o.rank, o.thread, o.event)
+	for r := range o.ranks {
+		id.ranks[r] = struct{}{}
 	}
 }
 
 // groupShards partitions one profile's root subtrees into the split
-// stage's (class, shard) buckets and returns the number of distinct
-// buckets touched. With recoverPanics it converts a panic — a nil class
-// tree, structure a decoder bug let through — into an error for the
-// caller to quarantine.
-func groupShards(it streamItem, shards int, buckets []*shardItem, recoverPanics bool) (sent int, err error) {
-	if recoverPanics {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panic folding profile: %v", r)
-			}
-		}()
-	}
+// stage's (class, shard) buckets.
+func groupShards(it streamItem, shards int, buckets []*shardItem) {
 	bucket := func(c, k int) *shardItem {
 		b := buckets[c*shards+k]
 		if b == nil {
-			b = &shardItem{path: it.path}
+			b = &shardItem{}
 			buckets[c*shards+k] = b
-			sent++
 		}
 		return b
 	}
@@ -504,7 +233,6 @@ func groupShards(it streamItem, shards int, buckets []*shardItem, recoverPanics 
 			b.roots = append(b.roots, r)
 		})
 	}
-	return sent, nil
 }
 
 // foldShard folds one shard item into the shard's accumulator. With
@@ -522,26 +250,6 @@ func foldShard(acc *cct.Tree, it shardItem, preserve bool) {
 	}
 }
 
-// foldShardRecovering is foldShard converting a panic (a decoder bug
-// surfacing in merge, or damaged structure the format checks missed) into
-// a quarantine record for the item's source file. The accumulator may
-// have absorbed part of the item before the panic — the merge is
-// best-effort for that file, which is what the quarantine record
-// documents.
-func foldShardRecovering(acc *cct.Tree, it shardItem, preserve bool, c cct.Class, quar *quarantineLog, panics *telemetry.Counter) {
-	defer func() {
-		if r := recover(); r != nil {
-			path := it.path
-			if path == "" {
-				path = "(in-memory profile)"
-			}
-			quar.add(path, fmt.Sprintf("panic folding %s tree: %v", c, r), 0)
-			panics.Inc()
-		}
-	}()
-	foldShard(acc, it, preserve)
-}
-
 // mergeSlice feeds an in-memory profile slice through the engine.
 func mergeSlice(profiles []*cct.Profile, workers int, preserve bool) (*Database, MergeStats) {
 	items := make(chan streamItem, 1)
@@ -551,7 +259,7 @@ func mergeSlice(profiles []*cct.Profile, workers int, preserve bool) (*Database,
 		}
 		close(items)
 	}()
-	return mergeItems(context.Background(), items, workers, 0, preserve, telemetry.New(), nil, nil, nil)
+	return mergeItems(items, workers, 0, preserve)
 }
 
 // MergeStream merges profiles as they arrive on ch, with the same bounded
@@ -565,276 +273,5 @@ func MergeStream(ch <-chan *cct.Profile, workers int) (*Database, MergeStats) {
 		}
 		close(items)
 	}()
-	return mergeItems(context.Background(), items, workers, 0, false, telemetry.New(), nil, nil, nil)
-}
-
-// LoadDirStreaming reads a measurement directory written by profio.WriteDir
-// through the streaming pipeline with PolicyStrict and no cancellation —
-// the historical behavior. See LoadDirStreamingCtx for the full surface.
-func LoadDirStreaming(dir string, workers int) (*Database, MergeStats, error) {
-	return LoadDirStreamingCtx(context.Background(), dir, LoadOptions{Workers: workers})
-}
-
-// LoadDirStreamingCtx reads a measurement directory through the streaming
-// pipeline: `workers` decoders read files incrementally (sharing one
-// string-interning cache) and feed the merge stage as each profile
-// completes. At most about 2×workers decoded profiles are ever resident —
-// MergeStats.MaxResident records the observed peak — so directory size
-// does not bound memory.
-//
-// Failure handling follows opt.Policy: strict aborts on the first
-// unreadable file; quarantine and salvage record bad files in
-// MergeStats.Quarantined and keep going (salvage additionally folds in the
-// intact class trees recovered from damaged files). Cancelling ctx stops
-// decoding and folding promptly and returns the context's error. A panic
-// in a decode worker is treated as that file being unreadable; a panic in
-// a fold worker quarantines the offending file's tree.
-func LoadDirStreamingCtx(ctx context.Context, dir string, opt LoadOptions) (*Database, MergeStats, error) {
-	files, err := profio.Files(dir)
-	if err != nil {
-		return nil, MergeStats{}, fmt.Errorf("analysis: %w", err)
-	}
-	if len(files) == 0 {
-		return nil, MergeStats{}, fmt.Errorf("analysis: no profiles in %s", dir)
-	}
-	return LoadFilesStreamingCtx(ctx, dir, files, opt)
-}
-
-// LoadFilesStreamingCtx is the merge-by-handle entry point: it runs the
-// same streaming pipeline as LoadDirStreamingCtx over an explicit list of
-// profile file paths instead of a directory scan. Callers that already
-// know exactly which files constitute a dataset — the profiling service
-// merging the snapshot of a collection pinned at a content generation —
-// use this so a file landing mid-merge can never leak into the result.
-// label names the dataset in spans and error messages.
-func LoadFilesStreamingCtx(ctx context.Context, label string, files []string, opt LoadOptions) (*Database, MergeStats, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	open := opt.Open
-	if open == nil {
-		open = func(path string) (io.ReadCloser, error) { return os.Open(path) }
-	}
-	reg := telemetry.New()
-	if opt.Telemetry != nil {
-		// Publish the private per-load accounting into the caller's
-		// registry whichever way the load ends.
-		defer func() { opt.Telemetry.Absorb(reg.Snapshot()) }()
-	}
-	spans := opt.Spans
-	loadDone := spans.Span("load "+label, "ingest", 0, 0, map[string]any{"workers": workers})
-	defer loadDone()
-
-	if len(files) == 0 {
-		return nil, MergeStats{}, fmt.Errorf("analysis: no profiles in %s", label)
-	}
-	reg.Counter(instFilesDiscovered).Add(uint64(len(files)))
-
-	var (
-		res = reg.Gauge(instResidency)
-		// Per-file decode latency distribution: pow-2 µs buckets up to ~4s,
-		// same shape as the server's HTTP latency histograms. Its quantiles
-		// surface in MergeStats/StatsReport — one slow file in a thousand
-		// is a p99 signal, invisible in the decode wall total.
-		decLat = reg.Histogram(instDecodeLatencyUS, telemetry.Pow2Bounds(22))
-		intern = profio.NewIntern()
-		quar   = newQuarantineLog()
-		items  = make(chan streamItem)
-		paths  = make(chan string)
-		errMu  sync.Mutex
-		first  error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if first == nil {
-			first = err
-		}
-		errMu.Unlock()
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return first != nil
-	}
-
-	var dwg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		dwg.Add(1)
-		go func(w int) {
-			defer dwg.Done()
-			for path := range paths {
-				if ctx.Err() != nil || failed() {
-					continue // keep draining so the feeder never blocks
-				}
-				decodeDone := spans.Span("decode "+filepath.Base(path), "ingest",
-					0, w+1, nil)
-				t0 := time.Now()
-				it, ok := decodeOne(path, intern, open, opt.Policy, opt.SectionParallel, fail, quar)
-				decLat.Observe(uint64(time.Since(t0).Microseconds()))
-				decodeDone()
-				if !ok {
-					spans.Instant("quarantine "+filepath.Base(path), "ingest", 0, w+1, nil)
-					continue
-				}
-				res.Add(1)
-				select {
-				case items <- it:
-				case <-ctx.Done():
-					res.Add(-1)
-				}
-			}
-		}(w)
-	}
-	go func() {
-		defer close(paths)
-		for _, f := range files {
-			select {
-			case paths <- f:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		dwg.Wait()
-		close(items)
-	}()
-
-	db, st := mergeItems(ctx, items, workers, opt.Shards, false, reg, res, quar, spans)
-	if err := ctx.Err(); err != nil {
-		return nil, st, fmt.Errorf("analysis: %w", err)
-	}
-	if failed() {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return nil, st, first
-	}
-	if st.Inputs == 0 {
-		return nil, st, fmt.Errorf("analysis: no readable profiles in %s (%d quarantined)", label, len(st.Quarantined))
-	}
-	db.MeasurementBytes = st.BytesRead
-	emitPhaseSpans(spans, db.Temporal)
-	return db, st, nil
-}
-
-// decodeOne reads one profile file under the given error policy. It
-// returns ok=false when the file produced nothing to merge — because it
-// was quarantined, or because strict mode recorded a pipeline-aborting
-// error. Panics while opening or decoding are contained here and treated
-// exactly like decode errors, so one poisoned file cannot take down the
-// analyzer.
-//
-// When sectionParallel > 1 and the opened handle supports random access,
-// the file's class-tree sections are decoded concurrently first
-// (profio.ReadProfileAt). The fast path only succeeds on fully intact
-// files; any failure falls through to the sequential reader below, whose
-// strict/quarantine/salvage semantics are authoritative — an intact file
-// decodes identically either way, so policies cannot observe which path
-// ran.
-func decodeOne(path string, in *profio.Intern, open func(string) (io.ReadCloser, error), policy ErrorPolicy, sectionParallel int, fail func(error), quar *quarantineLog) (it streamItem, ok bool) {
-	var (
-		p     *cct.Profile
-		nodes int
-		salv  *profio.Salvage
-		err   error
-	)
-	size, derr := func() (size int64, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panic decoding profile: %v", r)
-			}
-		}()
-		f, err := open(path)
-		if err != nil {
-			return 0, err
-		}
-		defer f.Close()
-		if st, serr := statSize(f); serr == nil {
-			size = st
-		}
-		if sectionParallel > 1 && size > 0 {
-			if ra, isRA := f.(io.ReaderAt); isRA {
-				if pp, n, perr := profio.ReadProfileAt(ra, size, in, sectionParallel); perr == nil {
-					p, nodes = pp, n
-					return size, nil
-				}
-				// ReadProfileAt uses only ReadAt, which leaves an os.File's
-				// seek offset alone; reset anyway for handles that couple
-				// the two, then let the sequential reader rule on the file.
-				if sk, isSeek := f.(io.Seeker); isSeek {
-					if _, serr := sk.Seek(0, io.SeekStart); serr != nil {
-						return size, fmt.Errorf("rewinding after parallel decode: %w", serr)
-					}
-				}
-			}
-		}
-		switch policy {
-		case PolicyStrict:
-			d, err := profio.NewReaderInterned(f, in)
-			if err != nil {
-				return size, err
-			}
-			p, err = d.ReadRest()
-			if err != nil {
-				return size, err
-			}
-			nodes = d.NodesRead()
-		default:
-			salv, err = profio.SalvageProfile(f, in)
-			if err != nil {
-				return size, err
-			}
-		}
-		return size, nil
-	}()
-	err = derr
-
-	switch {
-	case err != nil && policy == PolicyStrict:
-		// Full path, not the basename: multi-directory merges must be
-		// diagnosable from the error alone.
-		fail(fmt.Errorf("analysis: %s: %w", path, err))
-		return streamItem{}, false
-	case err != nil:
-		quar.add(path, err.Error(), 0)
-		return streamItem{}, false
-	}
-
-	// salv is nil under a non-strict policy when the parallel fast path
-	// already produced the (necessarily intact) profile.
-	if policy != PolicyStrict && salv != nil {
-		if !salv.Intact() {
-			reason := "damaged"
-			if len(salv.Errs) > 0 {
-				reason = salv.Errs[0].Error()
-			}
-			quar.add(path, reason, salv.Trees)
-			// Sidecar-only damage — every class tree recovered, only the
-			// optional temporal section corrupt — keeps the file in the
-			// merge (windowless) under quarantine too; the quarantine
-			// record above still documents the loss. Anything else follows
-			// the policy: quarantine skips the file, salvage folds what's
-			// left.
-			if !salv.SidecarOnly && (policy == PolicyQuarantine || salv.Trees == 0) {
-				return streamItem{}, false
-			}
-		}
-		p = salv.Profile
-		nodes = salv.NodesRead
-	}
-	return streamItem{p: p, path: path, bytes: size, nodes: nodes}, true
-}
-
-// statSize reports the on-disk size when the opened reader is a real file.
-func statSize(r io.Reader) (int64, error) {
-	f, ok := r.(interface{ Stat() (os.FileInfo, error) })
-	if !ok {
-		return 0, fmt.Errorf("not a file")
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
+	return mergeItems(items, workers, 0, false)
 }

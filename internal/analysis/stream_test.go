@@ -58,10 +58,10 @@ func TestLoadDirStreamingMatchesBatch(t *testing.T) {
 			db.Ranks, db.Threads, db.Event, want.Ranks, want.Threads, want.Event)
 	}
 
-	// The bounded-residency guarantee: at most ~2×workers decoded profiles
-	// in flight, never all 128.
-	if st.MaxResident == 0 || st.MaxResident > 2*workers+2 {
-		t.Errorf("peak residency = %d, want 1..%d (bounded by ~2x workers)", st.MaxResident, 2*workers+2)
+	// The bounded-residency guarantee: at most one staged file per worker,
+	// never all 128.
+	if st.MaxResident == 0 || st.MaxResident > workers {
+		t.Errorf("peak residency = %d, want 1..%d (one staged file per worker)", st.MaxResident, workers)
 	}
 	if st.Inputs != 128 {
 		t.Errorf("stats inputs = %d", st.Inputs)

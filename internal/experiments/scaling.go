@@ -70,13 +70,13 @@ func scaling(ctx *Context, s Scale) *Table {
 		)
 	}
 	t.AddNote("per-thread size and merged nodes stay flat as threads grow: the compactness the paper needs at Sequoia scale")
-	t.AddNote("streaming ingest (%d workers) decodes and merges concurrently; peak resident profiles stay bounded by ~2x workers while thread count grows", streamWorkers)
+	t.AddNote("file loader (%d workers) decodes each file straight into a worker's accumulator; files staged but not yet applied never exceed the worker count while thread count grows", streamWorkers)
 	return t
 }
 
 // measureStreaming writes the profiles to a scratch measurement directory
-// and ingests it with the streaming pipeline, reporting its end-to-end
-// wall time and peak decoded-profile residency.
+// and loads it back, reporting the load's end-to-end wall time and its
+// peak of files staged but not yet applied.
 func measureStreaming(profiles []*cct.Profile, threads int) (string, string) {
 	dir, err := os.MkdirTemp("", "dcprof-scaling")
 	if err != nil {

@@ -130,10 +130,17 @@ func FuzzReadV3Profile(f *testing.F) {
 	addFramingSeeds(f, dense.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadProfile(bytes.NewReader(data))
+		// Staging alone and staging plus materialising must agree on every
+		// input: a stream ValidateProfile accepts always loads, and one it
+		// rejects never does.
+		if info, verr := ValidateProfile(bytes.NewReader(data)); (verr == nil) != (err == nil) {
+			t.Fatalf("validate says %v, read says %v", verr, err)
+		} else if err == nil && info.Nodes != p.NumNodes() {
+			t.Fatalf("validate counted %d nodes, read built %d", info.Nodes, p.NumNodes())
+		}
 		if err != nil {
 			return
 		}
-		_ = p.NumNodes()
 		_ = p.Total()
 		var out bytes.Buffer
 		if err := WriteProfile(&out, p); err != nil {

@@ -69,29 +69,99 @@ func (in *Intern) Len() int {
 	return len(in.m)
 }
 
-// Reader decodes one profile incrementally: the header and string table on
-// construction, then one storage-class tree per ReadTree call. Nothing
-// beyond the tree currently being decoded is buffered, so a consumer can
-// merge each tree away as soon as it arrives instead of holding the whole
-// profile — the unit of streaming the analyzer's pipeline is built on.
+// Reader is the stream-shaped face of the Decoder: it stages one profile
+// image on construction (so the identification getters answer from the
+// header) and materializes it on ReadRest; SalvageProfile materializes
+// whatever staged clean.
+type Reader struct {
+	dec *Decoder
+	st  *Staged
+}
+
+// NewReader reads r to its end and stages the image. It fails when the
+// header is unreadable; damage past the header is reported by ReadRest
+// (as an error) or SalvageProfile (as a verdict).
+func NewReader(r io.Reader) (*Reader, error) { return NewReaderInterned(r, nil) }
+
+// NewReaderInterned is NewReader with decoded strings canonicalized through
+// the shared cache (nil behaves like NewReader).
+func NewReaderInterned(r io.Reader, in *Intern) (*Reader, error) {
+	dec := &Decoder{in: in} // one image: no cross-file caches
+	st, err := dec.Stage(r)
+	if err != nil {
+		return nil, err
+	}
+	return &Reader{dec: dec, st: st}, nil
+}
+
+// Rank returns the producing MPI rank from the header.
+func (d *Reader) Rank() int { return d.st.Rank }
+
+// Thread returns the producing thread id from the header.
+func (d *Reader) Thread() int { return d.st.Thread }
+
+// Event returns the monitored-event description from the header.
+func (d *Reader) Event() string { return d.st.Event }
+
+// NodesRead returns the number of CCT node records in the trees that
+// passed their integrity checks.
+func (d *Reader) NodesRead() int { return d.st.NodesRead }
+
+// Version returns the format version being decoded (Version1, Version2,
+// or Version).
+func (d *Reader) Version() uint32 { return d.st.Version }
+
+// ReadRest returns the profile, temporal sidecar (when present) attached,
+// or the first error if anything at all is wrong with the image.
+func (d *Reader) ReadRest() (*cct.Profile, error) {
+	if !d.st.Intact() {
+		return nil, d.st.Errs[0]
+	}
+	telReadProfiles.Inc()
+	return d.dec.materialize(), nil
+}
+
+// ReadProfile decodes one thread profile.
+func ReadProfile(r io.Reader) (*cct.Profile, error) {
+	return ReadProfileInterned(r, nil)
+}
+
+// ReadProfileInterned is ReadProfile with strings canonicalized through the
+// shared cache.
+func ReadProfileInterned(r io.Reader, in *Intern) (*cct.Profile, error) {
+	d, err := NewReaderInterned(r, in)
+	if err != nil {
+		return nil, err
+	}
+	return d.ReadRest()
+}
+
+// rowReader decodes one v1/v2 profile from a stream: the header and string
+// table on construction, then one storage-class tree per readTree call.
 //
-// For v2/v3 input every section's checksum is verified before its records
+// For v2 input every section's checksum is verified before its records
 // are trusted. A checksum or decode failure inside one tree section is
 // recoverable: the reader is already positioned at the next section, so
-// further ReadTree calls continue with the following tree (the salvage
-// path). A truncation or framing failure is terminal — Broken reports it —
-// because the stream offset of later sections is unknowable.
-type Reader struct {
+// further readTree calls continue with the following tree (the salvage
+// path). A truncation or framing failure is terminal, because the stream
+// offset of later sections is unknowable.
+type rowReader struct {
 	br           *bufio.Reader
 	version      uint32
 	rank, thread int
 	event        string
-	dec          treeDecoder
-	next         int
-	nodes        int
-	treeErrs     int
-	footerDone   bool
-	terminal     error // sticky stream-level failure; nil if resync possible
+	strs         []string
+	// frameIDs memoizes string-table-index tuples to interned FrameIDs, so
+	// each distinct frame in a file touches the process-global interner
+	// once; every further node record with the same tuple resolves by one
+	// integer-keyed map probe. Valid across trees of one file (the string
+	// table is per-file).
+	frameIDs   map[frameRef]cct.FrameID
+	next       int
+	nodes      int
+	treeErrs   int
+	footerDone bool
+	terminal   error // sticky stream-level failure; nil if resync possible
 
 	// classNodes retains each decoded tree's pre-order node array so the
 	// temporal-sidecar trailer (whose entries reference nodes by pre-order
@@ -107,26 +177,7 @@ type Reader struct {
 	trailerDamaged bool
 }
 
-// treeDecoder holds the per-file state tree-section decoding needs: the
-// string table, the v3 frame table, and the v1/v2 frame memo. It is split
-// out of Reader so the section-parallel path (parallel.go) can hand each
-// goroutine its own decoder sharing the immutable strs/frameTab with a
-// private memo.
-type treeDecoder struct {
-	strs []string
-	// frameTab is the v3 header frame table, pre-resolved to interned
-	// FrameIDs — immutable after the header parses, so concurrent tree
-	// decodes may share it.
-	frameTab []cct.FrameID
-	// frameIDs memoizes v1/v2 string-table-index tuples to interned
-	// FrameIDs, so each distinct frame in a file touches the process-global
-	// interner once; every further node record with the same tuple resolves
-	// by one integer-keyed map probe. Valid across trees of one file (the
-	// string table is per-file).
-	frameIDs map[frameRef]cct.FrameID
-}
-
-// frameRef is a frame as the wire encodes it: kind plus string-table
+// frameRef is a frame as the v1/v2 wire encodes it: kind plus string-table
 // indices. Two records with equal refs decode to the same frame.
 type frameRef struct {
 	kind            byte
@@ -134,13 +185,9 @@ type frameRef struct {
 	line            uint64
 }
 
-// NewReader reads the header and string table and positions the reader at
-// the first storage-class tree.
-func NewReader(r io.Reader) (*Reader, error) { return NewReaderInterned(r, nil) }
-
-// NewReaderInterned is NewReader with decoded strings canonicalized through
-// the shared cache (nil behaves like NewReader).
-func NewReaderInterned(r io.Reader, in *Intern) (*Reader, error) {
+// newRowReader reads the preamble, header and string table of a v1/v2
+// stream and positions the reader at the first storage-class tree.
+func newRowReader(r io.Reader, in *Intern) (*rowReader, error) {
 	br := bufio.NewReader(r)
 	if m, err := readU32(br); err != nil || m != Magic {
 		if err != nil {
@@ -152,13 +199,13 @@ func NewReaderInterned(r io.Reader, in *Intern) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("profio: reading version: %w", wrapEOF(err))
 	}
-	d := &Reader{br: br, version: v}
+	d := &rowReader{br: br, version: v}
 	switch v {
 	case Version1:
 		if err := d.parseHeader(br, in); err != nil {
 			return nil, err
 		}
-	case Version2, Version:
+	case Version2:
 		payload, err := readSection(br, "header")
 		if err != nil {
 			return nil, fmt.Errorf("profio: %w", err)
@@ -166,12 +213,6 @@ func NewReaderInterned(r io.Reader, in *Intern) (*Reader, error) {
 		hr := bufio.NewReader(bytes.NewReader(payload))
 		if err := d.parseHeader(hr, in); err != nil {
 			return nil, err
-		}
-		if v == Version {
-			// v3 appends the frame table to the header section.
-			if err := d.parseFrameTable(hr); err != nil {
-				return nil, err
-			}
 		}
 		if _, err := hr.ReadByte(); err != io.EOF {
 			return nil, fmt.Errorf("profio: header: trailing bytes in section")
@@ -183,7 +224,7 @@ func NewReaderInterned(r io.Reader, in *Intern) (*Reader, error) {
 }
 
 // parseHeader decodes rank, thread, string table, and event description.
-func (d *Reader) parseHeader(br *bufio.Reader, in *Intern) error {
+func (d *rowReader) parseHeader(br *bufio.Reader, in *Intern) error {
 	rank, err := readUvarint(br)
 	if err != nil {
 		return wrapEOF(err)
@@ -220,7 +261,7 @@ func (d *Reader) parseHeader(br *bufio.Reader, in *Intern) error {
 		}
 		strs = append(strs, s)
 	}
-	d.rank, d.thread, d.dec.strs = int(rank), int(thread), strs
+	d.rank, d.thread, d.strs = int(rank), int(thread), strs
 
 	eventIdx, err := readUvarint(br)
 	if err != nil {
@@ -266,46 +307,21 @@ func readSection(br *bufio.Reader, what string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Rank returns the producing MPI rank from the header.
-func (d *Reader) Rank() int { return d.rank }
-
-// Thread returns the producing thread id from the header.
-func (d *Reader) Thread() int { return d.thread }
-
-// Event returns the monitored-event description from the header.
-func (d *Reader) Event() string { return d.event }
-
-// NodesRead returns the number of CCT node records decoded so far.
-func (d *Reader) NodesRead() int { return d.nodes }
-
-// Version returns the format version being decoded (Version1, Version2,
-// or Version).
-func (d *Reader) Version() uint32 { return d.version }
-
-// Broken reports whether the stream hit a terminal failure — truncation or
-// framing damage past which no further section can be located. After a
-// merely-corrupt v2 section (checksum or record-level failure) Broken stays
-// false and ReadTree continues with the next tree.
-func (d *Reader) Broken() bool { return d.terminal != nil }
-
-func (d *Reader) str(i uint64) (string, error) { return d.dec.str(i) }
-
-func (td *treeDecoder) str(i uint64) (string, error) {
-	if i >= uint64(len(td.strs)) {
+func (d *rowReader) str(i uint64) (string, error) {
+	if i >= uint64(len(d.strs)) {
 		return "", fmt.Errorf("profio: string index %d out of range", i)
 	}
-	return td.strs[i], nil
+	return d.strs[i], nil
 }
 
-// ReadTree decodes the next storage-class tree, returning io.EOF once all
-// cct.NumClasses trees have been read and (for v2/v3) the footer
-// validated.
+// readTree decodes the next storage-class tree, returning io.EOF once all
+// cct.NumClasses trees have been read and (for v2) the footer validated.
 //
-// A v2/v3 tree section that is present but damaged yields an error for
-// that class only; the next ReadTree call proceeds to the following class.
-// A v1 decode failure or a v2/v3 truncation is terminal: the same error is
+// A v2 tree section that is present but damaged yields an error for that
+// class only; the next readTree call proceeds to the following class. A v1
+// decode failure or a v2 truncation is terminal: the same error is
 // returned from every subsequent call.
-func (d *Reader) ReadTree() (cct.Class, *cct.Tree, error) {
+func (d *rowReader) readTree() (cct.Class, *cct.Tree, error) {
 	if d.terminal != nil {
 		return 0, nil, d.terminal
 	}
@@ -322,7 +338,7 @@ func (d *Reader) ReadTree() (cct.Class, *cct.Tree, error) {
 
 	if d.version == Version1 {
 		t := cct.New()
-		nodes, err := d.dec.readTree(d.br, t)
+		nodes, err := d.decodeRows(d.br, t)
 		if err != nil {
 			// v1 has no framing: the offset of the next tree is unknown.
 			d.terminal = fmt.Errorf("profio: tree %d: %w", d.next, wrapEOF(err))
@@ -352,12 +368,7 @@ func (d *Reader) ReadTree() (cct.Class, *cct.Tree, error) {
 	// either way only this tree is lost.
 	t := cct.New()
 	pr := bufio.NewReader(bytes.NewReader(payload))
-	var nodes []*cct.Node
-	if d.version == Version {
-		nodes, err = d.dec.readTreeV3(pr, t)
-	} else {
-		nodes, err = d.dec.readTree(pr, t)
-	}
+	nodes, err := d.decodeRows(pr, t)
 	if err == nil {
 		if _, e := pr.ReadByte(); e != io.EOF {
 			err = fmt.Errorf("trailing bytes in tree section")
@@ -382,7 +393,7 @@ func (d *Reader) ReadTree() (cct.Class, *cct.Tree, error) {
 // node count, and absence of trailing bytes. The count is only compared to
 // the decoded total when every tree section decoded cleanly — a salvaged
 // file legitimately decodes fewer nodes than the writer recorded.
-func (d *Reader) readFooter() error {
+func (d *rowReader) readFooter() error {
 	m, err := readU32(d.br)
 	if err != nil {
 		return fmt.Errorf("profio: footer: reading magic: %w", wrapEOF(err))
@@ -434,7 +445,7 @@ func (d *Reader) readFooter() error {
 // normal no-trailer case. Errors here are non-terminal in the salvage
 // sense: the trees were already delivered, so a damaged trailer costs
 // only the sidecar.
-func (d *Reader) readTrailers() error {
+func (d *rowReader) readTrailers() error {
 	for {
 		m, err := readU32(d.br)
 		if errors.Is(err, io.EOF) {
@@ -471,55 +482,18 @@ func (d *Reader) readTrailers() error {
 // checksum mismatches and truncation are format-level damage of the
 // optional trailing sections, anything else (a raw I/O error, say) is
 // not, so callers won't treat a flaky disk as "just a lost sidecar".
-func (d *Reader) trailerErr(err error) error {
+func (d *rowReader) trailerErr(err error) error {
 	if errors.Is(err, ErrChecksum) || errors.Is(err, ErrTruncated) {
 		d.trailerDamaged = true
 	}
 	return err
 }
 
-// ReadRest decodes every remaining tree and returns the assembled profile,
-// temporal sidecar (when present) attached.
-func (d *Reader) ReadRest() (*cct.Profile, error) {
-	p := cct.NewProfile(d.rank, d.thread, d.event)
-	for {
-		c, t, err := d.ReadTree()
-		if err == io.EOF {
-			telReadProfiles.Inc()
-			p.Temporal = d.temporal
-			return p, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		p.Trees[c] = t
-	}
-}
-
-// Temporal returns the decoded temporal sidecar, nil when the file had
-// none (or its sidecar was damaged). Populated once ReadTree has hit EOF.
-func (d *Reader) Temporal() *cct.TimeSeries { return d.temporal }
-
-// ReadProfile decodes one thread profile.
-func ReadProfile(r io.Reader) (*cct.Profile, error) {
-	return ReadProfileInterned(r, nil)
-}
-
-// ReadProfileInterned is ReadProfile with strings canonicalized through the
-// shared cache.
-func ReadProfileInterned(r io.Reader, in *Intern) (*cct.Profile, error) {
-	d, err := NewReaderInterned(r, in)
-	if err != nil {
-		return nil, err
-	}
-	return d.ReadRest()
-}
-
-// readTree decodes one v1/v2 row-oriented tree body into t and returns the
-// pre-order node array (the temporal sidecar's reference space). The caller
-// accounts nodes and retains or drops the array.
-func (td *treeDecoder) readTree(br *bufio.Reader, t *cct.Tree) ([]*cct.Node, error) {
-	str := td.str
+// decodeRows decodes one v1/v2 row-oriented tree body into t and returns
+// the pre-order node array (the temporal sidecar's reference space). The
+// caller accounts nodes and retains or drops the array.
+func (d *rowReader) decodeRows(br *bufio.Reader, t *cct.Tree) ([]*cct.Node, error) {
+	str := d.str
 	count, err := readUvarint(br)
 	if err != nil {
 		return nil, err
@@ -563,7 +537,7 @@ func (td *treeDecoder) readTree(br *bufio.Reader, t *cct.Tree) ([]*cct.Node, err
 		// repeats — the overwhelmingly common case, since symbol frames
 		// recur across the whole tree — skip string resolution entirely.
 		ref := frameRef{kind: kind, mod: modI, name: nameI, file: fileI, line: line}
-		id, known := td.frameIDs[ref]
+		id, known := d.frameIDs[ref]
 		if !known {
 			mod, err := str(modI)
 			if err != nil {
@@ -584,10 +558,10 @@ func (td *treeDecoder) readTree(br *bufio.Reader, t *cct.Tree) ([]*cct.Node, err
 				File:   file,
 				Line:   int(int64(line)),
 			})
-			if td.frameIDs == nil {
-				td.frameIDs = make(map[frameRef]cct.FrameID)
+			if d.frameIDs == nil {
+				d.frameIDs = make(map[frameRef]cct.FrameID)
 			}
-			td.frameIDs[ref] = id
+			d.frameIDs[ref] = id
 		}
 
 		var node *cct.Node

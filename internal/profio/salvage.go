@@ -13,67 +13,51 @@ import (
 	"dcprof/internal/cct"
 )
 
-// Salvage is the outcome of a best-effort decode of one profile file.
+// Salvage is the outcome of a best-effort decode of one profile file: the
+// staged verdict (what was recovered, what was lost, why) plus the
+// recovered data itself.
 type Salvage struct {
 	// Profile holds the recovered data: salvaged class trees in their
 	// slots, empty trees for the lost classes. Identification fields come
 	// from the header, which must be intact for any salvage to happen.
 	Profile *cct.Profile
-	// Trees counts complete, integrity-checked class trees recovered.
-	Trees int
-	// Lost counts class trees that could not be recovered.
-	Lost int
-	// Errs holds one error per damaged section (plus the footer, when its
-	// validation failed). Empty means the file was fully intact.
-	Errs []error
-	// NodesRead is the number of CCT node records decoded from the
-	// salvaged trees.
-	NodesRead int
-	// SidecarOnly reports that every class tree was recovered and the
-	// only damage was format-level corruption of the optional trailing
-	// sidecar region (bad checksum, truncation, undecodable series). Such
-	// a file is safe to merge windowless; an I/O error or footer failure
-	// never sets this.
-	SidecarOnly bool
+	Staged
 }
-
-// Intact reports whether the file decoded completely with every integrity
-// check passing — i.e. salvage degenerated into a normal read.
-func (s *Salvage) Intact() bool { return s.Lost == 0 && len(s.Errs) == 0 }
 
 // SalvageProfile decodes as much of a possibly damaged profile as the
 // format's integrity metadata can vouch for. It returns an error only when
 // the header (identification + string table) is unreadable — without the
 // string table no tree can be decoded, so nothing is salvageable.
 //
-// For v2 files each tree section is independently framed and checksummed,
-// so a damaged section loses only its own class; later sections are still
-// recovered. Truncation loses everything from the cut onward. For v1 files
-// (no framing) the trees preceding the first failure are recovered and the
-// rest counted lost; v1 trees carry no checksums, so "recovered" there
-// means "decoded cleanly", a weaker guarantee.
+// For v2/v3 files each tree section is independently framed and
+// checksummed, so a damaged section loses only its own class; later
+// sections are still recovered. Truncation loses everything from the cut
+// onward. For v1 files (no framing) the trees preceding the first failure
+// are recovered and the rest counted lost; v1 trees carry no checksums, so
+// "recovered" there means "decoded cleanly", a weaker guarantee.
 func SalvageProfile(r io.Reader, in *Intern) (*Salvage, error) {
 	d, err := NewReaderInterned(r, in)
 	if err != nil {
 		return nil, err
 	}
-	return d.Salvage()
+	return &Salvage{Profile: d.dec.materialize(), Staged: *d.st}, nil
 }
 
-// Salvage drains the reader's remaining trees in best-effort mode. It can
-// be called instead of ReadRest after NewReader; mixing it with prior
-// ReadTree calls salvages only the classes not yet read.
-func (d *Reader) Salvage() (*Salvage, error) {
-	s := &Salvage{Profile: cct.NewProfile(d.rank, d.thread, d.event)}
+// salvage drains the row reader's trees in best-effort mode.
+func (d *rowReader) salvage() *Salvage {
+	s := &Salvage{
+		Profile: cct.NewProfile(d.rank, d.thread, d.event),
+		Staged:  Staged{Rank: d.rank, Thread: d.thread, Event: d.event, Version: d.version},
+	}
 	for {
 		before := d.next
-		c, t, err := d.ReadTree()
+		c, t, err := d.readTree()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			s.Errs = append(s.Errs, err)
-			if d.Broken() {
+			if d.terminal != nil {
 				// The stream is unframed or cut: d.next still names the
 				// tree the failure surfaced on, and every class from it
 				// onward is gone.
@@ -98,10 +82,5 @@ func (d *Reader) Salvage() (*Salvage, error) {
 	// windowless.
 	s.Profile.Temporal = d.temporal
 	s.SidecarOnly = s.Lost == 0 && len(s.Errs) > 0 && d.trailerDamaged
-	if !s.Intact() {
-		telSalvageFiles.Inc()
-		telSalvageRecovered.Add(uint64(s.Trees))
-		telSalvageLost.Add(uint64(s.Lost))
-	}
-	return s, nil
+	return s
 }

@@ -1,29 +1,17 @@
 package profio
 
-// Section index: random-access decode support. v2/v3 files are a sequence
-// of independently framed, CRC'd sections, so their boundaries can be
-// located by walking length prefixes alone — no payload is decoded, no
-// checksum verified, no string touched. The index is what lets a single
-// file's class trees decode concurrently (ReadProfileAt): each goroutine
-// reads its section's byte range and decodes it against the shared,
-// immutable header state.
-//
-// The parallel path is deliberately all-or-nothing: any damage — a bad
-// checksum, a truncated section, a record-level failure — makes
-// ReadProfileAt return an error without trying to resync, and the caller
-// falls back to the sequential Reader, whose salvage semantics are the
-// ones every error-path test pins down. Fast path fast, slow path
-// bit-identical to what it always was.
+// Section index: v2/v3 files are a sequence of independently framed,
+// CRC'd sections, so their boundaries can be located by walking length
+// prefixes alone — no payload is decoded, no checksum verified, no string
+// touched. IndexSections is that walk over a random-access image; tools
+// use it to look inside a file without decoding it.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
 
 	"dcprof/internal/cct"
 )
@@ -54,8 +42,7 @@ type SectionInfo struct {
 	Offset int64
 	// Len is the payload length in bytes.
 	Len int64
-	// CRC is the stored checksum. Indexing records it without verifying;
-	// verification happens when the payload is actually read.
+	// CRC is the stored checksum. Indexing records it without verifying.
 	CRC uint32
 }
 
@@ -159,7 +146,7 @@ func IndexSections(r io.ReaderAt, size int64) (*SectionIndex, error) {
 	}
 
 	// Footer. Its integrity metadata is a few bytes, so indexing verifies
-	// it outright — the parallel reader needs the count anyway.
+	// it outright.
 	fm, err := u32("footer magic")
 	if err != nil {
 		return nil, err
@@ -214,155 +201,37 @@ func IndexSections(r io.ReaderAt, size int64) (*SectionIndex, error) {
 	return ix, nil
 }
 
-// readSectionAt reads one indexed section payload and verifies its
-// checksum — the random-access analogue of readSection.
-func readSectionAt(r io.ReaderAt, info SectionInfo, what string) ([]byte, error) {
-	buf := make([]byte, info.Len)
-	if _, err := r.ReadAt(buf, info.Offset); err != nil {
-		telTruncations.Inc()
-		return nil, fmt.Errorf("%s: %w", what, wrapEOF(err))
-	}
-	telReadBytes.Add(uint64(info.Len) + 4)
-	if got := crc32.ChecksumIEEE(buf); got != info.CRC {
-		telCRCFailures.Inc()
-		return nil, fmt.Errorf("%s: %w: computed %08x, stored %08x", what, ErrChecksum, got, info.CRC)
-	}
-	telReadSections.Inc()
-	return buf, nil
-}
-
-// ReadProfileAt decodes one profile from a random-access image with the
-// storage-class tree sections decoded concurrently, up to `parallel` at a
-// time. Strings are canonicalized through in (nil skips canonicalization).
-// It returns the profile and the number of node records decoded.
+// ReadProfileAt decodes one profile from a random-access image, strictly:
+// any damage fails the read. Strings are canonicalized through in (nil
+// skips canonicalization). It returns the profile and the number of node
+// records decoded.
 //
-// Every integrity check the sequential reader performs is performed here —
-// section checksums, record validation, footer count, trailer decode — but
-// on ANY failure the whole read fails: resync and salvage stay the
-// sequential Reader's job, so callers should fall back to it on error.
-func ReadProfileAt(r io.ReaderAt, size int64, in *Intern, parallel int) (*cct.Profile, int, error) {
-	ix, err := IndexSections(r, size)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Header first: tree decode needs the string table (and frame table).
-	payload, err := readSectionAt(r, ix.Header(), "header")
-	if err != nil {
-		return nil, 0, fmt.Errorf("profio: %w", err)
-	}
-	d := &Reader{version: ix.Version}
-	hr := bufio.NewReader(bytes.NewReader(payload))
-	if err := d.parseHeader(hr, in); err != nil {
-		return nil, 0, err
-	}
-	if ix.Version == Version {
-		if err := d.parseFrameTable(hr); err != nil {
-			return nil, 0, err
-		}
-	}
-	if _, err := hr.ReadByte(); err != io.EOF {
-		return nil, 0, fmt.Errorf("profio: header: trailing bytes in section")
-	}
-
-	// Tree sections, concurrently. The string and frame tables are
-	// immutable now; each goroutine gets its own treeDecoder so the v1/v2
-	// frame memo is never shared.
-	if parallel < 1 {
-		parallel = 1
-	}
-	p := cct.NewProfile(d.rank, d.thread, d.event)
-	var (
-		wg    sync.WaitGroup
-		sem   = make(chan struct{}, parallel)
-		errs  [cct.NumClasses]error
-		total int
-	)
-	var counts [cct.NumClasses]int
-	for ci, info := range ix.Trees() {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(ci int, info SectionInfo) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			payload, err := readSectionAt(r, info, fmt.Sprintf("tree %d", ci))
-			if err != nil {
-				errs[ci] = fmt.Errorf("profio: %w", err)
-				return
-			}
-			dec := treeDecoder{strs: d.dec.strs, frameTab: d.dec.frameTab}
-			t := cct.New()
-			pr := bufio.NewReader(bytes.NewReader(payload))
-			var nodes []*cct.Node
-			if ix.Version == Version {
-				nodes, err = dec.readTreeV3(pr, t)
-			} else {
-				nodes, err = dec.readTree(pr, t)
-			}
-			if err == nil {
-				if _, e := pr.ReadByte(); e != io.EOF {
-					err = fmt.Errorf("trailing bytes in tree section")
-				}
-			}
-			if err != nil {
-				errs[ci] = fmt.Errorf("profio: tree %d: %w", ci, err)
-				return
-			}
-			p.Trees[ci] = t
-			d.classNodes[ci] = nodes
-			counts[ci] = len(nodes)
-		}(ci, info)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	for _, n := range counts {
-		total += n
-	}
-	if ix.FooterCount != uint64(total) {
-		return nil, 0, fmt.Errorf("profio: footer: record count %d, decoded %d", ix.FooterCount, total)
-	}
-	telReadNodes.Add(uint64(total))
-
-	// Trailers, sequentially: the temporal sidecar resolves node indices
-	// against the freshly built class trees.
-	for _, info := range ix.Trailers() {
-		payload, err := readSectionAt(r, info, fmt.Sprintf("trailer %#x", info.Magic))
-		if err != nil {
-			return nil, 0, fmt.Errorf("profio: %w", err)
-		}
-		switch info.Magic {
-		case TemporalMagic:
-			if p.Temporal != nil {
-				return nil, 0, fmt.Errorf("profio: duplicate temporal trailer section")
-			}
-			ts, err := decodeTimeSeries(payload, &d.classNodes)
-			if err != nil {
-				return nil, 0, fmt.Errorf("profio: temporal sidecar: %w", err)
-			}
-			p.Temporal = ts
-			telTemporalRead.Inc()
-		default:
-			telTrailerSkipped.Inc()
-		}
-	}
-	telReadProfiles.Inc()
-	return p, total, nil
+// It is the staged decoder over the image's byte range. The last argument
+// was the per-file section fan-out; a staged file decodes faster than the
+// goroutines it took to fan its sections out, so it is ignored.
+func ReadProfileAt(r io.ReaderAt, size int64, in *Intern, _ int) (*cct.Profile, int, error) {
+	return readCounted(io.NewSectionReader(r, 0, size), in)
 }
 
 // ReadFileParallel is ReadProfileAt over a file path.
-func ReadFileParallel(path string, in *Intern, parallel int) (*cct.Profile, int, error) {
+func ReadFileParallel(path string, in *Intern, _ int) (*cct.Profile, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
+	return readCounted(f, in)
+}
+
+// readCounted is ReadProfileInterned returning the node-record count too.
+func readCounted(r io.Reader, in *Intern) (*cct.Profile, int, error) {
+	d, err := NewReaderInterned(r, in)
 	if err != nil {
 		return nil, 0, err
 	}
-	return ReadProfileAt(f, st.Size(), in, parallel)
+	p, err := d.ReadRest()
+	if err != nil {
+		return nil, 0, err
+	}
+	return p, d.NodesRead(), nil
 }

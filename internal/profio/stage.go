@@ -1,0 +1,722 @@
+package profio
+
+// Stage, then apply: the one v3 decoder.
+//
+// A Decoder reads a profile image whole into a reusable buffer and
+// *stages* it: the header (strings and frame-table entries resolved
+// through decoder-local caches in front of the shared Intern and the
+// process-global frame interner), every section checksum, the footer, the
+// trailer framing, and each tree section's parent, frame and metric
+// columns, decoded under every record-level check into reusable scratch
+// slices. Staging touches no tree, so it is also the whole of validation.
+// Apply then walks the staged columns into a caller-supplied profile and
+// cannot fail: everything that could be wrong with the file was ruled on
+// before the first node was touched. A caller that applies file after file
+// into one accumulator allocates a node only when a calling context is new
+// to that accumulator, and a file it decides to reject has contributed
+// nothing.
+//
+// v1/v2 images keep the row decoder (reader.go): Stage salvages them into
+// a private profile and Apply absorbs that profile, so callers see one
+// interface for every version.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"slices"
+
+	"dcprof/internal/cct"
+	"dcprof/internal/metric"
+)
+
+// Staged is the verdict on one profile image: what its integrity metadata
+// vouches for, before any of it is applied.
+type Staged struct {
+	// Rank, Thread, and Event identify the producer, from the header.
+	Rank, Thread int
+	Event        string
+	// Version is the format version (Version1, Version2, or Version).
+	Version uint32
+	// Bytes is the length of the image read.
+	Bytes int64
+	// Trees counts complete, integrity-checked class trees.
+	Trees int
+	// Lost counts class trees that could not be recovered.
+	Lost int
+	// Errs holds one error per damaged section (plus the footer or trailer
+	// region, when its validation failed). Empty means the file is fully
+	// intact.
+	Errs []error
+	// NodesRead is the number of CCT node records in the recovered trees.
+	NodesRead int
+	// SidecarOnly reports that every class tree was recovered and the
+	// only damage was format-level corruption of the optional trailing
+	// sidecar region (bad checksum, truncation, undecodable series). Such
+	// a file is safe to merge windowless; an I/O error or footer failure
+	// never sets this.
+	SidecarOnly bool
+}
+
+// Intact reports whether the image decoded completely with every
+// integrity check passing.
+func (s *Staged) Intact() bool { return s.Lost == 0 && len(s.Errs) == 0 }
+
+// frameKey is a v3 frame-table entry with its strings replaced by the
+// decoder's dense string IDs — the key of the decoder-local memo in front
+// of cct.InternFrame.
+type frameKey struct {
+	line            uint64
+	mod, name, file uint32
+	kind            byte
+}
+
+// metricEnt is one staged metric-column entry.
+type metricEnt struct {
+	v    uint64
+	node uint32 // pre-order index within its tree
+	id   uint8
+}
+
+// treeSpan locates one staged tree in the decoder's flat columns. A tree
+// that staged clean has at least its root, so an empty node range means
+// the class has nothing staged.
+type treeSpan struct {
+	node0, nodeN int // parent/frame/nodes columns [node0, nodeN)
+	ent0, entN   int // metric entries [ent0, entN)
+}
+
+// Decoder stages profile images and applies them to profiles. It owns its
+// read buffer, scratch columns and caches, all of which live exactly as
+// long as it does; it is not safe for concurrent use. A load gives each of
+// its workers one Decoder.
+type Decoder struct {
+	in *Intern
+
+	// Decoder-local caches. Thread files of one execution repeat the same
+	// strings and frames, so after the first few files every header
+	// resolves here without touching the shared, synchronized interners.
+	// Both maps are nil in a decoder that will stage a single image (a
+	// Reader's): a header never repeats itself, so there is nothing to
+	// remember.
+	strIDs map[string]uint32
+	strTab []string
+	frames map[frameKey]cct.FrameID
+
+	buf     []byte
+	readErr error // non-EOF error that ended the read of buf
+
+	st     Staged
+	legacy *Salvage // the staged v1/v2 image, nil for v3
+
+	strs     []uint32      // file string index → strTab index
+	frameTab []cct.FrameID // file frame index → interned frame
+	parent   []uint32
+	frame    []cct.FrameID
+	ents     []metricEnt
+	span     [cct.NumClasses]treeSpan
+	nodes    []*cct.Node // Apply's pre-order node arrays, parallel to parent
+	series   seriesStage
+	haveTS   bool
+	damaged  bool // trailer-region damage was format-level, not I/O
+}
+
+// NewDecoder creates a decoder whose strings are canonicalized through in
+// (nil skips canonicalization).
+func NewDecoder(in *Intern) *Decoder {
+	return &Decoder{
+		in:     in,
+		strIDs: make(map[string]uint32),
+		frames: make(map[frameKey]cct.FrameID),
+	}
+}
+
+// Stage reads r to its end and stages the image. It returns an error only
+// when the header (identification, string table, frame table) is
+// unreadable — then nothing is salvageable. Otherwise the verdict says
+// which trees staged clean and what was damaged; it stays valid until the
+// next Stage. An error from r other than io.EOF ends the image at the
+// bytes read so far, and whatever runs into that end reports the error.
+func (d *Decoder) Stage(r io.Reader) (*Staged, error) {
+	d.readErr = d.fill(r)
+	img := d.buf
+	d.st = Staged{Errs: d.st.Errs[:0], Bytes: int64(len(img))}
+	d.legacy = nil
+	d.haveTS, d.damaged = false, false
+	d.span = [cct.NumClasses]treeSpan{}
+
+	if len(img) < 4 {
+		return nil, fmt.Errorf("profio: reading magic: %w", d.short())
+	}
+	if m := binary.LittleEndian.Uint32(img); m != Magic {
+		return nil, fmt.Errorf("profio: bad magic %#x", m)
+	}
+	if len(img) < 8 {
+		return nil, fmt.Errorf("profio: reading version: %w", d.short())
+	}
+	switch v := binary.LittleEndian.Uint32(img[4:]); v {
+	case Version:
+		d.st.Version = v
+		if err := d.stageV3(img); err != nil {
+			return nil, err
+		}
+	case Version1, Version2:
+		src := io.Reader(bytes.NewReader(img))
+		if d.readErr != nil {
+			src = io.MultiReader(src, errReader{d.readErr})
+		}
+		rr, err := newRowReader(src, d.in)
+		if err != nil {
+			return nil, err
+		}
+		d.legacy = rr.salvage()
+		d.st = d.legacy.Staged
+		d.st.Bytes = int64(len(img))
+	default:
+		return nil, fmt.Errorf("profio: unsupported version %d", v)
+	}
+	if !d.st.Intact() {
+		telSalvageFiles.Inc()
+		telSalvageRecovered.Add(uint64(d.st.Trees))
+		telSalvageLost.Add(uint64(d.st.Lost))
+	}
+	return &d.st, nil
+}
+
+// errReader yields its error on every Read.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// fill reads r to EOF into the reusable buffer, which therefore grows
+// with the bytes actually present. It returns the error that ended the
+// read, nil for a clean EOF.
+func (d *Decoder) fill(r io.Reader) error {
+	b := d.buf[:0]
+	if cap(b) == 0 {
+		b = make([]byte, 0, 4096)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			d.buf = b
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
+}
+
+// short is the error for input that ended before a complete record: the
+// read error that cut the image short if there was one, ErrTruncated
+// otherwise.
+func (d *Decoder) short() error {
+	if d.readErr != nil {
+		return d.readErr
+	}
+	telTruncations.Inc()
+	return fmt.Errorf("%w (unexpected EOF)", ErrTruncated)
+}
+
+// errShort reports a checksummed section payload that ended inside a
+// record — writer damage (or a CRC collision), not stream truncation.
+var errShort = io.ErrUnexpectedEOF
+
+var errVarint = errors.New("varint overflows a 64-bit integer")
+
+// asTruncated classifies a header or sidecar payload that ended inside a
+// record as ErrTruncated, so callers can tell it from other damage with
+// errors.Is.
+func asTruncated(err error) error {
+	if errors.Is(err, errShort) {
+		telTruncations.Inc()
+		return fmt.Errorf("%w (%v)", ErrTruncated, err)
+	}
+	return err
+}
+
+// uvarint decodes one varint at b[off:], returning the offset past it.
+func uvarint(b []byte, off int) (uint64, int, error) {
+	if off < len(b) && b[off] < 0x80 {
+		return uint64(b[off]), off + 1, nil
+	}
+	v, k := binary.Uvarint(b[off:])
+	if k > 0 {
+		return v, off + k, nil
+	}
+	if k == 0 {
+		return 0, off, errShort
+	}
+	return 0, off, errVarint
+}
+
+// treeNames avoids formatting a section name per tree per file.
+var treeNames = func() (n [cct.NumClasses]string) {
+	for c := range n {
+		n[c] = fmt.Sprintf("tree %d", c)
+	}
+	return n
+}()
+
+// section reads the `len · payload · crc` frame at *off and verifies the
+// checksum. On a checksum failure *off is past the section and resync is
+// true — the caller may continue with the next section; on any other
+// failure the framing is lost.
+func (d *Decoder) section(img []byte, off *int, what string) (payload []byte, resync bool, err error) {
+	n, p, verr := uvarint(img, *off)
+	if verr != nil {
+		if verr == errShort {
+			verr = d.short()
+		}
+		return nil, false, fmt.Errorf("%s: reading section length: %w", what, verr)
+	}
+	if n > maxSection {
+		return nil, false, fmt.Errorf("%s: unreasonable section size %d", what, n)
+	}
+	if have := len(img) - p; uint64(have) < n {
+		telReadBytes.Add(uint64(have))
+		if d.readErr != nil {
+			return nil, false, fmt.Errorf("%s: %w after %d/%d payload bytes (%v)", what, ErrTruncated, have, n, d.readErr)
+		}
+		telTruncations.Inc()
+		return nil, false, fmt.Errorf("%s: %w after %d/%d payload bytes", what, ErrTruncated, have, n)
+	}
+	payload = img[p : p+int(n)]
+	p += int(n)
+	telReadBytes.Add(n + 4) // payload + stored checksum
+	if len(img)-p < 4 {
+		return nil, false, fmt.Errorf("%s: reading checksum: %w", what, d.short())
+	}
+	stored := binary.LittleEndian.Uint32(img[p:])
+	*off = p + 4
+	if got := crc32.ChecksumIEEE(payload); got != stored {
+		telCRCFailures.Inc()
+		return nil, true, fmt.Errorf("%s: %w: computed %08x, stored %08x", what, ErrChecksum, got, stored)
+	}
+	telReadSections.Inc()
+	return payload, false, nil
+}
+
+// stageV3 stages a v3 image. Its bookkeeping is the salvage contract:
+// a tree section that is present but damaged loses only its own class, a
+// truncation or framing failure loses every class from there on, and the
+// footer and trailers are only reachable when the framing held.
+func (d *Decoder) stageV3(img []byte) error {
+	st := &d.st
+	off := 8
+	payload, _, err := d.section(img, &off, "header")
+	if err != nil {
+		return fmt.Errorf("profio: %w", err)
+	}
+	if err := d.stageHeader(payload); err != nil {
+		return err
+	}
+
+	d.parent, d.frame, d.ents = d.parent[:0], d.frame[:0], d.ents[:0]
+	framed := true
+	for c := 0; c < cct.NumClasses; c++ {
+		payload, resync, err := d.section(img, &off, treeNames[c])
+		if err != nil {
+			st.Errs = append(st.Errs, fmt.Errorf("profio: %w", err))
+			if resync {
+				st.Lost++
+				continue
+			}
+			st.Lost += cct.NumClasses - c
+			framed = false
+			break
+		}
+		if err := d.stageTree(c, payload); err != nil {
+			st.Errs = append(st.Errs, fmt.Errorf("profio: tree %d: %w", c, err))
+			st.Lost++
+			continue
+		}
+		sp := &d.span[c]
+		st.Trees++
+		st.NodesRead += sp.nodeN - sp.node0
+	}
+	telReadNodes.Add(uint64(st.NodesRead))
+	if framed {
+		err := d.stageFooter(img, &off)
+		if err == nil {
+			err = d.stageTrailers(img, off)
+		}
+		if err != nil {
+			st.Errs = append(st.Errs, err)
+		}
+	}
+	st.SidecarOnly = st.Lost == 0 && len(st.Errs) > 0 && d.damaged
+	return nil
+}
+
+// stageHeader decodes rank, thread, string table, event and frame table.
+// Strings resolve through the decoder-local cache (a hit allocates
+// nothing), frame-table entries through the decoder-local memo.
+func (d *Decoder) stageHeader(b []byte) error {
+	if err := d.parseHeader(b); err != nil {
+		return fmt.Errorf("profio: header: %w", asTruncated(err))
+	}
+	return nil
+}
+
+func (d *Decoder) parseHeader(b []byte) error {
+	rank, off, err := uvarint(b, 0)
+	if err != nil {
+		return err
+	}
+	thread, off, err := uvarint(b, off)
+	if err != nil {
+		return err
+	}
+	nStrs, off, err := uvarint(b, off)
+	if err != nil {
+		return err
+	}
+	if nStrs > 1<<24 {
+		return fmt.Errorf("unreasonable string table size %d", nStrs)
+	}
+	// Scratch grows with the entries actually present, never with the
+	// claimed count: every entry consumes at least one payload byte.
+	d.strs = d.strs[:0]
+	for i := uint64(0); i < nStrs; i++ {
+		var n uint64
+		if n, off, err = uvarint(b, off); err != nil {
+			return err
+		}
+		if n > 1<<16 {
+			return fmt.Errorf("unreasonable string length %d", n)
+		}
+		if uint64(len(b)-off) < n {
+			return errShort
+		}
+		raw := b[off : off+int(n)]
+		off += int(n)
+		id, ok := d.strIDs[string(raw)]
+		if !ok {
+			s := string(raw)
+			if d.in != nil {
+				s = d.in.Intern(s)
+			}
+			id = uint32(len(d.strTab))
+			d.strTab = append(d.strTab, s)
+			if d.strIDs != nil {
+				d.strIDs[s] = id
+			}
+		}
+		d.strs = append(d.strs, id)
+	}
+	eventIdx, off, err := uvarint(b, off)
+	if err != nil {
+		return err
+	}
+	if eventIdx >= uint64(len(d.strs)) {
+		return fmt.Errorf("string index %d out of range", eventIdx)
+	}
+	d.st.Rank, d.st.Thread = int(rank), int(thread)
+	d.st.Event = d.strTab[d.strs[eventIdx]]
+
+	nFrames, off, err := uvarint(b, off)
+	if err != nil {
+		return fmt.Errorf("frame table: %w", err)
+	}
+	if nFrames > 1<<24 {
+		return fmt.Errorf("unreasonable frame table size %d", nFrames)
+	}
+	d.frameTab = d.frameTab[:0]
+	for i := uint64(0); i < nFrames; i++ {
+		if off >= len(b) {
+			return fmt.Errorf("frame table entry %d: %w", i, errShort)
+		}
+		key := frameKey{kind: b[off]}
+		off++
+		// Module, name and file string indices, then the line.
+		var ref [4]uint64
+		for k := range ref {
+			if ref[k], off, err = uvarint(b, off); err != nil {
+				return fmt.Errorf("frame table entry %d: %w", i, err)
+			}
+		}
+		for _, r := range ref[:3] {
+			if r >= uint64(len(d.strs)) {
+				return fmt.Errorf("string index %d out of range", r)
+			}
+		}
+		key.mod, key.name, key.file, key.line = d.strs[ref[0]], d.strs[ref[1]], d.strs[ref[2]], ref[3]
+		id, ok := d.frames[key]
+		if !ok {
+			id = cct.InternFrame(cct.Frame{
+				Kind:   cct.Kind(key.kind),
+				Module: d.strTab[key.mod],
+				Name:   d.strTab[key.name],
+				File:   d.strTab[key.file],
+				Line:   int(int64(key.line)),
+			})
+			if d.frames != nil {
+				d.frames[key] = id
+			}
+		}
+		d.frameTab = append(d.frameTab, id)
+	}
+	if off != len(b) {
+		return fmt.Errorf("trailing bytes in section")
+	}
+	return nil
+}
+
+// stageTree decodes one columnar tree section into the flat scratch
+// columns. On failure the columns are rolled back, so a damaged tree
+// leaves nothing staged. The columns never grow past what the payload's
+// own length can account for, whatever count it claims.
+func (d *Decoder) stageTree(c int, b []byte) (err error) {
+	sp := treeSpan{node0: len(d.parent), ent0: len(d.ents)}
+	defer func() {
+		if err != nil {
+			d.parent, d.frame, d.ents = d.parent[:sp.node0], d.frame[:sp.node0], d.ents[:sp.ent0]
+		}
+	}()
+	count, off, err := uvarint(b, 0)
+	if err != nil {
+		return err
+	}
+	if count == 0 {
+		return fmt.Errorf("empty node array (even the root must be present)")
+	}
+	if count > 1<<28 {
+		return fmt.Errorf("unreasonable node count %d", count)
+	}
+	// Every node costs at least a frame-column byte, so a count the payload
+	// cannot hold is damage — and a count it can hold is safe to reserve.
+	if count > uint64(len(b)) {
+		return errShort
+	}
+	d.parent = slices.Grow(d.parent, int(count))
+	d.frame = slices.Grow(d.frame, int(count))
+	// Parent column: gap ≥ 1 back to an earlier node.
+	d.parent = append(d.parent, 0)
+	for i := uint64(1); i < count; i++ {
+		var gap uint64
+		if gap, off, err = uvarint(b, off); err != nil {
+			return err
+		}
+		if gap == 0 || gap > i {
+			return fmt.Errorf("node %d: parent gap %d out of range", i, gap)
+		}
+		d.parent = append(d.parent, uint32(i-gap))
+	}
+	// Frame column: running delta over frame-table indices, resolved to
+	// interned frames here so Apply is a plain ChildID walk. The root's own
+	// frame rides in the column for symmetry and is ignored by Apply, as
+	// v1/v2 ignore the root record's frame fields.
+	fi := int64(0)
+	for i := uint64(0); i < count; i++ {
+		var u uint64
+		if u, off, err = uvarint(b, off); err != nil {
+			return err
+		}
+		fi += unzigzag(u)
+		if fi < 0 || fi >= int64(len(d.frameTab)) {
+			return fmt.Errorf("node %d: frame index %d out of range", i, fi)
+		}
+		d.frame = append(d.frame, d.frameTab[fi])
+	}
+	// Metric columns.
+	if off >= len(b) {
+		return errShort
+	}
+	ncols := int(b[off])
+	off++
+	if ncols > int(metric.NumMetrics) {
+		return fmt.Errorf("metric column count %d out of range", ncols)
+	}
+	prevID := -1
+	for col := 0; col < ncols; col++ {
+		if off >= len(b) {
+			return errShort
+		}
+		id := b[off]
+		off++
+		if int(id) >= int(metric.NumMetrics) {
+			return fmt.Errorf("metric id %d out of range", id)
+		}
+		if int(id) <= prevID {
+			return fmt.Errorf("metric columns out of order (%d after %d)", id, prevID)
+		}
+		prevID = int(id)
+		var n uint64
+		if n, off, err = uvarint(b, off); err != nil {
+			return err
+		}
+		if n > count {
+			return fmt.Errorf("metric column %d: %d entries for %d nodes", id, n, count)
+		}
+		idx := uint64(0)
+		for e := uint64(0); e < n; e++ {
+			var delta, v uint64
+			if delta, off, err = uvarint(b, off); err != nil {
+				return err
+			}
+			switch {
+			case e == 0:
+				idx = delta
+			case delta == 0 || delta > count:
+				return fmt.Errorf("metric column %d: non-ascending node index", id)
+			default:
+				idx += delta
+			}
+			if idx >= count {
+				return fmt.Errorf("metric column %d: node index %d out of range", id, idx)
+			}
+			if v, off, err = uvarint(b, off); err != nil {
+				return err
+			}
+			d.ents = append(d.ents, metricEnt{v: v, node: uint32(idx), id: id})
+		}
+	}
+	if off != len(b) {
+		return fmt.Errorf("trailing bytes in tree section")
+	}
+	sp.nodeN, sp.entN = len(d.parent), len(d.ents)
+	d.span[c] = sp
+	return nil
+}
+
+// stageFooter validates the end-of-file footer: magic and checksummed
+// total node count. The count is only compared to the staged total when
+// every tree section staged clean — a salvaged file legitimately holds
+// fewer nodes than the writer recorded.
+func (d *Decoder) stageFooter(img []byte, off *int) error {
+	p := *off
+	if len(img)-p < 4 {
+		return fmt.Errorf("profio: footer: reading magic: %w", d.short())
+	}
+	if m := binary.LittleEndian.Uint32(img[p:]); m != FooterMagic {
+		return fmt.Errorf("profio: footer: bad magic %#x", m)
+	}
+	p += 4
+	count, q, err := uvarint(img, p)
+	if err != nil {
+		if err == errShort {
+			err = d.short()
+		}
+		return fmt.Errorf("profio: footer: %w", err)
+	}
+	if len(img)-q < 4 {
+		return fmt.Errorf("profio: footer: reading checksum: %w", d.short())
+	}
+	stored := binary.LittleEndian.Uint32(img[q:])
+	// Checksum covers the exact varint bytes of the count.
+	if got := crc32.ChecksumIEEE(img[p:q]); got != stored {
+		telCRCFailures.Inc()
+		return fmt.Errorf("profio: footer: %w: computed %08x, stored %08x", ErrChecksum, got, stored)
+	}
+	if d.st.Lost == 0 && count != uint64(d.st.NodesRead) {
+		return fmt.Errorf("profio: footer: record count %d, decoded %d", count, d.st.NodesRead)
+	}
+	*off = q + 4
+	return nil
+}
+
+// stageTrailers scans the tagged sections after the footer (see
+// rowReader.readTrailers for the contract): known magics stage, unknown
+// ones are checksum-verified and skipped, the end of the image is the
+// normal way out. The trees are already staged, so a damaged trailer
+// costs only the sidecar.
+func (d *Decoder) stageTrailers(img []byte, off int) error {
+	var counts [cct.NumClasses]int
+	for c, sp := range d.span {
+		counts[c] = sp.nodeN - sp.node0
+	}
+	for {
+		if off == len(img) && d.readErr == nil {
+			return nil
+		}
+		if len(img)-off < 4 {
+			// A read error here is not format-level damage: a flaky disk
+			// must not pass for "just a lost sidecar".
+			d.damaged = d.readErr == nil
+			return fmt.Errorf("profio: trailer: reading magic: %w", d.short())
+		}
+		m := binary.LittleEndian.Uint32(img[off:])
+		off += 4
+		payload, _, err := d.section(img, &off, "trailer")
+		if err != nil {
+			d.damaged = d.readErr == nil && (errors.Is(err, ErrChecksum) || errors.Is(err, ErrTruncated))
+			return fmt.Errorf("profio: trailer %#x: %w", m, err)
+		}
+		switch m {
+		case TemporalMagic:
+			if d.haveTS {
+				d.damaged = true
+				return fmt.Errorf("profio: duplicate temporal trailer section")
+			}
+			if err := d.series.stage(payload, &counts); err != nil {
+				d.damaged = true
+				return fmt.Errorf("profio: temporal sidecar: %w", err)
+			}
+			d.haveTS = len(d.series.wins) > 0 // an empty sidecar is no sidecar
+			telTemporalRead.Inc()
+		default:
+			// Unknown trailer: intact (the checksum held), just not ours.
+			telTrailerSkipped.Inc()
+		}
+	}
+}
+
+// Apply walks every tree of the last staged image that staged clean into
+// p, creating only the calling contexts p does not have yet, and returns
+// the image's temporal sidecar resolved against p's nodes (nil when it
+// had none, or lost it). It cannot fail. The returned series is backed by
+// the decoder's scratch: it is valid until the next Stage.
+func (d *Decoder) Apply(p *cct.Profile) *cct.TimeSeries {
+	if d.legacy != nil {
+		// Row-decoded images arrive as a private profile; fold it in. The
+		// sidecar's nodes keep their frame IDs and parent chains through
+		// the absorb, which is all the temporal index reads.
+		for c, t := range d.legacy.Profile.Trees {
+			p.Trees[c].Absorb(t)
+		}
+		return d.legacy.Profile.Temporal
+	}
+	if cap(d.nodes) < len(d.parent) {
+		d.nodes = make([]*cct.Node, len(d.parent))
+	}
+	d.nodes = d.nodes[:len(d.parent)]
+	var classNodes [cct.NumClasses][]*cct.Node
+	for c, sp := range d.span {
+		if sp.nodeN == sp.node0 {
+			continue
+		}
+		nodes := d.nodes[sp.node0:sp.nodeN]
+		parent, frame := d.parent[sp.node0:sp.nodeN], d.frame[sp.node0:sp.nodeN]
+		nodes[0] = p.Trees[c].Root
+		for i := 1; i < len(nodes); i++ {
+			nodes[i] = nodes[parent[i]].ChildID(frame[i])
+		}
+		for _, e := range d.ents[sp.ent0:sp.entN] {
+			nodes[e.node].Metrics[e.id] += e.v
+		}
+		classNodes[c] = nodes
+	}
+	if !d.haveTS {
+		return nil
+	}
+	return d.series.resolve(&classNodes)
+}
+
+// materialize applies the staged image into a profile of its own.
+func (d *Decoder) materialize() *cct.Profile {
+	if d.legacy != nil {
+		return d.legacy.Profile
+	}
+	p := cct.NewProfile(d.st.Rank, d.st.Thread, d.st.Event)
+	p.Temporal = d.Apply(p)
+	return p
+}

@@ -36,7 +36,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"sort"
 
 	"dcprof/internal/cct"
@@ -156,34 +155,69 @@ func writeTemporalSection(w *bufio.Writer, sw *bufio.Writer, payload *bytes.Buff
 	return flushSection(w, sw, payload)
 }
 
-// decodeTimeSeries parses a sidecar payload, resolving node references
-// against the per-class node arrays retained from the tree sections. Every
+// stagedWin is one staged sidecar window: its index and how many of the
+// flat staged deltas belong to it.
+type stagedWin struct {
+	index uint64
+	n     int
+}
+
+// stagedDelta is one staged sidecar entry; node is a pre-order index into
+// its class tree.
+type stagedDelta struct {
+	metrics metric.Vector
+	node    uint32
+	class   cct.Class
+}
+
+// seriesStage is the sidecar decoder, in the same two steps as the tree
+// decoder (stage.go): stage parses a payload into reusable scratch under
+// every structural check, touching no node; resolve turns the staged
+// entries into a cct.TimeSeries against the node arrays of whichever
+// trees the file was applied to.
+type seriesStage struct {
+	width  uint64
+	wins   []stagedWin
+	deltas []stagedDelta
+
+	// The resolved form, reused from file to file. out is its own
+	// allocation so that a profile keeping the series does not keep the
+	// decoder alive.
+	out *cct.TimeSeries
+	td  []cct.TimeDelta
+}
+
+// stage parses a sidecar payload. counts holds the node count of each
+// class tree the entries may reference (zero for a lost tree). Every
 // structural claim is validated; an error means the sidecar is dropped
 // (the profile loads windowless), never that the reader panics or
-// over-allocates.
-func decodeTimeSeries(payload []byte, classNodes *[cct.NumClasses][]*cct.Node) (*cct.TimeSeries, error) {
-	br := bufio.NewReader(bytes.NewReader(payload))
-	width, err := readUvarint(br)
+// over-allocates — scratch grows with the entries actually present.
+func (s *seriesStage) stage(b []byte, counts *[cct.NumClasses]int) error {
+	return asTruncated(s.parse(b, counts))
+}
+
+func (s *seriesStage) parse(b []byte, counts *[cct.NumClasses]int) error {
+	s.wins, s.deltas = s.wins[:0], s.deltas[:0]
+	width, off, err := uvarint(b, 0)
 	if err != nil {
-		return nil, fmt.Errorf("reading width: %w", wrapEOF(err))
+		return fmt.Errorf("reading width: %w", err)
 	}
 	if width == 0 {
-		return nil, fmt.Errorf("zero window width")
+		return fmt.Errorf("zero window width")
 	}
-	numWindows, err := readUvarint(br)
+	numWindows, off, err := uvarint(b, off)
 	if err != nil {
-		return nil, fmt.Errorf("reading window count: %w", wrapEOF(err))
+		return fmt.Errorf("reading window count: %w", err)
 	}
 	if numWindows > maxWindowSpan {
-		return nil, fmt.Errorf("unreasonable window count %d", numWindows)
+		return fmt.Errorf("unreasonable window count %d", numWindows)
 	}
-	ts := &cct.TimeSeries{Width: width}
-	ts.Windows = make([]cct.TimeWindow, 0, min(numWindows, 4096))
+	s.width = width
 	var firstIdx, prevIdx uint64
 	for wi := uint64(0); wi < numWindows; wi++ {
-		delta, err := readUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("window %d: reading index: %w", wi, wrapEOF(err))
+		var delta, numEntries uint64
+		if delta, off, err = uvarint(b, off); err != nil {
+			return fmt.Errorf("window %d: reading index: %w", wi, err)
 		}
 		var idx uint64
 		if wi == 0 {
@@ -191,93 +225,127 @@ func decodeTimeSeries(payload []byte, classNodes *[cct.NumClasses][]*cct.Node) (
 			firstIdx = idx
 		} else {
 			if delta == 0 {
-				return nil, fmt.Errorf("window %d: non-ascending index", wi)
+				return fmt.Errorf("window %d: non-ascending index", wi)
 			}
 			idx = prevIdx + delta
 			if idx < prevIdx {
-				return nil, fmt.Errorf("window %d: index overflows", wi)
+				return fmt.Errorf("window %d: index overflows", wi)
 			}
 		}
 		prevIdx = idx
 		if idx-firstIdx > maxWindowSpan {
-			return nil, fmt.Errorf("window %d: unreasonable window span %d", wi, idx-firstIdx)
+			return fmt.Errorf("window %d: unreasonable window span %d", wi, idx-firstIdx)
 		}
-		numEntries, err := readUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("window %d: reading entry count: %w", wi, wrapEOF(err))
+		if numEntries, off, err = uvarint(b, off); err != nil {
+			return fmt.Errorf("window %d: reading entry count: %w", wi, err)
 		}
 		if numEntries > maxSection {
-			return nil, fmt.Errorf("window %d: unreasonable entry count %d", wi, numEntries)
+			return fmt.Errorf("window %d: unreasonable entry count %d", wi, numEntries)
 		}
-		win := cct.TimeWindow{Index: idx}
-		win.Deltas = make([]cct.TimeDelta, 0, min(numEntries, 4096))
 		var prevClass cct.Class
 		var prevNodeIdx uint32
 		for ei := uint64(0); ei < numEntries; ei++ {
-			cb, err := br.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("window %d entry %d: reading class: %w", wi, ei, wrapEOF(err))
+			if off >= len(b) {
+				return fmt.Errorf("window %d entry %d: reading class: %w", wi, ei, errShort)
 			}
-			class := cct.Class(cb)
+			class := cct.Class(b[off])
+			off++
 			if int(class) >= cct.NumClasses {
-				return nil, fmt.Errorf("window %d entry %d: class %d out of range", wi, ei, cb)
+				return fmt.Errorf("window %d entry %d: class %d out of range", wi, ei, class)
 			}
-			rawIdx, err := readUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("window %d entry %d: reading node index: %w", wi, ei, wrapEOF(err))
+			var rawIdx uint64
+			if rawIdx, off, err = uvarint(b, off); err != nil {
+				return fmt.Errorf("window %d entry %d: reading node index: %w", wi, ei, err)
 			}
 			var nodeIdx uint64
 			if ei > 0 && class == prevClass {
 				if rawIdx == 0 {
-					return nil, fmt.Errorf("window %d entry %d: non-ascending node index", wi, ei)
+					return fmt.Errorf("window %d entry %d: non-ascending node index", wi, ei)
 				}
 				nodeIdx = uint64(prevNodeIdx) + rawIdx
 				if nodeIdx < rawIdx {
-					return nil, fmt.Errorf("window %d entry %d: node index overflows", wi, ei)
+					return fmt.Errorf("window %d entry %d: node index overflows", wi, ei)
 				}
 			} else {
 				if ei > 0 && class < prevClass {
-					return nil, fmt.Errorf("window %d entry %d: class order violation", wi, ei)
+					return fmt.Errorf("window %d entry %d: class order violation", wi, ei)
 				}
 				nodeIdx = rawIdx
 			}
-			nodes := classNodes[class]
-			if nodeIdx >= uint64(len(nodes)) {
-				return nil, fmt.Errorf("window %d entry %d: node index %d out of range for %v tree (%d nodes)",
-					wi, ei, nodeIdx, class, len(nodes))
+			if nodeIdx >= uint64(counts[class]) {
+				return fmt.Errorf("window %d entry %d: node index %d out of range for %v tree (%d nodes)",
+					wi, ei, nodeIdx, class, counts[class])
 			}
 			prevClass, prevNodeIdx = class, uint32(nodeIdx)
-			d := cct.TimeDelta{Class: class, Node: nodes[nodeIdx]}
-			nz, err := br.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("window %d entry %d: reading metric count: %w", wi, ei, wrapEOF(err))
+			d := stagedDelta{class: class, node: uint32(nodeIdx)}
+			if off >= len(b) {
+				return fmt.Errorf("window %d entry %d: reading metric count: %w", wi, ei, errShort)
 			}
-			if int(nz) > int(metric.NumMetrics) {
-				return nil, fmt.Errorf("window %d entry %d: metric count %d out of range", wi, ei, nz)
+			nz := int(b[off])
+			off++
+			if nz > int(metric.NumMetrics) {
+				return fmt.Errorf("window %d entry %d: metric count %d out of range", wi, ei, nz)
 			}
-			for k := 0; k < int(nz); k++ {
-				id, err := br.ReadByte()
-				if err != nil {
-					return nil, fmt.Errorf("window %d entry %d: reading metric id: %w", wi, ei, wrapEOF(err))
+			for k := 0; k < nz; k++ {
+				if off >= len(b) {
+					return fmt.Errorf("window %d entry %d: reading metric id: %w", wi, ei, errShort)
 				}
+				id := b[off]
+				off++
 				if int(id) >= int(metric.NumMetrics) {
-					return nil, fmt.Errorf("window %d entry %d: metric id %d out of range", wi, ei, id)
+					return fmt.Errorf("window %d entry %d: metric id %d out of range", wi, ei, id)
 				}
-				v, err := readUvarint(br)
-				if err != nil {
-					return nil, fmt.Errorf("window %d entry %d: reading metric value: %w", wi, ei, wrapEOF(err))
+				var v uint64
+				if v, off, err = uvarint(b, off); err != nil {
+					return fmt.Errorf("window %d entry %d: reading metric value: %w", wi, ei, err)
 				}
-				d.Metrics[id] += v
+				d.metrics[id] += v
 			}
-			win.Deltas = append(win.Deltas, d)
+			s.deltas = append(s.deltas, d)
 		}
-		ts.Windows = append(ts.Windows, win)
+		s.wins = append(s.wins, stagedWin{index: idx, n: int(numEntries)})
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("trailing bytes in temporal section")
+	if off != len(b) {
+		return fmt.Errorf("trailing bytes in temporal section")
 	}
-	if len(ts.Windows) == 0 {
-		return nil, nil // an empty sidecar decodes to no sidecar
+	return nil
+}
+
+// resolve builds the staged sidecar's cct.TimeSeries against the given
+// per-class pre-order node arrays, reusing the previous result's storage.
+// It returns nil for a sidecar without windows.
+func (s *seriesStage) resolve(nodes *[cct.NumClasses][]*cct.Node) *cct.TimeSeries {
+	if len(s.wins) == 0 {
+		return nil
 	}
-	return ts, nil
+	if s.out == nil {
+		s.out = new(cct.TimeSeries)
+	}
+	s.td = s.td[:0]
+	for i := range s.deltas {
+		d := &s.deltas[i]
+		s.td = append(s.td, cct.TimeDelta{Class: d.class, Node: nodes[d.class][d.node], Metrics: d.metrics})
+	}
+	s.out.Width = s.width
+	s.out.Windows = s.out.Windows[:0]
+	next := 0
+	for _, w := range s.wins {
+		s.out.Windows = append(s.out.Windows, cct.TimeWindow{Index: w.index, Deltas: s.td[next : next+w.n : next+w.n]})
+		next += w.n
+	}
+	return s.out
+}
+
+// decodeTimeSeries is stage and resolve in one step, for the row reader,
+// which has already built the trees the sidecar refers to.
+func decodeTimeSeries(payload []byte, classNodes *[cct.NumClasses][]*cct.Node) (*cct.TimeSeries, error) {
+	var counts [cct.NumClasses]int
+	for c, nodes := range classNodes {
+		counts[c] = len(nodes)
+	}
+	var s seriesStage
+	if err := s.stage(payload, &counts); err != nil {
+		return nil, err
+	}
+	return s.resolve(classNodes), nil
 }

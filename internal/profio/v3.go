@@ -30,7 +30,7 @@ package profio
 // columns, so the (overwhelmingly common) metric-less interior node costs
 // zero metric bytes. Decode becomes table-driven: the frame table is
 // interned once per file and every node record resolves by one slice
-// index — no per-node string handling at all (reader.go, readTreeV3).
+// index — no per-node string handling at all (stage.go, stageTree).
 //
 // Node pre-order indices are identical to v2's (both follow the
 // deterministic tree Walk), so the temporal sidecar trailer carries over
@@ -40,7 +40,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 
 	"dcprof/internal/cct"
@@ -230,170 +229,6 @@ func writeTreeV3(w *bufio.Writer, t *cct.Tree, frameIdx map[cct.FrameID]uint32, 
 		}
 	}
 	return index, v2len, nil
-}
-
-// parseFrameTable decodes the v3 header's frame table, resolving every
-// entry to an interned FrameID once — after this, node records decode by
-// slice index with no per-node string handling at all.
-func (d *Reader) parseFrameTable(br *bufio.Reader) error {
-	n, err := readUvarint(br)
-	if err != nil {
-		return fmt.Errorf("profio: frame table: %w", wrapEOF(err))
-	}
-	if n > 1<<24 {
-		return fmt.Errorf("profio: unreasonable frame table size %d", n)
-	}
-	// Grow incrementally: the claimed count must not drive the allocation.
-	tab := make([]cct.FrameID, 0, min(n, 4096))
-	for i := uint64(0); i < n; i++ {
-		kind, err := br.ReadByte()
-		if err != nil {
-			return fmt.Errorf("profio: frame table entry %d: %w", i, wrapEOF(err))
-		}
-		modI, err := readUvarint(br)
-		if err != nil {
-			return fmt.Errorf("profio: frame table entry %d: %w", i, wrapEOF(err))
-		}
-		nameI, err := readUvarint(br)
-		if err != nil {
-			return fmt.Errorf("profio: frame table entry %d: %w", i, wrapEOF(err))
-		}
-		fileI, err := readUvarint(br)
-		if err != nil {
-			return fmt.Errorf("profio: frame table entry %d: %w", i, wrapEOF(err))
-		}
-		line, err := readUvarint(br)
-		if err != nil {
-			return fmt.Errorf("profio: frame table entry %d: %w", i, wrapEOF(err))
-		}
-		mod, err := d.dec.str(modI)
-		if err != nil {
-			return err
-		}
-		name, err := d.dec.str(nameI)
-		if err != nil {
-			return err
-		}
-		file, err := d.dec.str(fileI)
-		if err != nil {
-			return err
-		}
-		tab = append(tab, cct.InternFrame(cct.Frame{
-			Kind:   cct.Kind(kind),
-			Module: mod,
-			Name:   name,
-			File:   file,
-			Line:   int(int64(line)),
-		}))
-	}
-	d.dec.frameTab = tab
-	return nil
-}
-
-// readTreeV3 decodes one columnar v3 tree body into t and returns the
-// pre-order node array. It only touches td.frameTab (immutable after the
-// header), so concurrent calls on distinct sections are safe.
-func (td *treeDecoder) readTreeV3(br *bufio.Reader, t *cct.Tree) ([]*cct.Node, error) {
-	count, err := readUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if count == 0 {
-		return nil, fmt.Errorf("empty node array (even the root must be present)")
-	}
-	if count > 1<<28 {
-		return nil, fmt.Errorf("unreasonable node count %d", count)
-	}
-	// Parent column. Grown incrementally — a corrupt count must fail at the
-	// first missing byte, not after a proportional allocation.
-	parents := make([]uint32, 1, min(count, 4096))
-	for i := uint64(1); i < count; i++ {
-		gap, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if gap == 0 || gap > i {
-			return nil, fmt.Errorf("node %d: parent gap %d out of range", i, gap)
-		}
-		parents = append(parents, uint32(i-gap))
-	}
-	// Frame column: running delta over local frame-table indices; each node
-	// attaches under its (already built) parent.
-	nodes := make([]*cct.Node, 0, min(count, 4096))
-	fi := int64(0)
-	for i := uint64(0); i < count; i++ {
-		u, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		fi += unzigzag(u)
-		if fi < 0 || fi >= int64(len(td.frameTab)) {
-			return nil, fmt.Errorf("node %d: frame index %d out of range", i, fi)
-		}
-		var node *cct.Node
-		if i == 0 {
-			// The root's own frame rides in the column for symmetry but the
-			// decoded tree keeps its canonical root, exactly as v1/v2 ignore
-			// the root record's frame fields.
-			node = t.Root
-		} else {
-			node = nodes[parents[i]].ChildID(td.frameTab[fi])
-		}
-		nodes = append(nodes, node)
-	}
-	// Metric columns.
-	ncols, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if int(ncols) > int(metric.NumMetrics) {
-		return nil, fmt.Errorf("metric column count %d out of range", ncols)
-	}
-	prevID := -1
-	for c := 0; c < int(ncols); c++ {
-		id, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if int(id) >= int(metric.NumMetrics) {
-			return nil, fmt.Errorf("metric id %d out of range", id)
-		}
-		if int(id) <= prevID {
-			return nil, fmt.Errorf("metric columns out of order (%d after %d)", id, prevID)
-		}
-		prevID = int(id)
-		n, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if n > count {
-			return nil, fmt.Errorf("metric column %d: %d entries for %d nodes", id, n, count)
-		}
-		idx := uint64(0)
-		for e := uint64(0); e < n; e++ {
-			delta, err := readUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			switch {
-			case e == 0:
-				idx = delta
-			case delta == 0 || delta > count:
-				return nil, fmt.Errorf("metric column %d: non-ascending node index", id)
-			default:
-				idx += delta
-			}
-			if idx >= count {
-				return nil, fmt.Errorf("metric column %d: node index %d out of range", id, idx)
-			}
-			v, err := readUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			nodes[idx].Metrics[id] += v
-		}
-	}
-	return nodes, nil
 }
 
 // uvlen returns the encoded length of v as an unsigned varint.

@@ -26,38 +26,26 @@ type ValidateInfo struct {
 	Bytes int64
 }
 
-// ValidateProfile fully decodes one profile stream, discarding the trees,
-// and reports what it found. It fails on anything the strict reader would
-// fail on: bad magic or version, framing damage, checksum mismatches,
-// truncation, record-level corruption, or trailing bytes — the exported
-// seam the upload path of the profiling service rejects payloads through.
+// ValidateProfile stages one profile stream — every check the strict
+// reader applies, no tree built — and reports what it found. It fails on
+// anything the strict reader would fail on: bad magic or version, framing
+// damage, checksum mismatches, truncation, record-level corruption, or
+// trailing bytes — the exported seam the upload path of the profiling
+// service rejects payloads through.
 //
-// Validation is a complete decode rather than a cheaper frame walk: a
-// stream that validates is guaranteed mergeable, so an accepted upload can
-// never later poison a collection's queries.
+// Validation is the reader's own staging step rather than a cheaper frame
+// walk: a stream that validates is guaranteed mergeable, so an accepted
+// upload can never later poison a collection's queries.
 func ValidateProfile(r io.Reader) (ValidateInfo, error) {
-	cr := &countReader{r: r}
-	d, err := NewReader(cr)
+	st, err := new(Decoder).Stage(r) // one image: no cross-file caches
 	if err != nil {
 		return ValidateInfo{}, err
 	}
-	info := ValidateInfo{
-		Rank:    d.Rank(),
-		Thread:  d.Thread(),
-		Event:   d.Event(),
-		Version: d.Version(),
+	info := ValidateInfo{Rank: st.Rank, Thread: st.Thread, Event: st.Event, Version: st.Version}
+	if !st.Intact() {
+		return info, st.Errs[0]
 	}
-	for {
-		_, _, err := d.ReadTree()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return info, err
-		}
-	}
-	info.Nodes = d.NodesRead()
-	info.Bytes = cr.n
+	info.Nodes, info.Bytes = st.NodesRead, st.Bytes
 	return info, nil
 }
 
@@ -75,16 +63,4 @@ func ValidateV2Profile(r io.Reader) (ValidateInfo, error) {
 		return info, fmt.Errorf("profio: version %d uploads not accepted (no integrity checksums); re-encode as v%d", info.Version, Version)
 	}
 	return info, nil
-}
-
-// countReader counts the bytes delivered from the underlying reader.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

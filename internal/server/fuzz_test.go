@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"dcprof/internal/profio"
 )
 
 // FuzzHandleUpload throws arbitrary bodies at the ingest path. The
@@ -35,10 +38,17 @@ func FuzzHandleUpload(f *testing.F) {
 		h.ServeHTTP(rr, req)
 
 		after := fileCount(t, srv, "fuzz")
+		// Ingest validates by staging alone; a query materialises. The two
+		// must agree: whatever is admitted loads, and nothing that loads as
+		// a checksummed profile is turned away.
+		loaded, loadErr := profio.ReadProfile(bytes.NewReader(data))
 		switch rr.Code {
 		case http.StatusCreated:
 			if after != before+1 {
 				t.Fatalf("201 but file count %d -> %d", before, after)
+			}
+			if loadErr != nil {
+				t.Fatalf("admitted upload does not load: %v", loadErr)
 			}
 		case http.StatusOK:
 			// Idempotent replay: the engine re-sent bytes the collection
@@ -54,10 +64,19 @@ func FuzzHandleUpload(f *testing.F) {
 			if after != before {
 				t.Fatalf("rejected upload landed a file: %d -> %d", before, after)
 			}
+			// v1 streams load but carry no checksums, so ingest refuses them.
+			if loadErr == nil && !isV1(data) {
+				t.Fatalf("rejected upload loads cleanly (%d nodes): %s", loaded.NumNodes(), rr.Body.String())
+			}
 		default:
 			t.Fatalf("status %d for fuzzed upload: %s", rr.Code, rr.Body.String())
 		}
 	})
+}
+
+// isV1 reports whether data carries the version-1 preamble.
+func isV1(data []byte) bool {
+	return len(data) >= 8 && binary.LittleEndian.Uint32(data[4:]) == profio.Version1
 }
 
 // FuzzUploadIdempotency is the digest-lookup fuzz: whatever bytes arrive,

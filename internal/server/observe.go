@@ -35,12 +35,9 @@ type varsResponse struct {
 	Delta         telemetry.Snapshot `json:"delta"`
 	// RatesPerSecond maps each counter to delta/window.
 	RatesPerSecond map[string]float64 `json:"rates_per_second"`
-	// MergeWorkers, MergeShards, and MergeSectionParallel are the
-	// effective merge-concurrency settings cached merges run with — the
-	// resolved values, not the raw (possibly zero) flags.
-	MergeWorkers         int `json:"merge_workers"`
-	MergeShards          int `json:"merge_shards"`
-	MergeSectionParallel int `json:"merge_section_parallel"`
+	// MergeWorkers is the effective worker count cached merges run with —
+	// the resolved value, not the raw (possibly zero) flag.
+	MergeWorkers int `json:"merge_workers"`
 }
 
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
@@ -63,20 +60,13 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 			rates[name] = float64(d) / window
 		}
 	}
-	opts := analysis.LoadOptions{Workers: s.cfg.Workers, Shards: s.cfg.Shards}
-	sectionPar := s.cfg.SectionParallel
-	if sectionPar < 1 {
-		sectionPar = 1
-	}
 	writeJSON(w, http.StatusOK, varsResponse{
-		UptimeSeconds:        now.Sub(s.started).Seconds(),
-		WindowSeconds:        window,
-		Totals:               cur,
-		Delta:                delta,
-		RatesPerSecond:       rates,
-		MergeWorkers:         opts.EffectiveWorkers(),
-		MergeShards:          opts.EffectiveShards(),
-		MergeSectionParallel: sectionPar,
+		UptimeSeconds:  now.Sub(s.started).Seconds(),
+		WindowSeconds:  window,
+		Totals:         cur,
+		Delta:          delta,
+		RatesPerSecond: rates,
+		MergeWorkers:   analysis.LoadOptions{Workers: s.cfg.Workers}.EffectiveWorkers(),
 	})
 }
 

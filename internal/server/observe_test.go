@@ -296,23 +296,26 @@ func TestVarsDelta(t *testing.T) {
 }
 
 // TestVarsMergeSettings: /debug/vars reports the effective merge
-// concurrency — resolved values, so an operator sees what the server
-// actually runs with, not the raw zero-valued flags.
+// concurrency — the resolved value, so an operator sees what the server
+// actually runs with, not the raw zero-valued flag — and no longer
+// advertises the shard and section-parallel settings file loads dropped.
 func TestVarsMergeSettings(t *testing.T) {
 	var v struct {
-		MergeWorkers         int `json:"merge_workers"`
-		MergeShards          int `json:"merge_shards"`
-		MergeSectionParallel int `json:"merge_section_parallel"`
+		MergeWorkers int `json:"merge_workers"`
 	}
 
-	_, ts := newTestServer(t, func(c *Config) {
-		c.Workers, c.Shards, c.SectionParallel = 6, 3, 2
-	})
-	if err := json.Unmarshal(mustGet(t, ts, "/debug/vars"), &v); err != nil {
+	_, ts := newTestServer(t, func(c *Config) { c.Workers = 6 })
+	body := mustGet(t, ts, "/debug/vars")
+	if err := json.Unmarshal(body, &v); err != nil {
 		t.Fatal(err)
 	}
-	if v.MergeWorkers != 6 || v.MergeShards != 3 || v.MergeSectionParallel != 2 {
-		t.Errorf("configured merge settings = %+v, want workers 6, shards 3, section parallel 2", v)
+	if v.MergeWorkers != 6 {
+		t.Errorf("configured merge_workers = %d, want 6", v.MergeWorkers)
+	}
+	for _, gone := range []string{"merge_shards", "merge_section_parallel"} {
+		if bytes.Contains(body, []byte(gone)) {
+			t.Errorf("/debug/vars still carries %q", gone)
+		}
 	}
 
 	_, ts = newTestServer(t, nil)
@@ -321,9 +324,6 @@ func TestVarsMergeSettings(t *testing.T) {
 	}
 	if want := runtime.GOMAXPROCS(0); v.MergeWorkers != want {
 		t.Errorf("default merge_workers = %d, want GOMAXPROCS %d", v.MergeWorkers, want)
-	}
-	if v.MergeShards < 1 || v.MergeSectionParallel != 1 {
-		t.Errorf("default merge settings = %+v, want shards >= 1 and section parallel 1", v)
 	}
 }
 

@@ -74,13 +74,6 @@ type Config struct {
 	CacheEntries int
 	// Workers is the merge concurrency per load (<=0 uses GOMAXPROCS).
 	Workers int
-	// Shards is the fold-shard count per storage class for cached merges
-	// (<=0 derives from Workers; the merged result is identical for any
-	// value — this is purely a throughput knob).
-	Shards int
-	// SectionParallel, when > 1, decodes each profile file's class-tree
-	// sections concurrently during merges.
-	SectionParallel int
 	// MaxUploadBytes bounds one upload body (<=0 uses 1 GiB).
 	MaxUploadBytes int64
 	// MaxInflightUploads bounds concurrently-streaming upload bodies;
@@ -473,12 +466,10 @@ func (s *Server) view(ctx context.Context, name string) (*viewEntry, int, error)
 		// merge's own context: it outlives this request while other queries
 		// still wait, and dies when the last of them disconnects.
 		return analysis.LoadFilesStreamingCtx(mctx, "collection "+name, files, analysis.LoadOptions{
-			Workers:         s.cfg.Workers,
-			Shards:          s.cfg.Shards,
-			SectionParallel: s.cfg.SectionParallel,
-			Policy:          analysis.PolicyQuarantine,
-			Telemetry:       s.reg,
-			Open:            s.cfg.OpenProfile,
+			Workers:   s.cfg.Workers,
+			Policy:    analysis.PolicyQuarantine,
+			Telemetry: s.reg,
+			Open:      s.cfg.OpenProfile,
 		})
 	})
 	if err != nil {

@@ -75,14 +75,16 @@ func (t *Timeline) Record(at time.Time) {
 }
 
 // Start records on every tick of interval until the returned stop
-// function is called. Stop is idempotent. On a nil timeline the returned
-// stop is a no-op.
+// function is called. Stop is idempotent and returns once the recorder
+// has exited, so nothing is recorded after it. On a nil timeline the
+// returned stop is a no-op.
 func (t *Timeline) Start(interval time.Duration) (stop func()) {
 	if t == nil {
 		return func() {}
 	}
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		for {
@@ -95,7 +97,10 @@ func (t *Timeline) Start(interval time.Duration) (stop func()) {
 		}
 	}()
 	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
 }
 
 // Len reports how many points the ring currently holds.

@@ -7,6 +7,9 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
+# The end-to-end benchmark is a nested module that ./... does not enter but
+# that compiles against internal/ packages.
+(cd benchmark && go vet ./... && go test ./...)
 go test -race ./internal/sim ./internal/analysis ./internal/profio ./internal/faultio ./internal/profiler ./internal/server ./internal/push ./internal/temporal ./internal/cct
 go test -race ./internal/telemetry/...
 # Chaos smoke: dcpush through a scripted faulty transport against a live
@@ -35,7 +38,7 @@ DCPROF_BENCH_HOTPATH="$(pwd)/BENCH_hotpath.json" \
 DCPROF_BENCH_MIDDLEWARE="$(pwd)/BENCH_telemetry.json" \
 	go test -run='^TestMiddlewareOverheadGate$' -count=1 ./internal/server
 # Merge-scale gate: {1k, 10k} profiles x {1, 4, 8} workers through the
-# sharded streaming merge; enforces the v3 size win, the scaling (or
+# file loader; enforces the v3 size win, the scaling (or
 # CPU-constrained overhead) bounds, and <=20% regression of 8-worker
 # 1k-profile throughput vs the committed BENCH_merge_scale.json.
 DCPROF_BENCH_MERGE_SCALE="$(pwd)/BENCH_merge_scale.json" \
