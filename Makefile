@@ -34,7 +34,7 @@ test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/sim ./internal/analysis ./internal/profio ./internal/faultio ./internal/profiler ./internal/server ./internal/push ./internal/temporal ./internal/cct
+	$(GO) test -race ./internal/sim ./internal/analysis ./internal/profio ./internal/faultio ./internal/profiler ./internal/server ./internal/push ./internal/temporal ./internal/cct ./internal/view
 	$(GO) test -race ./internal/telemetry/...
 
 # Chaos smoke: the dcpush client through a scripted faulty transport

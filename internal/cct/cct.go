@@ -12,8 +12,9 @@
 package cct
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dcprof/internal/metric"
 )
@@ -216,23 +217,53 @@ func (n *Node) Children() []*Node {
 	for _, c := range n.children {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return frameLess(out[i].Frame, out[j].Frame) })
+	slices.SortFunc(out, func(a, b *Node) int { return CompareFrames(a.Frame, b.Frame) })
 	return out
 }
 
-func frameLess(a, b Frame) bool {
+// CompareFrames is the deterministic sibling order (by kind, module, name,
+// file, line) that Children, Walk and the views present.
+func CompareFrames(a, b Frame) int {
 	switch {
 	case a.Kind != b.Kind:
-		return a.Kind < b.Kind
+		return cmp.Compare(a.Kind, b.Kind)
 	case a.Module != b.Module:
-		return a.Module < b.Module
+		return cmp.Compare(a.Module, b.Module)
 	case a.Name != b.Name:
-		return a.Name < b.Name
+		return cmp.Compare(a.Name, b.Name)
 	case a.File != b.File:
-		return a.File < b.File
+		return cmp.Compare(a.File, b.File)
 	default:
-		return a.Line < b.Line
+		return cmp.Compare(a.Line, b.Line)
 	}
+}
+
+// CompareWalkOrder orders two nodes of one tree as Walk visits them: an
+// ancestor before its descendants, otherwise by the frames of the two
+// branches where their root paths diverge.
+func CompareWalkOrder(a, b *Node) int {
+	da, db := a.depth(), b.depth()
+	for d := da; d > db; d-- {
+		a = a.parent
+	}
+	for d := db; d > da; d-- {
+		b = b.parent
+	}
+	if a == b {
+		return cmp.Compare(da, db)
+	}
+	for a.parent != b.parent {
+		a, b = a.parent, b.parent
+	}
+	return CompareFrames(a.Frame, b.Frame)
+}
+
+func (n *Node) depth() int {
+	d := 0
+	for ; n.parent != nil; n = n.parent {
+		d++
+	}
+	return d
 }
 
 // NumChildren returns the number of children.
@@ -387,10 +418,21 @@ func walk(n *Node, depth int, fn func(*Node, int) bool) {
 	}
 }
 
+// each visits every node of the tree in unspecified order — what the
+// order-insensitive sums below need, without Walk's per-node sort.
+func (t *Tree) each(fn func(*Node)) {
+	var visit func(*Node)
+	visit = func(n *Node) {
+		fn(n)
+		n.eachChild(visit)
+	}
+	visit(t.Root)
+}
+
 // NumNodes counts the tree's nodes, root included.
 func (t *Tree) NumNodes() int {
 	count := 0
-	t.Walk(func(*Node, int) bool { count++; return true })
+	t.each(func(*Node) { count++ })
 	return count
 }
 
@@ -398,7 +440,7 @@ func (t *Tree) NumNodes() int {
 // exclusively at their nodes, this is the tree's inclusive total).
 func (t *Tree) Total() metric.Vector {
 	var v metric.Vector
-	t.Walk(func(n *Node, _ int) bool { v.Add(&n.Metrics); return true })
+	t.each(func(n *Node) { v.Add(&n.Metrics) })
 	return v
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dcprof/internal/metric"
 )
@@ -382,5 +383,41 @@ func TestAttachSpillsToMap(t *testing.T) {
 		if _, ok := a.Root.Lookup(call("f", i)); !ok {
 			t.Errorf("child %d unreachable after adoption", i)
 		}
+	}
+}
+
+// TestCompareWalkOrderMatchesWalk: CompareWalkOrder of any two nodes agrees
+// with the positions Walk visits them at, and the unsorted sums agree with
+// a Walk-based count.
+func TestCompareWalkOrderMatchesWalk(t *testing.T) {
+	tr := randomTree(11, 120)
+	var order []*Node
+	var want metric.Vector
+	tr.Walk(func(n *Node, _ int) bool {
+		order = append(order, n)
+		want.Add(&n.Metrics)
+		return true
+	})
+	for i, a := range order {
+		for j, b := range order {
+			if got := CompareWalkOrder(a, b); (got < 0) != (i < j) || (got == 0) != (i == j) {
+				t.Fatalf("CompareWalkOrder(node %d, node %d) = %d", i, j, got)
+			}
+		}
+	}
+	if got := tr.NumNodes(); got != len(order) {
+		t.Errorf("NumNodes = %d, Walk visits %d", got, len(order))
+	}
+	if got := tr.Total(); got != want {
+		t.Errorf("Total = %v, Walk sums %v", got, want)
+	}
+}
+
+// TestNodeSizePinned: the views' render snapshot indexes the tree from
+// outside, so speeding queries up must not grow the node every sample and
+// every merge allocates.
+func TestNodeSizePinned(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 232 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d, pinned at 232", got)
 	}
 }

@@ -179,7 +179,7 @@ func TestInlineSpill(t *testing.T) {
 		t.Fatalf("Children returned %d, want %d", len(kids), fanout)
 	}
 	for i := 1; i < len(kids); i++ {
-		if !frameLess(kids[i-1].Frame, kids[i].Frame) {
+		if CompareFrames(kids[i-1].Frame, kids[i].Frame) >= 0 {
 			t.Fatalf("Children not sorted at %d: %v !< %v", i, kids[i-1].Frame, kids[i].Frame)
 		}
 	}

@@ -31,19 +31,28 @@ import (
 
 	"dcprof/internal/analysis"
 	"dcprof/internal/telemetry"
+	"dcprof/internal/view"
 )
 
-// errMergeSaturated is returned by get when a new merge would be needed
+// errMergeSaturated is returned by entry when a new merge would be needed
 // but the merge admission semaphore has no free token. The HTTP layer
 // maps it to 503 + Retry-After.
 var errMergeSaturated = errors.New("server: merge capacity saturated")
 
-// viewEntry is one cached merged view.
+// viewEntry is one cached merged view. It is immutable once built: snap is
+// db.Merged frozen when the merge (or window clip) completed, so the
+// render-ready form lives and dies with the entry and every hit renders
+// from it.
 type viewEntry struct {
 	name  string // collection name — the LRU/map key
-	gen   uint64 // content generation the merge saw
+	gen   uint64 // content generation the merged file list belongs to
 	db    *analysis.Database
 	stats analysis.MergeStats
+	snap  *view.Snapshot
+}
+
+func newViewEntry(name string, gen uint64, db *analysis.Database, stats analysis.MergeStats) *viewEntry {
+	return &viewEntry{name: name, gen: gen, db: db, stats: stats, snap: view.Freeze(db.Merged)}
 }
 
 // mergeCall is one in-flight merge queries wait on. refs counts the
@@ -85,13 +94,16 @@ func newViewCache(max int, reg *telemetry.Registry) *viewCache {
 	}
 }
 
-// get returns the merged view for the collection at exactly generation
-// gen, merging (once, however many queries race here) when the cache has
-// no current entry. A needed merge takes a token from adm (when non-nil)
-// or fails fast with errMergeSaturated — joining an already-running merge
-// never requires a token. The merge runs detached from any single
-// request's context; ctx only governs how long this caller waits.
-func (c *viewCache) get(ctx context.Context, name string, gen uint64, adm *semaphore, merge func(context.Context) (*analysis.Database, analysis.MergeStats, error)) (*viewEntry, error) {
+// entry returns the merged view for the collection at generation gen,
+// building it (once, however many queries race here) when the cache has
+// no current entry. A needed build takes a token from adm (when non-nil)
+// or fails fast with errMergeSaturated — joining an already-running build
+// never requires a token. The build runs detached from any single
+// request's context; ctx only governs how long this caller waits. The
+// entry is cached under the generation build stamps on it — the one its
+// inputs were pinned at, which an upload racing this query may have moved
+// past gen; waiters then get the newer view.
+func (c *viewCache) entry(ctx context.Context, name string, gen uint64, adm *semaphore, build func(context.Context) (*viewEntry, error)) (*viewEntry, error) {
 	key := flightKey(name, gen)
 	c.mu.Lock()
 	if elem, ok := c.byName[name]; ok {
@@ -125,17 +137,16 @@ func (c *viewCache) get(ctx context.Context, name string, gen uint64, adm *semap
 		c.inflight[key] = call
 		c.merges.Inc()
 		go func() {
-			db, stats, err := merge(mctx)
+			e, err := build(mctx)
 			if adm != nil {
 				adm.release()
 			}
 			cancel()
 			c.mu.Lock()
 			delete(c.inflight, key)
-			call.err = err
+			call.entry, call.err = e, err
 			if err == nil {
-				call.entry = &viewEntry{name: name, gen: gen, db: db, stats: stats}
-				c.insert(call.entry)
+				c.insert(e)
 			} else if errors.Is(err, context.Canceled) {
 				c.canceled.Inc()
 			}

@@ -73,6 +73,10 @@ type collection struct {
 	// attempt numbers upload attempts (accepted or not) within this
 	// process, so concurrent uploads never share a temp file name.
 	attempt atomic.Uint64
+	// listings is the store's server.store.listings: it counts every
+	// listing of a collection directory — adoption, the start of a merge;
+	// a cache hit makes none.
+	listings *telemetry.Counter
 
 	mu       sync.Mutex
 	created  time.Time
@@ -103,7 +107,7 @@ type store struct {
 	// collections — what the total disk quota is enforced against.
 	total atomic.Int64
 
-	tmpSwept *telemetry.Counter
+	tmpSwept, listings *telemetry.Counter
 
 	mu   sync.Mutex
 	cols map[string]*collection
@@ -118,7 +122,10 @@ func openStore(root string, fsys profio.FS, reg *telemetry.Registry) (*store, er
 	if err := fsys.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("server: creating data root: %w", err)
 	}
-	s := &store{root: root, fs: fsys, cols: map[string]*collection{}, tmpSwept: reg.Counter("server.tmp.swept")}
+	s := &store{
+		root: root, fs: fsys, cols: map[string]*collection{},
+		tmpSwept: reg.Counter("server.tmp.swept"), listings: reg.Counter("server.store.listings"),
+	}
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		return nil, fmt.Errorf("server: scanning data root: %w", err)
@@ -166,16 +173,15 @@ func (s *store) sweepTmp(dir string) {
 // and the content-digest index that makes retried uploads no-ops. Orphaned
 // temp files from a crash mid-upload are swept first.
 func (s *store) adopt(name string) (*collection, error) {
-	dir := filepath.Join(s.root, name)
-	s.sweepTmp(dir)
-	col := &collection{name: name, dir: dir, created: time.Now().UTC(), digests: map[string]string{}}
-	if raw, err := os.ReadFile(filepath.Join(dir, metaFile)); err == nil {
+	col := s.newCollection(name)
+	s.sweepTmp(col.dir)
+	if raw, err := os.ReadFile(filepath.Join(col.dir, metaFile)); err == nil {
 		var m persistedMeta
 		if jerr := json.Unmarshal(raw, &m); jerr == nil && !m.Created.IsZero() {
 			col.created = m.Created
 		}
 	}
-	files, err := profio.Files(dir)
+	_, files, err := col.snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("server: scanning collection %s: %w", name, err)
 	}
@@ -212,6 +218,13 @@ func fileDigest(path string) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
+func (s *store) newCollection(name string) *collection {
+	return &collection{
+		name: name, dir: filepath.Join(s.root, name), listings: s.listings,
+		created: time.Now().UTC(), digests: map[string]string{},
+	}
+}
+
 // get returns the named collection, or nil.
 func (s *store) get(name string) *collection {
 	s.mu.Lock()
@@ -230,11 +243,10 @@ func (s *store) getOrCreate(name string) (*collection, error) {
 	if col, ok := s.cols[name]; ok {
 		return col, nil
 	}
-	dir := filepath.Join(s.root, name)
-	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
+	col := s.newCollection(name)
+	if err := s.fs.MkdirAll(col.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: creating collection %s: %w", name, err)
 	}
-	col := &collection{name: name, dir: dir, created: time.Now().UTC(), digests: map[string]string{}}
 	if err := s.writeMeta(col); err != nil {
 		return nil, err
 	}
@@ -310,10 +322,13 @@ func (c *collection) metadata() Metadata {
 // generation and the profile files present at that generation. The pair
 // is taken under the collection lock, so a concurrent upload either lands
 // before the snapshot (and is in both) or after (and bumps the generation
-// the cache will key on next time).
+// the cache will key on next time). It lists the directory, which is why
+// only a starting merge calls it: a query that may hit the cache reads
+// metadata() instead.
 func (c *collection) snapshot() (uint64, []string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.listings.Inc()
 	files, err := profio.Files(c.dir)
 	if err != nil {
 		return 0, nil, err

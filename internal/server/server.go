@@ -53,6 +53,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -225,8 +226,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /collections/{name}/profiles", s.instrument("upload", s.handleUpload))
 	mux.HandleFunc("GET /collections", s.instrument("list", s.handleList))
 	mux.HandleFunc("GET /collections/{name}", s.instrument("metadata", s.handleMetadata))
-	mux.HandleFunc("GET /collections/{name}/topdown", s.instrument("topdown", s.handleTopDown))
-	mux.HandleFunc("GET /collections/{name}/bottomup", s.instrument("bottomup", s.handleBottomUp))
+	mux.HandleFunc("GET /collections/{name}/topdown", s.instrument("topdown", s.handleView((*view.Snapshot).WriteTopDownJSON)))
+	mux.HandleFunc("GET /collections/{name}/bottomup", s.instrument("bottomup", s.handleView((*view.Snapshot).WriteBottomUpJSON)))
 	mux.HandleFunc("GET /collections/{name}/phases", s.instrument("phases", s.handlePhases))
 	mux.HandleFunc("GET /collections/{name}/diff", s.instrument("diff", s.handleDiff))
 	mux.HandleFunc("GET /collections/{name}/stats", s.instrument("stats", s.handleStats))
@@ -443,34 +444,44 @@ func (s *Server) handleMetadata(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// view resolves the collection and returns its merged database at the
+// view resolves the collection and returns its merged view at the
 // current content generation, through the cache (singleflight on miss,
-// admission on fresh merges, cancellation via the request context).
+// admission on fresh merges, cancellation via the request context). A hit
+// reads the generation and profile count and touches no disk; the
+// directory is listed only by a merge that actually starts.
 func (s *Server) view(ctx context.Context, name string) (*viewEntry, int, error) {
 	col := s.store.get(name)
 	if col == nil {
 		return nil, http.StatusNotFound, fmt.Errorf("no collection %q", name)
 	}
-	gen, files, err := col.snapshot()
-	if err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
-	if len(files) == 0 {
+	md := col.metadata()
+	if md.Profiles == 0 {
 		return nil, http.StatusNotFound, fmt.Errorf("collection %q has no profiles", name)
 	}
-	e, err := s.cache.get(ctx, name, gen, s.mergeSem, func(mctx context.Context) (*analysis.Database, analysis.MergeStats, error) {
+	e, err := s.cache.entry(ctx, name, md.Generation, s.mergeSem, func(mctx context.Context) (*viewEntry, error) {
+		// The generation and the file list are pinned together, here and
+		// not before the cache lookup, so the entry is filed under the
+		// generation its files belong to even if an upload landed since.
+		gen, files, err := col.snapshot()
+		if err != nil {
+			return nil, err
+		}
 		// Quarantine policy: ingest validation means on-disk damage is
 		// at-rest corruption after acceptance; one rotten file must degrade
 		// that file's contribution, not the collection's availability. The
 		// quarantine report is surfaced in /stats and metadata. mctx is the
 		// merge's own context: it outlives this request while other queries
 		// still wait, and dies when the last of them disconnects.
-		return analysis.LoadFilesStreamingCtx(mctx, "collection "+name, files, analysis.LoadOptions{
+		db, stats, err := analysis.LoadFilesStreamingCtx(mctx, "collection "+name, files, analysis.LoadOptions{
 			Workers:   s.cfg.Workers,
 			Policy:    analysis.PolicyQuarantine,
 			Telemetry: s.reg,
 			Open:      s.cfg.OpenProfile,
 		})
+		if err != nil {
+			return nil, err
+		}
+		return newViewEntry(name, gen, db, stats), nil
 	})
 	if err != nil {
 		switch {
@@ -499,16 +510,15 @@ func (s *Server) viewError(w http.ResponseWriter, r *http.Request, status int, e
 	httpError(w, status, "%v", err)
 }
 
-// queryOptions parses the shared view query parameters, defaulting to the
-// same values dcview's flags default to.
-func queryOptions(r *http.Request, event string) (view.Options, error) {
+// queryOptions reads the shared view parameters from the request's parsed
+// query, defaulting to the same values dcview's flags default to.
+func queryOptions(q url.Values, event string) (view.Options, error) {
 	o := view.Options{
 		MaxRows:  view.DefaultMaxRows,
 		MaxDepth: view.DefaultMaxDepth,
 		MinShare: view.DefaultMinShare,
 		Metric:   metric.Default(event),
 	}
-	q := r.URL.Query()
 	if name := q.Get("metric"); name != "" {
 		id, ok := metric.ByName(name)
 		if !ok {
@@ -540,38 +550,30 @@ func queryOptions(r *http.Request, event string) (view.Options, error) {
 	return o, nil
 }
 
-func (s *Server) handleTopDown(w http.ResponseWriter, r *http.Request) {
-	db := s.temporalDB(w, r)
-	if db == nil {
-		return
+// handleView serves one of the single-collection views: it resolves the
+// (possibly windowed) cache entry and renders from the entry's snapshot.
+func (s *Server) handleView(render func(*view.Snapshot, io.Writer, view.Options) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		e := s.temporalEntry(w, r, q.Get("window"))
+		if e == nil {
+			return
+		}
+		o, err := queryOptions(q, e.db.Event)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		render(e.snap, w, o)
 	}
-	o, err := queryOptions(r, db.Event)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	view.WriteTopDownJSON(w, db.Merged, o)
-}
-
-func (s *Server) handleBottomUp(w http.ResponseWriter, r *http.Request) {
-	db := s.temporalDB(w, r)
-	if db == nil {
-		return
-	}
-	o, err := queryOptions(r, db.Event)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	view.WriteBottomUpJSON(w, db.Merged, o)
 }
 
 // handleDiff serves the per-variable comparison base -> {name}: "what
 // moved after the optimization this collection holds profiles of".
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	base := r.URL.Query().Get("base")
+	q := r.URL.Query()
+	base := q.Get("base")
 	if base == "" {
 		httpError(w, http.StatusBadRequest, "missing ?base= collection")
 		return
@@ -586,13 +588,13 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		s.viewError(w, r, status, err)
 		return
 	}
-	o, err := queryOptions(r, after.db.Event)
+	o, err := queryOptions(q, after.db.Event)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	view.WriteDiffJSON(w, before.db.Merged, after.db.Merged, o.Metric, o.MaxRows)
+	before.snap.WriteDiffJSON(w, after.snap, o.Metric, o.MaxRows)
 }
 
 // handleStats serves the merge pipeline statistics of the collection's

@@ -21,15 +21,14 @@ import (
 	"dcprof/internal/view"
 )
 
-// temporalDB resolves the database a view query should render: the
-// collection's merged view, window-restricted when the request carries
-// ?window=t0:t1. On failure the error response is already written and
-// nil is returned. Malformed specs are 400s diagnosed before any merge
-// starts; a window query against a collection without temporal sidecars
-// is a 400 as well — the parameter asks for data the collection cannot
-// answer.
-func (s *Server) temporalDB(w http.ResponseWriter, r *http.Request) *analysis.Database {
-	spec := r.URL.Query().Get("window")
+// temporalEntry resolves the cache entry a view query should render: the
+// collection's merged view, window-restricted when spec — the request's
+// ?window=t0:t1 — is not empty. On failure the error response is already
+// written and nil is returned. Malformed specs are 400s diagnosed before
+// any merge starts; a window query against a collection without temporal
+// sidecars is a 400 as well — the parameter asks for data the collection
+// cannot answer.
+func (s *Server) temporalEntry(w http.ResponseWriter, r *http.Request, spec string) *viewEntry {
 	var t0, t1 uint64
 	if spec != "" {
 		var err error
@@ -45,7 +44,7 @@ func (s *Server) temporalDB(w http.ResponseWriter, r *http.Request) *analysis.Da
 		return nil
 	}
 	if spec == "" {
-		return e.db
+		return e
 	}
 	we, err := s.windowView(r.Context(), e, t0, t1)
 	if err != nil {
@@ -61,24 +60,25 @@ func (s *Server) temporalDB(w http.ResponseWriter, r *http.Request) *analysis.Da
 		}
 		return nil
 	}
-	return we.db
+	return we
 }
 
 // windowView returns the window-restricted view derived from the base
 // entry, through the cache. The derived key cannot collide with a
 // collection name: ValidateName rejects '|', ':' and '='. The derived
 // database shares everything with the base except Merged, which is the
-// freshly clipped profile — the base entry is never mutated.
+// freshly clipped profile with a snapshot of its own — the base entry is
+// never mutated.
 func (s *Server) windowView(ctx context.Context, base *viewEntry, t0, t1 uint64) (*viewEntry, error) {
 	key := base.name + "|window=" + temporal.FormatWindowSpec(t0, t1)
-	return s.cache.get(ctx, key, base.gen, nil, func(context.Context) (*analysis.Database, analysis.MergeStats, error) {
+	return s.cache.entry(ctx, key, base.gen, nil, func(context.Context) (*viewEntry, error) {
 		clipped, err := analysis.Clip(base.db, t0, t1)
 		if err != nil {
-			return nil, analysis.MergeStats{}, err
+			return nil, err
 		}
 		db := *base.db
 		db.Merged = clipped
-		return &db, base.stats, nil
+		return newViewEntry(key, base.gen, &db, base.stats), nil
 	})
 }
 

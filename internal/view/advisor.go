@@ -75,9 +75,10 @@ const (
 // the ones whose samples exhibit a recognizable pathology, ordered by
 // latency share.
 func Advise(p *cct.Profile) []Advice {
-	grandLatency := MetricTotal(p, metric.Latency)
+	s := Freeze(p)
+	grandLatency := s.MetricTotal(metric.Latency)
 	var out []Advice
-	for _, v := range RankVariables(p, metric.Latency) {
+	for _, v := range s.RankVariables(metric.Latency) {
 		inc := v.Node.Inclusive()
 		mem := inc[metric.FromLMEM] + inc[metric.FromRMEM] + inc[metric.FromRL3]
 		samples := inc[metric.Samples]

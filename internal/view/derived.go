@@ -35,11 +35,7 @@ type Derived struct {
 
 // DeriveMetrics computes the profile-wide indicators.
 func DeriveMetrics(p *cct.Profile) Derived {
-	var total metric.Vector
-	for _, t := range p.Trees {
-		tv := t.Total()
-		total.Add(&tv)
-	}
+	total := p.Total()
 	var d Derived
 	d.Samples = total[metric.Samples]
 	mem := total[metric.FromL1] + total[metric.FromL2] + total[metric.FromL3] +

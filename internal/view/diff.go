@@ -34,19 +34,24 @@ func (d VarDelta) DeltaShare() float64 { return d.AfterShare - d.BeforeShare }
 // DiffVariables compares two merged profiles on a metric, returning one
 // row per variable present in either, sorted by |share change| descending.
 func DiffVariables(before, after *cct.Profile, m metric.ID) []VarDelta {
+	return Freeze(before).DiffVariables(Freeze(after), m)
+}
+
+// DiffVariables is DiffVariables of the frozen profile (before) and after.
+func (s *Snapshot) DiffVariables(after *Snapshot, m metric.ID) []VarDelta {
 	type side struct {
 		share float64
 		value uint64
 		class cct.Class
 	}
-	collect := func(p *cct.Profile) map[string]side {
+	collect := func(snap *Snapshot) map[string]side {
 		out := map[string]side{}
-		for _, v := range RankVariables(p, m) {
+		for _, v := range snap.RankVariables(m) {
 			out[v.Name] = side{share: v.Share, value: v.Value, class: v.Class}
 		}
 		return out
 	}
-	b, a := collect(before), collect(after)
+	b, a := collect(s), collect(after)
 	names := map[string]bool{}
 	for n := range b {
 		names[n] = true
@@ -83,11 +88,12 @@ func DiffVariables(before, after *cct.Profile, m metric.ID) []VarDelta {
 
 // RenderDiff formats the per-variable comparison.
 func RenderDiff(before, after *cct.Profile, m metric.ID, maxRows int) string {
+	sb, sa := Freeze(before), Freeze(after)
 	var b strings.Builder
 	fmt.Fprintf(&b, "profile diff — metric %s (before: %d total, after: %d total)\n",
-		m.Name(), MetricTotal(before, m), MetricTotal(after, m))
+		m.Name(), sb.MetricTotal(m), sa.MetricTotal(m))
 	rows := 0
-	for _, d := range DiffVariables(before, after, m) {
+	for _, d := range sb.DiffVariables(sa, m) {
 		if maxRows > 0 && rows >= maxRows {
 			break
 		}

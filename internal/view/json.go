@@ -61,13 +61,17 @@ type TopDownNode struct {
 }
 
 // TopDownJSON builds the top-down report, pruned by the same MaxDepth and
-// MinShare rules RenderTopDown applies. Node order matches Children()'s
-// deterministic frame order, so two merges of the same inputs — in any
+// MinShare rules RenderTopDown applies. Node order is the deterministic
+// frame order of cct.Children, so two merges of the same inputs — in any
 // arrival order — serialize identically.
-func TopDownJSON(p *cct.Profile, o Options) *TopDownReport {
-	grand := MetricTotal(p, o.Metric)
+func TopDownJSON(p *cct.Profile, o Options) *TopDownReport { return Freeze(p).TopDownJSON(o) }
+
+// TopDownJSON is TopDownJSON of the frozen profile.
+func (s *Snapshot) TopDownJSON(o Options) *TopDownReport {
+	t := topDown{column: s.column(o.Metric), o: o}
+	grand := t.total()
 	rep := &TopDownReport{
-		Event:   p.Event,
+		Event:   s.event,
 		Metric:  o.Metric.Name(),
 		Total:   grand,
 		Classes: []TopDownClass{},
@@ -75,48 +79,38 @@ func TopDownJSON(p *cct.Profile, o Options) *TopDownReport {
 	if grand == 0 {
 		return rep
 	}
-	for c, tree := range p.Trees {
-		classTotal := tree.Total()[o.Metric]
+	for c, root := range s.root {
+		classTotal := t.inc(root)
 		if classTotal == 0 {
 			continue
 		}
-		cls := TopDownClass{
+		rep.Classes = append(rep.Classes, TopDownClass{
 			Class:    cct.Class(c).String(),
 			Value:    classTotal,
-			Share:    float64(classTotal) / float64(grand),
-			Children: []*TopDownNode{},
-		}
-		cls.Children = topDownChildren(tree.Root, 1, grand, o)
-		rep.Classes = append(rep.Classes, cls)
+			Share:    t.share(root),
+			Children: t.children(root, 1),
+		})
 	}
 	return rep
 }
 
-func topDownChildren(n *cct.Node, depth int, grand uint64, o Options) []*TopDownNode {
-	out := []*TopDownNode{}
-	if o.MaxDepth > 0 && depth > o.MaxDepth {
-		return out
-	}
-	for _, c := range n.Children() {
-		inc := c.Inclusive()[o.Metric]
-		if inc == 0 {
-			continue
-		}
-		share := float64(inc) / float64(grand)
-		if share < o.MinShare {
-			continue
-		}
+func (t *topDown) children(i int32, depth int) []*TopDownNode {
+	run := t.push(i, depth)
+	out := make([]*TopDownNode, 0, len(run))
+	for _, j := range run {
+		f := &t.nodes[j].Frame
 		out = append(out, &TopDownNode{
-			Kind:     c.Frame.Kind.String(),
-			Name:     c.Frame.Name,
-			Module:   c.Frame.Module,
-			File:     c.Frame.File,
-			Line:     c.Frame.Line,
-			Value:    inc,
-			Share:    share,
-			Children: topDownChildren(c, depth+1, grand, o),
+			Kind:     f.Kind.String(),
+			Name:     f.Name,
+			Module:   f.Module,
+			File:     f.File,
+			Line:     f.Line,
+			Value:    t.inc(j),
+			Share:    t.share(j),
+			Children: t.children(j, depth+1),
 		})
 	}
+	t.pop(run)
 	return out
 }
 
@@ -144,23 +138,26 @@ type BottomUpSite struct {
 // BottomUpJSON builds the bottom-up report over the same aggregation
 // BottomUp computes, bounded by Options.MaxRows (0 = unlimited) and
 // skipping zero-valued sites like the text renderer does.
-func BottomUpJSON(p *cct.Profile, o Options) *BottomUpReport {
+func BottomUpJSON(p *cct.Profile, o Options) *BottomUpReport { return Freeze(p).BottomUpJSON(o) }
+
+// BottomUpJSON is BottomUpJSON of the frozen profile.
+func (s *Snapshot) BottomUpJSON(o Options) *BottomUpReport {
 	rep := &BottomUpReport{
-		Event:  p.Event,
+		Event:  s.event,
 		Metric: o.Metric.Name(),
-		Total:  MetricTotal(p, o.Metric),
+		Total:  s.MetricTotal(o.Metric),
 		Sites:  []BottomUpSite{},
 	}
-	for _, s := range BottomUp(p, o.Metric) {
-		if s.Value == 0 {
+	for _, site := range s.BottomUp(o.Metric) {
+		if site.Value == 0 {
 			continue
 		}
 		if o.MaxRows > 0 && len(rep.Sites) >= o.MaxRows {
 			break
 		}
 		rep.Sites = append(rep.Sites, BottomUpSite{
-			Func: s.Func, File: s.File, Line: s.Line, Allocator: s.Allocator,
-			Variables: s.Variables, Value: s.Value, Share: s.Share,
+			Func: site.Func, File: site.File, Line: site.Line, Allocator: site.Allocator,
+			Variables: site.Variables, Value: site.Value, Share: site.Share,
 		})
 	}
 	return rep
@@ -190,13 +187,18 @@ type DiffRow struct {
 // DiffJSON builds the diff report (before -> after), bounded by maxRows
 // (0 = unlimited).
 func DiffJSON(before, after *cct.Profile, m metric.ID, maxRows int) *DiffReport {
+	return Freeze(before).DiffJSON(Freeze(after), m, maxRows)
+}
+
+// DiffJSON is DiffJSON of the frozen profile (before) and after.
+func (s *Snapshot) DiffJSON(after *Snapshot, m metric.ID, maxRows int) *DiffReport {
 	rep := &DiffReport{
 		Metric:      m.Name(),
-		BeforeTotal: MetricTotal(before, m),
-		AfterTotal:  MetricTotal(after, m),
+		BeforeTotal: s.MetricTotal(m),
+		AfterTotal:  after.MetricTotal(m),
 		Rows:        []DiffRow{},
 	}
-	for _, d := range DiffVariables(before, after, m) {
+	for _, d := range s.DiffVariables(after, m) {
 		if maxRows > 0 && len(rep.Rows) >= maxRows {
 			break
 		}
@@ -215,17 +217,32 @@ func DiffJSON(before, after *cct.Profile, m metric.ID, maxRows int) *DiffReport 
 
 // WriteTopDownJSON writes the top-down report as indented JSON.
 func WriteTopDownJSON(w io.Writer, p *cct.Profile, o Options) error {
-	return writeJSON(w, TopDownJSON(p, o))
+	return Freeze(p).WriteTopDownJSON(w, o)
+}
+
+// WriteTopDownJSON is WriteTopDownJSON of the frozen profile.
+func (s *Snapshot) WriteTopDownJSON(w io.Writer, o Options) error {
+	return writeJSON(w, s.TopDownJSON(o))
 }
 
 // WriteBottomUpJSON writes the bottom-up report as indented JSON.
 func WriteBottomUpJSON(w io.Writer, p *cct.Profile, o Options) error {
-	return writeJSON(w, BottomUpJSON(p, o))
+	return Freeze(p).WriteBottomUpJSON(w, o)
+}
+
+// WriteBottomUpJSON is WriteBottomUpJSON of the frozen profile.
+func (s *Snapshot) WriteBottomUpJSON(w io.Writer, o Options) error {
+	return writeJSON(w, s.BottomUpJSON(o))
 }
 
 // WriteDiffJSON writes the diff report as indented JSON.
 func WriteDiffJSON(w io.Writer, before, after *cct.Profile, m metric.ID, maxRows int) error {
-	return writeJSON(w, DiffJSON(before, after, m, maxRows))
+	return Freeze(before).WriteDiffJSON(w, Freeze(after), m, maxRows)
+}
+
+// WriteDiffJSON is WriteDiffJSON of the frozen profile (before) and after.
+func (s *Snapshot) WriteDiffJSON(w io.Writer, after *Snapshot, m metric.ID, maxRows int) error {
+	return writeJSON(w, s.DiffJSON(after, m, maxRows))
 }
 
 func writeJSON(w io.Writer, v any) error {

@@ -12,7 +12,9 @@
 package view
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -23,18 +25,17 @@ import (
 // ClassShares returns each storage class's share of the metric's total
 // across all classes.
 func ClassShares(p *cct.Profile, m metric.ID) [cct.NumClasses]float64 {
+	return Freeze(p).ClassShares(m)
+}
+
+// ClassShares is ClassShares of the frozen profile.
+func (s *Snapshot) ClassShares(m metric.ID) [cct.NumClasses]float64 {
 	var shares [cct.NumClasses]float64
-	var totals [cct.NumClasses]uint64
-	var grand uint64
-	for c := range p.Trees {
-		totals[c] = p.Trees[c].Total()[m]
-		grand += totals[c]
-	}
-	if grand == 0 {
-		return shares
-	}
-	for c := range shares {
-		shares[c] = float64(totals[c]) / float64(grand)
+	col := s.column(m)
+	if col.total() > 0 {
+		for c, root := range s.root {
+			shares[c] = col.share(root)
+		}
 	}
 	return shares
 }
@@ -60,70 +61,34 @@ type VarStat struct {
 
 // RankVariables lists every variable (heap and static) sorted by descending
 // metric value. Shares are fractions of the profile-wide metric total.
-func RankVariables(p *cct.Profile, m metric.ID) []VarStat {
-	var grand uint64
-	for _, t := range p.Trees {
-		grand += t.Total()[m]
-	}
+func RankVariables(p *cct.Profile, m metric.ID) []VarStat { return Freeze(p).RankVariables(m) }
+
+// RankVariables is RankVariables of the frozen profile.
+func (s *Snapshot) RankVariables(m metric.ID) []VarStat {
+	col := s.column(m)
+	grand := col.total()
+	// Heap, static, then stack variables, each in Walk order: the order
+	// the stable sort below keeps among equal (value, name) pairs.
 	var out []VarStat
-
-	p.Trees[cct.ClassHeap].Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind != cct.KindHeapData {
-			return true
-		}
-		inc := n.Inclusive()
-		st := VarStat{
-			Name:      n.Frame.Name,
-			Class:     cct.ClassHeap,
-			AllocSite: allocSiteOf(n),
-			Value:     inc[m],
-			Node:      n,
-		}
-		if st.Name == "" {
-			st.Name = st.AllocSite
-		}
-		out = append(out, st)
-		return false // don't descend into access paths
-	})
-	p.Trees[cct.ClassStatic].Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind != cct.KindStaticVar {
-			return true
-		}
-		inc := n.Inclusive()
-		out = append(out, VarStat{
-			Name:  n.Frame.Name,
-			Class: cct.ClassStatic,
-			Value: inc[m],
-			Node:  n,
-		})
-		return false
-	})
-	// Registered stack variables (§7 extension) live in the unknown tree
-	// under their own dummy nodes.
-	p.Trees[cct.ClassUnknown].Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind != cct.KindStackVar {
-			return true
-		}
-		inc := n.Inclusive()
-		out = append(out, VarStat{
-			Name:  n.Frame.Name,
-			Class: cct.ClassUnknown,
-			Value: inc[m],
-			Node:  n,
-		})
-		return false
-	})
-
-	if grand > 0 {
-		for i := range out {
-			out[i].Share = float64(out[i].Value) / float64(grand)
+	for _, c := range [...]cct.Class{cct.ClassHeap, cct.ClassStatic, cct.ClassUnknown} {
+		out = slices.Grow(out, len(s.vars[c]))
+		for _, i := range s.vars[c] {
+			n := s.nodes[i]
+			st := VarStat{Name: n.Frame.Name, Class: c, Value: col.inc(i), Node: n}
+			if c == cct.ClassHeap {
+				st.AllocSite = allocSiteOf(n)
+				if st.Name == "" {
+					st.Name = st.AllocSite
+				}
+			}
+			if grand > 0 {
+				st.Share = float64(st.Value) / float64(grand)
+			}
+			out = append(out, st)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Value != out[j].Value {
-			return out[i].Value > out[j].Value
-		}
-		return out[i].Name < out[j].Name
+	slices.SortStableFunc(out, func(a, b VarStat) int {
+		return cmp.Or(cmp.Compare(b.Value, a.Value), cmp.Compare(a.Name, b.Name))
 	})
 	return out
 }
@@ -165,13 +130,9 @@ func TopAccesses(anchor *cct.Node, m metric.ID, grand uint64) []AccessStat {
 		if n.Frame.Kind == cct.KindStmt && n.Metrics[m] > 0 {
 			agg[n.ID()] += n.Metrics[m]
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
+		n.EachChild(walk)
 	}
-	for _, c := range anchor.Children() {
-		walk(c)
-	}
+	anchor.EachChild(walk)
 	out := make([]AccessStat, 0, len(agg))
 	for id, v := range agg {
 		f := cct.FrameByID(id)
@@ -194,13 +155,10 @@ func TopAccesses(anchor *cct.Node, m metric.ID, grand uint64) []AccessStat {
 }
 
 // MetricTotal returns the metric's total across all storage classes.
-func MetricTotal(p *cct.Profile, m metric.ID) uint64 {
-	var grand uint64
-	for _, t := range p.Trees {
-		grand += t.Total()[m]
-	}
-	return grand
-}
+func MetricTotal(p *cct.Profile, m metric.ID) uint64 { return Freeze(p).MetricTotal(m) }
+
+// MetricTotal is MetricTotal of the frozen profile.
+func (s *Snapshot) MetricTotal(m metric.ID) uint64 { return s.column(m).total() }
 
 // AllocSiteStat is the bottom-up view's unit: one allocation call site with
 // every cost of every variable allocated there, across all calling contexts
@@ -222,19 +180,20 @@ type AllocSiteStat struct {
 // BottomUp aggregates heap variables by their allocation statement,
 // regardless of the calling context above it — the paper's bottom-up view,
 // which exposes "the same malloc called from different contexts" as one row.
-func BottomUp(p *cct.Profile, m metric.ID) []AllocSiteStat {
-	grand := MetricTotal(p, m)
+func BottomUp(p *cct.Profile, m metric.ID) []AllocSiteStat { return Freeze(p).BottomUp(m) }
+
+// BottomUp is BottomUp of the frozen profile.
+func (s *Snapshot) BottomUp(m metric.ID) []AllocSiteStat {
+	col := s.column(m)
+	grand := col.total()
 	type key struct {
 		fn, file  string
 		line      int
 		allocator string
 	}
 	agg := map[key]*AllocSiteStat{}
-	p.Trees[cct.ClassHeap].Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind != cct.KindHeapData {
-			return true
-		}
-		alloc := n.Parent()
+	for _, i := range s.vars[cct.ClassHeap] {
+		alloc := s.nodes[i].Parent()
 		stmt := alloc.Parent()
 		k := key{allocator: alloc.Frame.Name}
 		if stmt != nil && stmt.Frame.Kind == cct.KindStmt {
@@ -246,9 +205,8 @@ func BottomUp(p *cct.Profile, m metric.ID) []AllocSiteStat {
 			agg[k] = st
 		}
 		st.Variables++
-		st.Value += n.Inclusive()[m]
-		return false
-	})
+		st.Value += col.inc(i)
+	}
 	out := make([]AllocSiteStat, 0, len(agg))
 	for _, st := range agg {
 		if grand > 0 {
@@ -256,14 +214,11 @@ func BottomUp(p *cct.Profile, m metric.ID) []AllocSiteStat {
 		}
 		out = append(out, *st)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Value != out[j].Value {
-			return out[i].Value > out[j].Value
-		}
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
+	// The key's four fields all take part, so rows that tie on value do not
+	// come out in map order.
+	slices.SortFunc(out, func(a, b AllocSiteStat) int {
+		return cmp.Or(cmp.Compare(b.Value, a.Value), cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line),
+			cmp.Compare(a.Func, b.Func), cmp.Compare(a.Allocator, b.Allocator))
 	})
 	return out
 }
@@ -290,17 +245,17 @@ type CallerSiteStat struct {
 // by the call site that invoked the allocating wrapper function — the
 // paper's Figure 5, where each row is a distinct `hypre_CAlloc` invocation.
 func BottomUpCallers(p *cct.Profile, m metric.ID) []CallerSiteStat {
-	grand := MetricTotal(p, m)
+	s := Freeze(p)
+	col := s.column(m)
+	grand := col.total()
 	type key struct {
 		caller, file string
 		line         int
 		wrapper      string
 	}
 	agg := map[key]*CallerSiteStat{}
-	p.Trees[cct.ClassHeap].Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind != cct.KindHeapData {
-			return true
-		}
+	for _, i := range s.vars[cct.ClassHeap] {
+		n := s.nodes[i]
 		alloc := n.Parent() // malloc/calloc frame
 		stmt := alloc.Parent()
 		var k key
@@ -322,12 +277,11 @@ func BottomUpCallers(p *cct.Profile, m metric.ID) []CallerSiteStat {
 			agg[k] = st
 		}
 		st.Variables++
-		st.Value += n.Inclusive()[m]
+		st.Value += col.inc(i)
 		if n.Frame.Name != "" {
 			st.Names = append(st.Names, n.Frame.Name)
 		}
-		return false
-	})
+	}
 	out := make([]CallerSiteStat, 0, len(agg))
 	for _, st := range agg {
 		if grand > 0 {
@@ -362,48 +316,46 @@ type Options struct {
 
 // RenderTopDown renders the classic top-down pane: storage-class roots with
 // their trees beneath, annotated with inclusive shares of Options.Metric.
-func RenderTopDown(p *cct.Profile, o Options) string {
-	grand := MetricTotal(p, o.Metric)
+func RenderTopDown(p *cct.Profile, o Options) string { return Freeze(p).RenderTopDown(o) }
+
+// RenderTopDown is RenderTopDown of the frozen profile.
+func (s *Snapshot) RenderTopDown(o Options) string {
+	t := topDown{column: s.column(o.Metric), o: o}
+	grand := t.total()
 	var b strings.Builder
-	fmt.Fprintf(&b, "top-down view — metric %s, total %d, event %s\n", o.Metric.Name(), grand, p.Event)
+	fmt.Fprintf(&b, "top-down view — metric %s, total %d, event %s\n", o.Metric.Name(), grand, s.event)
 	if grand == 0 {
 		b.WriteString("  (no samples)\n")
 		return b.String()
 	}
-	for c, tree := range p.Trees {
-		classTotal := tree.Total()[o.Metric]
+	for c, root := range s.root {
+		classTotal := t.inc(root)
 		if classTotal == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "%6.1f%%  [%s]\n", pct(classTotal, grand), cct.Class(c))
-		renderNode(&b, tree.Root, 1, grand, o)
+		t.render(&b, root, 1)
 	}
 	return b.String()
 }
 
-func renderNode(b *strings.Builder, n *cct.Node, depth int, grand uint64, o Options) {
-	if o.MaxDepth > 0 && depth > o.MaxDepth {
-		return
+func (t *topDown) render(b *strings.Builder, i int32, depth int) {
+	run := t.push(i, depth)
+	for _, j := range run {
+		fmt.Fprintf(b, "%6.1f%%  %s%s\n", 100*t.share(j), strings.Repeat("  ", depth), t.nodes[j].Frame)
+		t.render(b, j, depth+1)
 	}
-	for _, c := range n.Children() {
-		inc := c.Inclusive()[o.Metric]
-		if inc == 0 {
-			continue
-		}
-		share := float64(inc) / float64(grand)
-		if share < o.MinShare {
-			continue
-		}
-		fmt.Fprintf(b, "%6.1f%%  %s%s\n", 100*share, strings.Repeat("  ", depth), c.Frame)
-		renderNode(b, c, depth+1, grand, o)
-	}
+	t.pop(run)
 }
 
 // RenderVariables renders the ranked-variable table.
-func RenderVariables(p *cct.Profile, o Options) string {
-	vars := RankVariables(p, o.Metric)
+func RenderVariables(p *cct.Profile, o Options) string { return Freeze(p).RenderVariables(o) }
+
+// RenderVariables is RenderVariables of the frozen profile.
+func (s *Snapshot) RenderVariables(o Options) string {
+	vars := s.RankVariables(o.Metric)
 	var b strings.Builder
-	fmt.Fprintf(&b, "variables by %s (total %d)\n", o.Metric.Name(), MetricTotal(p, o.Metric))
+	fmt.Fprintf(&b, "variables by %s (total %d)\n", o.Metric.Name(), s.MetricTotal(o.Metric))
 	rows := 0
 	for _, v := range vars {
 		if v.Value == 0 {
@@ -423,20 +375,23 @@ func RenderVariables(p *cct.Profile, o Options) string {
 }
 
 // RenderBottomUp renders the allocation-call-site table.
-func RenderBottomUp(p *cct.Profile, o Options) string {
-	sites := BottomUp(p, o.Metric)
+func RenderBottomUp(p *cct.Profile, o Options) string { return Freeze(p).RenderBottomUp(o) }
+
+// RenderBottomUp is RenderBottomUp of the frozen profile.
+func (s *Snapshot) RenderBottomUp(o Options) string {
+	sites := s.BottomUp(o.Metric)
 	var b strings.Builder
 	fmt.Fprintf(&b, "bottom-up view — allocation sites by %s\n", o.Metric.Name())
 	rows := 0
-	for _, s := range sites {
-		if s.Value == 0 {
+	for _, site := range sites {
+		if site.Value == 0 {
 			continue
 		}
 		if o.MaxRows > 0 && rows >= o.MaxRows {
 			break
 		}
 		fmt.Fprintf(&b, "%6.1f%%  %s@%s:%d (%s, %d variable(s))\n",
-			100*s.Share, s.Func, s.File, s.Line, s.Allocator, s.Variables)
+			100*site.Share, site.Func, site.File, site.Line, site.Allocator, site.Variables)
 		rows++
 	}
 	return b.String()
