@@ -44,16 +44,25 @@ race:
 chaos-smoke:
 	$(GO) test -race -run='^TestChaosPushSmoke$$' -count=1 ./internal/push
 
-# Short fuzz of the reader and the salvage path (the fuzz engine accepts
-# one target per run), on top of the always-run corpus regression pass.
+# Short fuzz of the reader, the salvage path and the encoder against its
+# reference (the fuzz engine accepts one target per run), on top of the
+# always-run corpus regression pass.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadProfile -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzSalvageProfile -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzTemporalSection -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzReadV3Profile -fuzztime=10s ./internal/profio
+	$(GO) test -run='^$$' -fuzz=FuzzEncodeMatchesReference -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzHandleUpload -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzUploadIdempotency -fuzztime=10s ./internal/server
 
+# One-iteration merge benchmarks, then the three opt-in wall-clock gates:
+# merge throughput with instruments and spans attached within 5% of
+# uninstrumented; steady-state attribution allocation-free and >= 1.5x over
+# the string-keyed replica (within 10% of the committed speedup); a cached
+# query through the full middleware chain at most 20 us dearer than the
+# bare handler (runs after the telemetry gate: both reports merge into
+# BENCH_telemetry.json).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Merge -benchtime=1x ./internal/analysis .
 	DCPROF_BENCH_TELEMETRY="$(CURDIR)/BENCH_telemetry.json" \

@@ -210,15 +210,22 @@ func (n *Node) Lookup(f Frame) (*Node, bool) {
 // Children returns the node's children sorted deterministically (by kind,
 // module, name, file, line).
 func (n *Node) Children() []*Node {
-	out := make([]*Node, 0, n.NumChildren())
+	return n.AppendChildren(make([]*Node, 0, n.NumChildren()))
+}
+
+// AppendChildren appends the node's children to dst in Children's order
+// and returns the extended slice: the sort without the allocation, for a
+// caller that linearises a whole tree into scratch it already holds.
+func (n *Node) AppendChildren(dst []*Node) []*Node {
+	base := len(dst)
 	for i := uint8(0); i < n.nInline; i++ {
-		out = append(out, n.inline[i])
+		dst = append(dst, n.inline[i])
 	}
 	for _, c := range n.children {
-		out = append(out, c)
+		dst = append(dst, c)
 	}
-	slices.SortFunc(out, func(a, b *Node) int { return CompareFrames(a.Frame, b.Frame) })
-	return out
+	slices.SortFunc(dst[base:], func(a, b *Node) int { return CompareFrames(a.Frame, b.Frame) })
+	return dst
 }
 
 // CompareFrames is the deterministic sibling order (by kind, module, name,

@@ -192,6 +192,30 @@ func TestCrashLeavesNoPartialFinalFile(t *testing.T) {
 	}
 }
 
+// TestEncodeErrorRemovesTemp: a profile the encoder rejects (a nil tree
+// used to panic inside Walk) fails the write with the tree named, its
+// temp file is removed through the FS, and the files before it stand.
+func TestEncodeErrorRemovesTemp(t *testing.T) {
+	bad := sampleProfile(0, 1)
+	bad.Trees[cct.ClassUnknown] = nil
+	dir := t.TempDir()
+	fs := faultio.NewCrashFS(profio.OSFS{}, 1<<30)
+	_, err := profio.WriteDirFS(fs, dir, []*cct.Profile{sampleProfile(0, 0), bad, sampleProfile(0, 2)})
+	if err == nil || !strings.Contains(err.Error(), "profio: profile has no unknown data tree") {
+		t.Fatalf("WriteDirFS error = %v, want the missing tree named", err)
+	}
+	if fs.Crashed() {
+		t.Fatal("the crash budget ran out; the test never reached the encoder's error")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != profio.FileName(0, 0) {
+		t.Errorf("directory holds %v, want only %s", entries, profio.FileName(0, 0))
+	}
+}
+
 // TestCrashFSPostCrashOpsFail locks in the "process is dead" semantics:
 // after the crash point, every filesystem operation fails.
 func TestCrashFSPostCrashOpsFail(t *testing.T) {

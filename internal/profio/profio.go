@@ -39,16 +39,14 @@
 package profio
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 
 	"dcprof/internal/cct"
+	"dcprof/internal/metric"
 )
 
 // Magic identifies profile files ("DCPF" = data-centric profile).
@@ -83,184 +81,55 @@ const noParent = ^uint32(0)
 // rejected as corrupt before any proportional allocation happens.
 const maxSection = 1 << 30
 
-// WriteProfile encodes one thread profile in the current format (v3).
+// WriteProfile encodes one thread profile in the current format (v3) and
+// hands it to w in a single Write.
 func WriteProfile(w io.Writer, p *cct.Profile) error {
-	bw := bufio.NewWriter(w)
-	if err := writeProfileV3(bw, p); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := writeProfile(w, p, Version)
+	return err
 }
 
 // WriteProfileV2 encodes one thread profile in format v2 — the
 // compatibility writer behind version-migration tests and v2 fixtures.
 // New files should use WriteProfile.
 func WriteProfileV2(w io.Writer, p *cct.Profile) error {
-	bw := bufio.NewWriter(w)
-	if err := writeProfileV2(bw, p); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func writeProfileV2(w *bufio.Writer, p *cct.Profile) error {
-	// Collect the string table.
-	strs := newStringTable()
-	for _, tree := range p.Trees {
-		tree.Walk(func(n *cct.Node, _ int) bool {
-			strs.intern(n.Frame.Module)
-			strs.intern(n.Frame.Name)
-			strs.intern(n.Frame.File)
-			return true
-		})
-	}
-	strs.intern(p.Event)
-
-	writeU32(w, Magic)
-	writeU32(w, Version2)
-
-	// Each section is staged in memory so its length prefix and checksum
-	// can be emitted; sections are one tree each, so staging cost is one
-	// tree's encoding, not the profile's.
-	var payload bytes.Buffer
-	sw := bufio.NewWriter(&payload)
-
-	// Header section: identification + string table + event.
-	writeUvarint(sw, uint64(p.Rank))
-	writeUvarint(sw, uint64(p.Thread))
-	writeUvarint(sw, uint64(len(strs.list)))
-	for _, s := range strs.list {
-		writeUvarint(sw, uint64(len(s)))
-		if _, err := sw.WriteString(s); err != nil {
-			return err
-		}
-	}
-	writeUvarint(sw, uint64(strs.idx[p.Event]))
-	if err := flushSection(w, sw, &payload); err != nil {
-		return err
-	}
-
-	// Tree sections.
-	if len(p.Trees) != cct.NumClasses {
-		return fmt.Errorf("profio: profile has %d trees, want %d", len(p.Trees), cct.NumClasses)
-	}
-	totalNodes := uint64(0)
-	var indexes [cct.NumClasses]map[*cct.Node]uint32
-	for ci, tree := range p.Trees {
-		index, err := writeTree(sw, tree, strs)
-		if err != nil {
-			return err
-		}
-		indexes[ci] = index
-		totalNodes += uint64(len(index))
-		if err := flushSection(w, sw, &payload); err != nil {
-			return err
-		}
-	}
-
-	// Footer: magic, total node records, checksum of the count.
-	writeU32(w, FooterMagic)
-	var cnt [binary.MaxVarintLen64]byte
-	cn := binary.PutUvarint(cnt[:], totalNodes)
-	w.Write(cnt[:cn])
-	writeU32(w, crc32.ChecksumIEEE(cnt[:cn]))
-
-	// Optional trailer: the temporal sidecar, referencing nodes by the
-	// pre-order indices the tree sections above were just written in.
-	if ts := p.Temporal; ts != nil && len(ts.Windows) > 0 {
-		if err := writeTemporalSection(w, sw, &payload, ts, &indexes); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushSection drains the staged payload into w as one framed, checksummed
-// section and resets the staging buffer for the next section.
-func flushSection(w *bufio.Writer, sw *bufio.Writer, payload *bytes.Buffer) error {
-	if err := sw.Flush(); err != nil {
-		return err
-	}
-	b := payload.Bytes()
-	writeUvarint(w, uint64(len(b)))
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	writeU32(w, crc32.ChecksumIEEE(b))
-	payload.Reset()
-	telWriteSections.Inc()
-	return nil
-}
-
-// writeTree encodes one tree section and returns the node→pre-order-index
-// map it assigned (also the section's node count) — the temporal sidecar
-// trailer refers to nodes by these indices.
-func writeTree(w *bufio.Writer, t *cct.Tree, strs *stringTable) (map[*cct.Node]uint32, error) {
-	// Pre-order with parent indices. Walk is deterministic, so index
-	// assignment is too.
-	index := map[*cct.Node]uint32{}
-	count := uint32(0)
-	t.Walk(func(n *cct.Node, _ int) bool {
-		index[n] = count
-		count++
-		return true
-	})
-	writeUvarint(w, uint64(count))
-	t.Walk(func(n *cct.Node, _ int) bool {
-		parent := noParent
-		if n.Parent() != nil {
-			parent = index[n.Parent()]
-		}
-		writeU32(w, parent)
-		w.WriteByte(byte(n.Frame.Kind))
-		writeUvarint(w, uint64(strs.idx[n.Frame.Module]))
-		writeUvarint(w, uint64(strs.idx[n.Frame.Name]))
-		writeUvarint(w, uint64(strs.idx[n.Frame.File]))
-		writeUvarint(w, uint64(int64(n.Frame.Line)))
-		// Sparse metrics.
-		nz := 0
-		for _, v := range n.Metrics {
-			if v != 0 {
-				nz++
-			}
-		}
-		w.WriteByte(byte(nz))
-		for i, v := range n.Metrics {
-			if v != 0 {
-				w.WriteByte(byte(i))
-				writeUvarint(w, v)
-			}
-		}
-		return true
-	})
-	return index, nil
+	_, err := writeProfile(w, p, Version2)
+	return err
 }
 
 // EncodedSize returns the number of bytes WriteProfile would produce.
 func EncodedSize(p *cct.Profile) (int64, error) {
-	var cw countWriter
-	if err := WriteProfile(&cw, p); err != nil {
-		return 0, err
-	}
-	return cw.n, nil
+	return writeProfile(nil, p, Version)
 }
 
-// countWriter counts bytes, forwarding to w when set (nil discards). The
-// durable writer takes its byte accounting from this counter rather than
-// re-stat-ing the file it just wrote.
-type countWriter struct {
-	w io.Writer
-	n int64
+// treeRows appends nodes[lo:hi] as one v2 tree payload: a self-contained
+// record per node (see v3.go for the encoder and its columnar twin).
+func (e *encoder) treeRows(lo, hi int) {
+	out := binary.AppendUvarint(e.out, uint64(hi-lo))
+	for i := lo; i < hi; i++ {
+		parent := noParent
+		if i > lo {
+			parent = e.parent[i] - uint32(lo)
+		}
+		out = binary.LittleEndian.AppendUint32(out, parent)
+		out = e.frames[e.frame[i]].append(out)
+		out = appendSparse(out, &e.nodes[i].Metrics)
+	}
+	e.out = out
 }
 
-func (c *countWriter) Write(b []byte) (int, error) {
-	if c.w == nil {
-		c.n += int64(len(b))
-		return len(b), nil
+// appendSparse encodes a metric vector as `byte nnz · {byte id · uvarint
+// value}×nnz`, the form v2 node rows and sidecar entries share.
+func appendSparse(out []byte, v *metric.Vector) []byte {
+	nz := len(out)
+	out = append(out, 0)
+	for m, x := range v {
+		if x != 0 {
+			out[nz]++
+			out = append(out, byte(m))
+			out = binary.AppendUvarint(out, x)
+		}
 	}
-	m, err := c.w.Write(b)
-	c.n += int64(m)
-	return m, err
+	return out
 }
 
 // FileName returns the canonical per-thread profile file name.
@@ -362,8 +231,8 @@ func writeOne(fsys FS, dir string, p *cct.Profile) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	cw := &countWriter{w: f}
-	if err := WriteProfile(cw, p); err != nil {
+	n, err := writeProfile(f, p, Version)
+	if err != nil {
 		f.Close()
 		fsys.Remove(tmp)
 		return 0, fmt.Errorf("profio: writing %s: %w", tmp, err)
@@ -382,38 +251,6 @@ func writeOne(fsys FS, dir string, p *cct.Profile) (int64, error) {
 		return 0, fmt.Errorf("profio: publishing %s: %w", final, err)
 	}
 	telWriteProfiles.Inc()
-	telWriteBytes.Add(uint64(cw.n))
-	return cw.n, nil
-}
-
-// stringTable interns strings for writing.
-type stringTable struct {
-	idx  map[string]int
-	list []string
-}
-
-func newStringTable() *stringTable {
-	return &stringTable{idx: map[string]int{}}
-}
-
-func (s *stringTable) intern(str string) int {
-	if i, ok := s.idx[str]; ok {
-		return i
-	}
-	i := len(s.list)
-	s.idx[str] = i
-	s.list = append(s.list, str)
-	return i
-}
-
-func writeU32(w *bufio.Writer, v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	w.Write(buf[:])
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+	telWriteBytes.Add(uint64(n))
+	return n, nil
 }

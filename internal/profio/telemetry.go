@@ -13,10 +13,6 @@ var (
 	telWriteBytes    = telemetry.Default().Counter("profio.write.bytes")
 	telWriteSections = telemetry.Default().Counter("profio.write.sections")
 	telWriteProfiles = telemetry.Default().Counter("profio.write.profiles")
-	// telV3SavedBytes accumulates, per v3 profile written, the exact byte
-	// difference against what the same profile would cost in v2 — the
-	// always-on receipt for the compact encoding's claimed savings.
-	telV3SavedBytes = telemetry.Default().Counter("profio.write.v3_saved_bytes")
 
 	telReadBytes    = telemetry.Default().Counter("profio.read.bytes")
 	telReadSections = telemetry.Default().Counter("profio.read.sections")

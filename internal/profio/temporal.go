@@ -1,13 +1,13 @@
 package profio
 
-// Temporal sidecar codec: the optional trailing v2 section that persists a
-// profile's cct.TimeSeries.
+// Temporal sidecar codec: the optional trailer section of a v2 or v3 file
+// that persists a profile's cct.TimeSeries.
 //
 // The sidecar rides AFTER the footer as a tagged trailer section:
 //
 //	u32 section magic ("DCPT")   uvarint payloadLen · payload · u32 CRC32
 //
-// so a v2 file remains exactly its old self up to and including the
+// so a file remains exactly its old self up to and including the
 // footer. Readers that predate trailers stop at the footer; this reader
 // scans trailers until EOF, decoding the magics it knows and skipping
 // (after checksum verification) the ones it does not — the same
@@ -33,10 +33,12 @@ package profio
 // against the nodes it just built and the sidecar stores no paths at all.
 
 import (
-	"bufio"
-	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"unsafe"
 
 	"dcprof/internal/cct"
 	"dcprof/internal/metric"
@@ -53,106 +55,136 @@ const TemporalMagic = 0x44435054
 // works over the sparse window list, never a densified range.
 const maxWindowSpan = 1 << 26
 
-// encKey identifies one (class, node) slot during encoding.
-type encKey struct {
-	class cct.Class
-	idx   uint32
+// nodeSlot is one entry of the encoder's node → position table: open
+// addressing over the node's address, which for the heap objects nodes
+// are does not change.
+type nodeSlot struct {
+	n   *cct.Node
+	pos uint32
 }
 
-// writeTemporalSection stages the encoded sidecar into sw and emits it as
-// a tagged trailer section. indexes are the per-class node→pre-order-index
-// maps the tree sections were written with.
-func writeTemporalSection(w *bufio.Writer, sw *bufio.Writer, payload *bytes.Buffer, ts *cct.TimeSeries, indexes *[cct.NumClasses]map[*cct.Node]uint32) error {
+func (e *encoder) slot(n *cct.Node) uint64 {
+	return uint64(uintptr(unsafe.Pointer(n))) * 0x9E3779B97F4A7C15 >> e.shift
+}
+
+// indexNodes fills the table with every linearised node's position.
+func (e *encoder) indexNodes() {
+	size := 1 << bits.Len(uint(2*len(e.nodes)))
+	if cap(e.table) < size {
+		e.table = make([]nodeSlot, size)
+	}
+	e.table = e.table[:size]
+	e.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for pos, n := range e.nodes {
+		h := e.slot(n)
+		for e.table[h].n != nil {
+			h = (h + 1) & uint64(size-1)
+		}
+		e.table[h] = nodeSlot{n, uint32(pos)}
+	}
+}
+
+// sideEntry is one delta of the window being encoded, keyed by
+// class<<32 | pre-order index so that one integer sort gives the
+// format's (class, node) order.
+type sideEntry struct {
+	key uint64
+	d   *cct.TimeDelta
+}
+
+// sidecar appends ts as the tagged temporal trailer. Windows are taken in
+// index order and each index's deltas sorted by key once, adjacent equal
+// keys summing into one entry — which is also all that a re-opened
+// (duplicate) window needs. The recorder and the decoder both hand over
+// ascending windows, so the window sort is normally skipped.
+func (e *encoder) sidecar(ts *cct.TimeSeries) error {
 	if ts.Width == 0 {
 		return fmt.Errorf("profio: temporal sidecar has zero window width")
 	}
-	// Coalesce: the recorder may emit duplicate window indices (a window
-	// re-opened after a mid-run flush) and the format wants one entry per
-	// (window, class, node). Aggregate first, then sort for determinism.
-	agg := make(map[uint64]map[encKey]*metric.Vector)
-	for wi := range ts.Windows {
-		win := &ts.Windows[wi]
-		entries := agg[win.Index]
-		if entries == nil {
-			entries = make(map[encKey]*metric.Vector)
-			agg[win.Index] = entries
-		}
-		for di := range win.Deltas {
-			d := &win.Deltas[di]
-			if int(d.Class) >= cct.NumClasses {
-				return fmt.Errorf("profio: temporal delta class %d out of range", d.Class)
-			}
-			idx, ok := indexes[d.Class][d.Node]
-			if !ok {
-				return fmt.Errorf("profio: temporal delta references a node outside the %v tree", d.Class)
-			}
-			k := encKey{class: d.Class, idx: idx}
-			if v := entries[k]; v != nil {
-				v.Add(&d.Metrics)
-			} else {
-				cp := d.Metrics
-				entries[k] = &cp
-			}
+	e.indexNodes()
+	byIndex := func(a, b *cct.TimeWindow) int { return cmp.Compare(a.Index, b.Index) }
+	for i := range ts.Windows {
+		e.wins = append(e.wins, &ts.Windows[i])
+	}
+	if !slices.IsSortedFunc(e.wins, byIndex) {
+		slices.SortFunc(e.wins, byIndex)
+	}
+	numWindows := 0
+	for i, w := range e.wins {
+		if i == 0 || w.Index != e.wins[i-1].Index {
+			numWindows++
 		}
 	}
 
-	winIdxs := make([]uint64, 0, len(agg))
-	for w := range agg {
-		winIdxs = append(winIdxs, w)
-	}
-	sort.Slice(winIdxs, func(i, j int) bool { return winIdxs[i] < winIdxs[j] })
-
-	writeUvarint(sw, ts.Width)
-	writeUvarint(sw, uint64(len(winIdxs)))
+	e.out = binary.LittleEndian.AppendUint32(e.out, TemporalMagic)
+	start := e.beginSection()
+	out := binary.AppendUvarint(e.out, ts.Width)
+	out = binary.AppendUvarint(out, uint64(numWindows))
 	prevWin := uint64(0)
-	for i, wi := range winIdxs {
-		if i == 0 {
-			writeUvarint(sw, wi)
-		} else {
-			writeUvarint(sw, wi-prevWin)
+	for lo := 0; lo < len(e.wins); {
+		index := e.wins[lo].Index
+		e.ents = e.ents[:0]
+		for ; lo < len(e.wins) && e.wins[lo].Index == index; lo++ {
+			deltas := e.wins[lo].Deltas
+			for di := range deltas {
+				d := &deltas[di]
+				if int(d.Class) >= cct.NumClasses {
+					return fmt.Errorf("profio: temporal delta class %d out of range", d.Class)
+				}
+				pos, ok := e.position(d.Node)
+				if !ok || pos < e.off[d.Class] || pos >= e.off[d.Class+1] {
+					return fmt.Errorf("profio: temporal delta references a node outside the %v tree", d.Class)
+				}
+				e.ents = append(e.ents, sideEntry{uint64(d.Class)<<32 | uint64(pos-e.off[d.Class]), d})
+			}
 		}
-		prevWin = wi
+		slices.SortFunc(e.ents, func(a, b sideEntry) int { return cmp.Compare(a.key, b.key) })
+		numEntries := 0
+		for i := range e.ents {
+			if i == 0 || e.ents[i].key != e.ents[i-1].key {
+				numEntries++
+			}
+		}
 
-		entries := agg[wi]
-		keys := make([]encKey, 0, len(entries))
-		for k := range entries {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a].class != keys[b].class {
-				return keys[a].class < keys[b].class
+		out = binary.AppendUvarint(out, index-prevWin)
+		prevWin = index
+		out = binary.AppendUvarint(out, uint64(numEntries))
+		prevKey := uint64(0)
+		var sum metric.Vector
+		for i := 0; i < len(e.ents); {
+			key, v := e.ents[i].key, &e.ents[i].d.Metrics
+			if i++; i < len(e.ents) && e.ents[i].key == key {
+				sum = *v
+				for ; i < len(e.ents) && e.ents[i].key == key; i++ {
+					sum.Add(&e.ents[i].d.Metrics)
+				}
+				v = &sum
 			}
-			return keys[a].idx < keys[b].idx
-		})
-		writeUvarint(sw, uint64(len(keys)))
-		prevClass, prevIdx := cct.Class(0), uint32(0)
-		for j, k := range keys {
-			sw.WriteByte(byte(k.class))
-			if j > 0 && k.class == prevClass {
-				writeUvarint(sw, uint64(k.idx-prevIdx))
+			// The node index is absolute when the class changes, else a
+			// delta from the previous entry's.
+			out = append(out, byte(key>>32))
+			if key>>32 == prevKey>>32 {
+				out = binary.AppendUvarint(out, key-prevKey)
 			} else {
-				writeUvarint(sw, uint64(k.idx))
+				out = binary.AppendUvarint(out, key&(1<<32-1))
 			}
-			prevClass, prevIdx = k.class, k.idx
-			v := entries[k]
-			nz := 0
-			for _, x := range v {
-				if x != 0 {
-					nz++
-				}
-			}
-			sw.WriteByte(byte(nz))
-			for m, x := range v {
-				if x != 0 {
-					sw.WriteByte(byte(m))
-					writeUvarint(sw, x)
-				}
-			}
+			prevKey = key
+			out = appendSparse(out, v)
 		}
 	}
+	e.out = out
+	e.endSection(start)
+	return nil
+}
 
-	writeU32(w, TemporalMagic)
-	return flushSection(w, sw, payload)
+// position returns n's place in e.nodes.
+func (e *encoder) position(n *cct.Node) (int, bool) {
+	for h := e.slot(n); e.table[h].n != nil; h = (h + 1) & uint64(len(e.table)-1) {
+		if e.table[h].n == n {
+			return int(e.table[h].pos), true
+		}
+	}
+	return 0, false
 }
 
 // stagedWin is one staged sidecar window: its index and how many of the

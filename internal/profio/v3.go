@@ -37,208 +37,285 @@ package profio
 // byte-for-byte.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"io"
+	"sync"
 
 	"dcprof/internal/cct"
 	"dcprof/internal/metric"
 )
 
-func writeProfileV3(w *bufio.Writer, p *cct.Profile) error {
-	// Collect the string table (same walk order as v2, so both formats
-	// build identical tables) and the deduplicated frame table.
-	strs := newStringTable()
-	frameIdx := make(map[cct.FrameID]uint32)
-	var frames []cct.Frame
-	for _, tree := range p.Trees {
-		tree.Walk(func(n *cct.Node, _ int) bool {
-			strs.intern(n.Frame.Module)
-			strs.intern(n.Frame.Name)
-			strs.intern(n.Frame.File)
-			if _, ok := frameIdx[n.ID()]; !ok {
-				frameIdx[n.ID()] = uint32(len(frames))
-				frames = append(frames, n.Frame)
-			}
-			return true
-		})
-	}
-	strs.intern(p.Event)
+// encoder is the write side, in the shape of the decoder it mirrors
+// (stage.go): one walk linearises every class tree into reused pre-order
+// columns, and header, tree sections, footer and sidecar are appended to
+// one reused byte slice — length prefix patched in, one CRC pass per
+// section — that the caller hands to a single Write. Encoders are pooled;
+// a warm one allocates nothing.
+type encoder struct {
+	out []byte
 
-	writeU32(w, Magic)
-	writeU32(w, Version)
+	// The linearised trees: every class's nodes in Walk order, back to
+	// back, class c at nodes[off[c]:off[c+1]]. parent and frame run
+	// parallel to nodes: the parent's position in nodes (the class root:
+	// its own) and the node's frame-table index. kids is linearise's
+	// stack of sorted children.
+	nodes  []*cct.Node
+	parent []uint32
+	frame  []uint32
+	off    [cct.NumClasses + 1]int
+	kids   []*cct.Node
+	hot    []uint32 // one tree's nodes that carry a metric
 
-	var payload bytes.Buffer
-	sw := bufio.NewWriter(&payload)
+	// The frame table in first-visit order, and the string table its
+	// entries index. frameIdx maps a FrameID (dense, see cct.Interner) to
+	// its table index + 1; zeroed again by reset.
+	frames   []frameRec
+	frameIdx []uint32
+	strs     map[string]uint32
+	strList  []string
 
-	// v2Bytes/v3Bytes track what this profile costs in each encoding
-	// (trailers excluded: they are byte-identical in both), feeding the
-	// profio.write.v3_saved_bytes counter with exact savings instead of a
-	// second full encode.
-	v2Bytes, v3Bytes := int64(8), int64(8)
-	track := func(v2PayloadLen int64) error {
-		if err := sw.Flush(); err != nil {
-			return err
-		}
-		n := int64(payload.Len())
-		v3Bytes += uvlen(uint64(n)) + n + 4
-		v2Bytes += uvlen(uint64(v2PayloadLen)) + v2PayloadLen + 4
-		return flushSection(w, sw, &payload)
-	}
+	// Sidecar scratch (temporal.go).
+	table []nodeSlot
+	shift uint
+	wins  []*cct.TimeWindow
+	ents  []sideEntry
+}
 
-	// Header section: identification + string table + event + frame table.
-	writeUvarint(sw, uint64(p.Rank))
-	writeUvarint(sw, uint64(p.Thread))
-	writeUvarint(sw, uint64(len(strs.list)))
-	for _, s := range strs.list {
-		writeUvarint(sw, uint64(len(s)))
-		if _, err := sw.WriteString(s); err != nil {
-			return err
-		}
-	}
-	writeUvarint(sw, uint64(strs.idx[p.Event]))
-	writeUvarint(sw, uint64(len(frames)))
-	frameTabBytes := uvlen(uint64(len(frames)))
-	// rowCost[i] is what frame i's record costs inline in a v2 node row
-	// (kind byte + string indices + line) — the per-node share of the v2
-	// accounting below.
-	rowCost := make([]int64, len(frames))
-	for i, f := range frames {
-		sw.WriteByte(byte(f.Kind))
-		mi := uint64(strs.idx[f.Module])
-		ni := uint64(strs.idx[f.Name])
-		fi := uint64(strs.idx[f.File])
-		line := uint64(int64(f.Line))
-		writeUvarint(sw, mi)
-		writeUvarint(sw, ni)
-		writeUvarint(sw, fi)
-		writeUvarint(sw, line)
-		rowCost[i] = 1 + uvlen(mi) + uvlen(ni) + uvlen(fi) + uvlen(line)
-		frameTabBytes += rowCost[i]
-	}
-	if err := sw.Flush(); err != nil {
-		return err
-	}
-	if err := track(int64(payload.Len()) - frameTabBytes); err != nil {
-		return err
-	}
+// frameRec is one frame-table entry: a frame by string-table indices.
+type frameRec struct {
+	id                 cct.FrameID
+	kind               cct.Kind
+	module, name, file uint32
+	line               uint64
+}
 
-	// Tree sections.
-	totalNodes := uint64(0)
-	var indexes [cct.NumClasses]map[*cct.Node]uint32
-	for ci, tree := range p.Trees {
-		index, v2len, err := writeTreeV3(sw, tree, frameIdx, rowCost)
-		if err != nil {
-			return err
-		}
-		indexes[ci] = index
-		totalNodes += uint64(len(index))
-		if err := track(v2len); err != nil {
-			return err
+var encoderPool = sync.Pool{New: func() any { return &encoder{strs: make(map[string]uint32)} }}
+
+// writeProfile encodes p as the given format version and hands the image
+// to w in one Write (none when w is nil). It returns the image's length.
+func writeProfile(w io.Writer, p *cct.Profile, version uint32) (int64, error) {
+	e := encoderPool.Get().(*encoder)
+	defer func() {
+		e.reset()
+		encoderPool.Put(e)
+	}()
+	if err := e.encode(p, version); err != nil {
+		return 0, err
+	}
+	if w != nil {
+		if _, err := w.Write(e.out); err != nil {
+			return 0, err
 		}
 	}
+	return int64(len(e.out)), nil
+}
 
-	// Footer: identical framing in both formats.
-	writeU32(w, FooterMagic)
-	var cnt [binary.MaxVarintLen64]byte
-	cn := binary.PutUvarint(cnt[:], totalNodes)
-	w.Write(cnt[:cn])
-	writeU32(w, crc32.ChecksumIEEE(cnt[:cn]))
+// reset drops every reference the scratch holds into the encoded profile,
+// so a pooled encoder pins only its own buffers.
+func (e *encoder) reset() {
+	for _, f := range e.frames {
+		e.frameIdx[f.id] = 0
+	}
+	clear(e.nodes)
+	clear(e.strList)
+	clear(e.strs)
+	clear(e.table)
+	clear(e.wins)
+	clear(e.kids[:cap(e.kids)])
+	clear(e.ents[:cap(e.ents)])
+	e.nodes, e.parent, e.frame = e.nodes[:0], e.parent[:0], e.frame[:0]
+	e.frames, e.strList, e.table, e.wins = e.frames[:0], e.strList[:0], e.table[:0], e.wins[:0]
+}
 
-	if v2Bytes > v3Bytes {
-		telV3SavedBytes.Add(uint64(v2Bytes - v3Bytes))
+func (e *encoder) encode(p *cct.Profile, version uint32) error {
+	for c, t := range p.Trees {
+		if t == nil || t.Root == nil {
+			return fmt.Errorf("profio: profile has no %v tree", cct.Class(c))
+		}
+	}
+	for c, t := range p.Trees {
+		e.off[c] = len(e.nodes)
+		e.linearise(t.Root, uint32(len(e.nodes)))
+	}
+	e.off[cct.NumClasses] = len(e.nodes)
+	event := e.intern(p.Event)
+
+	e.out = binary.LittleEndian.AppendUint32(e.out[:0], Magic)
+	e.out = binary.LittleEndian.AppendUint32(e.out, version)
+
+	// Header section: identification + string table + event (+ frame table).
+	start := e.beginSection()
+	out := binary.AppendUvarint(e.out, uint64(p.Rank))
+	out = binary.AppendUvarint(out, uint64(p.Thread))
+	out = binary.AppendUvarint(out, uint64(len(e.strList)))
+	for _, s := range e.strList {
+		out = binary.AppendUvarint(out, uint64(len(s)))
+		out = append(out, s...)
+	}
+	out = binary.AppendUvarint(out, uint64(event))
+	if version == Version {
+		out = binary.AppendUvarint(out, uint64(len(e.frames)))
+		for i := range e.frames {
+			out = e.frames[i].append(out)
+		}
+	}
+	e.out = out
+	e.endSection(start)
+
+	for c := 0; c < cct.NumClasses; c++ {
+		start := e.beginSection()
+		if version == Version {
+			e.treeColumns(e.off[c], e.off[c+1])
+		} else {
+			e.treeRows(e.off[c], e.off[c+1])
+		}
+		e.endSection(start)
 	}
 
+	// Footer: magic, total node records, checksum of the count.
+	e.out = binary.LittleEndian.AppendUint32(e.out, FooterMagic)
+	cnt := len(e.out)
+	e.out = binary.AppendUvarint(e.out, uint64(len(e.nodes)))
+	e.out = binary.LittleEndian.AppendUint32(e.out, crc32.ChecksumIEEE(e.out[cnt:]))
+
+	// Optional trailer: the temporal sidecar, referencing nodes by the
+	// pre-order indices the tree sections above were just written in.
 	if ts := p.Temporal; ts != nil && len(ts.Windows) > 0 {
-		if err := writeTemporalSection(w, sw, &payload, ts, &indexes); err != nil {
-			return err
-		}
+		return e.sidecar(ts)
 	}
 	return nil
 }
 
-// writeTreeV3 encodes one tree section columnar and returns the
-// node→pre-order-index map it assigned (for the temporal trailer) plus the
-// exact byte count the same tree would occupy as a v2 section payload.
-func writeTreeV3(w *bufio.Writer, t *cct.Tree, frameIdx map[cct.FrameID]uint32, rowCost []int64) (map[*cct.Node]uint32, int64, error) {
-	// Pre-order via the deterministic Walk — the same index assignment v2
-	// makes, which is what keeps sidecar node references format-agnostic.
-	index := map[*cct.Node]uint32{}
-	var nodes []*cct.Node
-	t.Walk(func(n *cct.Node, _ int) bool {
-		index[n] = uint32(len(nodes))
-		nodes = append(nodes, n)
-		return true
-	})
-	count := len(nodes)
-	writeUvarint(w, uint64(count))
-	v2len := uvlen(uint64(count))
+// linearise appends n's subtree to the columns in Walk order. The frame
+// and string tables grow in first-visit order as it goes, which is the
+// order the two-walk writers assigned.
+func (e *encoder) linearise(n *cct.Node, parent uint32) {
+	id := n.ID()
+	if int(id) >= len(e.frameIdx) {
+		e.frameIdx = append(e.frameIdx, make([]uint32, int(id)+1-len(e.frameIdx))...)
+	}
+	fi := e.frameIdx[id]
+	if fi == 0 {
+		f := &n.Frame
+		e.frames = append(e.frames, frameRec{
+			id: id, kind: f.Kind, line: uint64(int64(f.Line)),
+			module: e.intern(f.Module), name: e.intern(f.Name), file: e.intern(f.File),
+		})
+		fi = uint32(len(e.frames))
+		e.frameIdx[id] = fi
+	}
+	self := uint32(len(e.nodes))
+	e.nodes = append(e.nodes, n)
+	e.parent = append(e.parent, parent)
+	e.frame = append(e.frame, fi-1)
 
+	base := len(e.kids)
+	e.kids = n.AppendChildren(e.kids)
+	for i := base; i < len(e.kids); i++ {
+		e.linearise(e.kids[i], self)
+	}
+	e.kids = e.kids[:base]
+}
+
+func (e *encoder) intern(s string) uint32 {
+	i, ok := e.strs[s]
+	if !ok {
+		i = uint32(len(e.strList))
+		e.strs[s] = i
+		e.strList = append(e.strList, s)
+	}
+	return i
+}
+
+// append encodes the frame record shared by the v3 frame table and a v2
+// node row.
+func (f *frameRec) append(out []byte) []byte {
+	out = append(out, byte(f.kind))
+	out = binary.AppendUvarint(out, uint64(f.module))
+	out = binary.AppendUvarint(out, uint64(f.name))
+	out = binary.AppendUvarint(out, uint64(f.file))
+	return binary.AppendUvarint(out, f.line)
+}
+
+// sectionLenRoom is what beginSection reserves for the length prefix
+// endSection patches in.
+const sectionLenRoom = binary.MaxVarintLen64
+
+// beginSection opens a `uvarint len · payload · u32 CRC32` section at the
+// end of out; the payload is whatever is appended until endSection.
+func (e *encoder) beginSection() int {
+	start := len(e.out)
+	e.out = append(e.out, make([]byte, sectionLenRoom)...)
+	return start
+}
+
+// endSection closes the section opened at start: the payload moves down
+// against its now-known length prefix and the checksum follows it.
+func (e *encoder) endSection(start int) {
+	payload := e.out[start+sectionLenRoom:]
+	var prefix [sectionLenRoom]byte
+	n := binary.PutUvarint(prefix[:], uint64(len(payload)))
+	copy(e.out[start+n:], payload)
+	copy(e.out[start:], prefix[:n])
+	e.out = e.out[:start+n+len(payload)]
+	e.out = binary.LittleEndian.AppendUint32(e.out, crc32.ChecksumIEEE(e.out[start+n:]))
+	telWriteSections.Inc()
+}
+
+// treeColumns appends nodes[lo:hi] as one columnar v3 tree payload.
+func (e *encoder) treeColumns(lo, hi int) {
+	out := binary.AppendUvarint(e.out, uint64(hi-lo))
 	// Parent column: pre-order guarantees parent(i) < i, so the gap is ≥ 1
 	// and — along any call chain — exactly 1, a single byte.
-	for i := 1; i < count; i++ {
-		writeUvarint(w, uint64(i)-uint64(index[nodes[i].Parent()]))
+	for i := lo + 1; i < hi; i++ {
+		out = binary.AppendUvarint(out, uint64(i)-uint64(e.parent[i]))
 	}
-	// Frame column: local frame-table indices, delta-coded in visit order.
+	// Frame column: frame-table indices, delta-coded in visit order.
 	// Siblings sort by frame fields, so runs of near-equal indices are
 	// common and the zigzag deltas stay short.
 	prev := int64(0)
-	for _, n := range nodes {
-		fi := int64(frameIdx[n.ID()])
-		writeUvarint(w, zigzag(fi-prev))
-		prev = fi
-		v2len += 4 + rowCost[frameIdx[n.ID()]] + 1
+	for _, fi := range e.frame[lo:hi] {
+		out = binary.AppendUvarint(out, zigzag(int64(fi)-prev))
+		prev = int64(fi)
 	}
 	// Metric columns: one sparse (node index, value) run per metric that
-	// appears anywhere in the tree.
-	var colIDs []int
-	for m := 0; m < int(metric.NumMetrics); m++ {
-		for _, n := range nodes {
-			if n.Metrics[m] != 0 {
-				colIDs = append(colIDs, m)
-				break
+	// appears anywhere in the tree, over the few nodes that carry any.
+	var counts [metric.NumMetrics]int
+	cols := 0
+	e.hot = e.hot[:0]
+	for i, n := range e.nodes[lo:hi] {
+		if n.Metrics == (metric.Vector{}) {
+			continue
+		}
+		e.hot = append(e.hot, uint32(i))
+		for m, v := range n.Metrics {
+			if v != 0 {
+				if counts[m] == 0 {
+					cols++
+				}
+				counts[m]++
 			}
 		}
 	}
-	w.WriteByte(byte(len(colIDs)))
-	for _, m := range colIDs {
-		w.WriteByte(byte(m))
-		cnt := 0
-		for _, n := range nodes {
-			if n.Metrics[m] != 0 {
-				cnt++
+	out = append(out, byte(cols))
+	for m, cnt := range counts {
+		if cnt == 0 {
+			continue
+		}
+		out = append(out, byte(m))
+		out = binary.AppendUvarint(out, uint64(cnt))
+		prevIdx := uint32(0)
+		for _, i := range e.hot {
+			if v := e.nodes[lo+int(i)].Metrics[m]; v != 0 {
+				out = binary.AppendUvarint(out, uint64(i-prevIdx))
+				out = binary.AppendUvarint(out, v)
+				prevIdx = i
 			}
 		}
-		writeUvarint(w, uint64(cnt))
-		prevIdx, first := uint64(0), true
-		for i, n := range nodes {
-			v := n.Metrics[m]
-			if v == 0 {
-				continue
-			}
-			if first {
-				writeUvarint(w, uint64(i))
-				first = false
-			} else {
-				writeUvarint(w, uint64(i)-prevIdx)
-			}
-			prevIdx = uint64(i)
-			writeUvarint(w, v)
-			v2len += 1 + uvlen(v)
-		}
 	}
-	return index, v2len, nil
-}
-
-// uvlen returns the encoded length of v as an unsigned varint.
-func uvlen(v uint64) int64 {
-	n := int64(1)
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	e.out = out
 }
 
 // zigzag maps a signed delta to the unsigned varint space (0, -1, 1, -2 →

@@ -11,7 +11,6 @@ import (
 
 	"dcprof/internal/cct"
 	"dcprof/internal/metric"
-	"dcprof/internal/telemetry"
 )
 
 // denseProfile approximates a real per-thread CCT: a bounded symbol set (40
@@ -147,31 +146,6 @@ func TestV3Compactness(t *testing.T) {
 	if ratio < 2.0 {
 		t.Errorf("v3 only %.2fx smaller than v2, want >= 2x", ratio)
 	}
-}
-
-// TestV3SavedBytesTelemetry: the always-on counter must record the exact
-// v2-minus-v3 difference for each profile written.
-func TestV3SavedBytesTelemetry(t *testing.T) {
-	p := denseProfile(1, 200)
-	before := counterValue(t, "profio.write.v3_saved_bytes")
-	v3, err := EncodedSize(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := counterValue(t, "profio.write.v3_saved_bytes")
-	want := uint64(encodedSizeV2(t, p) - v3)
-	if got := after - before; got != want {
-		t.Errorf("v3_saved_bytes delta = %d, want %d", got, want)
-	}
-}
-
-func counterValue(t *testing.T, name string) uint64 {
-	t.Helper()
-	v, ok := telemetry.Default().Snapshot().Counters[name]
-	if !ok {
-		return 0
-	}
-	return v
 }
 
 // TestV3TemporalSidecarParity: the temporal trailer references nodes by

@@ -7,9 +7,11 @@
 //
 //   - Recorder buckets each sample's metric vector into fixed-width
 //     windows of the sampled thread's sim clock, on the profiler hot
-//     path, without allocating in steady state. The result rides on the
-//     profile as cct.TimeSeries and is persisted by profio as an
-//     optional trailing v2 section older readers skip.
+//     path, and copies each closed window's deltas into a chunked slab,
+//     so neither a sample nor a window flush allocates in steady state.
+//     The result rides on the profile as cct.TimeSeries and is persisted
+//     by profio as an optional trailer of a v2 or v3 file that older
+//     readers skip.
 //   - Index merges the per-thread series of a measurement into
 //     per-window partial profiles (window-restricted CCTs rebuilt from
 //     each delta's calling context), the substrate for analysis.Clip
@@ -54,13 +56,18 @@ type slot struct {
 // un-stamping), and "still the same window" is a subtract-and-compare
 // against the window's start cycle — so the steady-state case is two
 // compares and a return: no division, no map, no vector copy, and the
-// whole path inlines into the profiler's record loop. Allocation happens
-// only when a window flushes, which amortizes to 0 allocs/op at any
-// realistic samples-per-window ratio; the hot-path bench gate enforces
-// both the alloc and the ns/op budget.
+// whole path inlines into the profiler's record loop.
+//
+// A window flush allocates nothing either: the closed window's deltas are
+// appended to the current chunk of a slab ([]cct.TimeDelta chunks; a
+// window never straddles two) and the window keeps a capped sub-slice of
+// it — the shape profio's decoder hands back. Only a new chunk and the
+// growth of the window list allocate, a few dozen times per ten thousand
+// windows, and nothing recorded is ever copied again.
 type Recorder struct {
 	width   uint64
 	windows []cct.TimeWindow
+	chunk   []cct.TimeDelta // the slab's current chunk; len is what windows hold
 
 	// Current-window accumulation state. curStart is curIdx*width, kept
 	// so the fast path tests window membership without dividing. stamp
@@ -73,6 +80,14 @@ type Recorder struct {
 	open     bool
 	stamp    uint64
 }
+
+// The slab's chunks double from minChunk deltas (6 KiB), so that a thread
+// recording a handful of windows holds little, up to maxChunk (384 KiB),
+// where chunk allocations vanish beside the windows they hold.
+const (
+	minChunk = 64
+	maxChunk = 4096
+)
 
 // NewRecorder creates a recorder with the given window width in sim
 // cycles. Width must be positive.
@@ -123,23 +138,26 @@ func (r *Recorder) record(now uint64, class cct.Class, n *cct.Node) {
 // delta is all-zero are dropped (a Record not followed by a metric add).
 func (r *Recorder) flush() {
 	if r.open && len(r.cur) > 0 {
-		var deltas []cct.TimeDelta
+		if cap(r.chunk)-len(r.chunk) < len(r.cur) {
+			r.chunk = make([]cct.TimeDelta, 0, max(minChunk, min(2*cap(r.chunk), maxChunk), len(r.cur)))
+		}
+		start := len(r.chunk)
 		for i := range r.cur {
 			s := &r.cur[i]
-			var d metric.Vector
+			d := cct.TimeDelta{Class: s.class, Node: s.node}
 			nonzero := false
-			for j := range d {
-				d[j] = s.node.Metrics[j] - s.base[j]
-				if d[j] != 0 {
+			for j := range d.Metrics {
+				d.Metrics[j] = s.node.Metrics[j] - s.base[j]
+				if d.Metrics[j] != 0 {
 					nonzero = true
 				}
 			}
 			if nonzero {
-				deltas = append(deltas, cct.TimeDelta{Class: s.class, Node: s.node, Metrics: d})
+				r.chunk = append(r.chunk, d)
 			}
 		}
-		if len(deltas) > 0 {
-			r.windows = append(r.windows, cct.TimeWindow{Index: r.curIdx, Deltas: deltas})
+		if end := len(r.chunk); end > start {
+			r.windows = append(r.windows, cct.TimeWindow{Index: r.curIdx, Deltas: r.chunk[start:end:end]})
 		}
 		r.cur = r.cur[:0]
 	}

@@ -423,3 +423,110 @@ func TestParseWindowPair(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderFlushAllocs is the count gate on the flush path (the hot-path
+// gate in internal/profiler never leaves one window): 10,000 windows of 8
+// touched nodes each may allocate only the slab's chunks and the doublings
+// of the window list — under 0.01 allocations per window, where one
+// []TimeDelta per window made at least 10,000.
+func TestRecorderFlushAllocs(t *testing.T) {
+	const windows, touched = 10_000, 8
+	names := make([]string, touched)
+	for i := range names {
+		names[i] = string(rune('a' + i))
+	}
+	_, nodes := buildProfile(0, 0, 100, names...)
+	v := sampleVec(1, 7)
+	var ts *cct.TimeSeries
+	allocs := testing.AllocsPerRun(1, func() {
+		r := NewRecorder(100)
+		for w := uint64(0); w < windows; w++ {
+			for _, n := range nodes {
+				addSample(r, w*100+3, cct.ClassStatic, n, v)
+				addSample(r, w*100+60, cct.ClassStatic, n, v) // fast path
+			}
+		}
+		ts = r.Series()
+	})
+	if len(ts.Windows) != windows || ts.NumDeltas() != windows*touched {
+		t.Fatalf("recorded %d windows, %d deltas; want %d, %d", len(ts.Windows), ts.NumDeltas(), windows, windows*touched)
+	}
+	for i := range ts.Windows {
+		w := &ts.Windows[i]
+		if w.Index != uint64(i) || len(w.Deltas) != touched || cap(w.Deltas) != touched {
+			t.Fatalf("window %d: index %d, %d deltas (cap %d)", i, w.Index, len(w.Deltas), cap(w.Deltas))
+		}
+		for j, d := range w.Deltas {
+			if d.Node != nodes[j] || d.Metrics != sampleVec(2, 14) {
+				t.Fatalf("window %d delta %d = %+v", i, j, d)
+			}
+		}
+	}
+	// The chunks below maxChunk hold minChunk + 2*minChunk + ... < maxChunk
+	// deltas between them; the window list grows about 30 times on its way
+	// to 10,000 entries, the slot list 4 times.
+	chunks := float64(windows*touched/maxChunk + 7)
+	const growth = 40
+	if allocs > chunks+growth || allocs/windows >= 0.01 {
+		t.Errorf("%.0f allocations over %d windows (%.4f per window), want <= %.0f chunks + %d",
+			allocs, windows, allocs/windows, chunks, growth)
+	}
+}
+
+// TestSeriesIsStableAcrossRecording: a series handed out stays exactly as
+// it was while recording goes on (nothing recorded is moved or reused),
+// and the next one extends it.
+func TestSeriesIsStableAcrossRecording(t *testing.T) {
+	_, nodes := buildProfile(0, 0, 100, "a", "b", "c")
+	r := NewRecorder(100)
+	record := func(from, to uint64) {
+		for w := from; w < to; w++ {
+			for i, n := range nodes {
+				addSample(r, w*100+uint64(i), cct.ClassStatic, n, sampleVec(w+1, uint64(i)))
+			}
+		}
+	}
+	snapshot := func(ts *cct.TimeSeries) (out []cct.TimeWindow) {
+		for _, w := range ts.Windows {
+			out = append(out, cct.TimeWindow{Index: w.Index, Deltas: append([]cct.TimeDelta(nil), w.Deltas...)})
+		}
+		return out
+	}
+	same := func(a, b []cct.TimeWindow) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].Index != b[i].Index || len(a[i].Deltas) != len(b[i].Deltas) {
+				return false
+			}
+			for j := range a[i].Deltas {
+				if a[i].Deltas[j] != b[i].Deltas[j] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+
+	record(0, 500) // 1,500 deltas: five chunks
+	first := r.Series()
+	want := snapshot(first)
+	record(499, 1200) // re-opens window 499 and goes on into further chunks
+	second := r.Series()
+
+	if !same(first.Windows, want) {
+		t.Fatal("recording after Series changed the series already handed out")
+	}
+	if len(second.Windows) != 500+701 {
+		t.Fatalf("second series has %d windows, want 1201", len(second.Windows))
+	}
+	if !same(second.Windows[:500], want) {
+		t.Fatal("second series does not start with the first")
+	}
+	for i, w := range second.Windows[500:] {
+		if w.Index != uint64(499+i) || len(w.Deltas) != len(nodes) {
+			t.Fatalf("extension window %d: index %d with %d deltas", i, w.Index, len(w.Deltas))
+		}
+	}
+}
