@@ -32,6 +32,14 @@ type Database struct {
 	// sidecar (temporal profiling off, or pre-sidecar files) — the
 	// cumulative views above are unaffected either way.
 	Temporal *temporal.Index
+
+	// What a load continuing from this database (LoadFilesStreamingCtx
+	// with it as the base) starts from, beyond the fields above: the merge
+	// identity, and the cumulative MergeStats fields Database does not
+	// already hold.
+	id          identity
+	inputNodes  int
+	quarantined []QuarantinedFile
 }
 
 // Merge reduces the profiles into a database using up to `workers`

@@ -213,7 +213,7 @@ func LoadDirStreamingCtx(ctx context.Context, dir string, opt LoadOptions) (*Dat
 	if len(files) == 0 {
 		return nil, MergeStats{}, fmt.Errorf("analysis: no profiles in %s", dir)
 	}
-	return LoadFilesStreamingCtx(ctx, dir, files, opt)
+	return LoadFilesStreamingCtx(ctx, dir, nil, files, opt)
 }
 
 // load is the state the workers of one LoadFilesStreamingCtx call share.
@@ -387,7 +387,18 @@ func (w *loadWorker) stage(path string) (*profio.Staged, error) {
 // snapshot of a collection pinned at a content generation — use this so a
 // file landing mid-merge can never leak into the result. label names the
 // dataset in spans and error messages.
-func LoadFilesStreamingCtx(ctx context.Context, label string, files []string, opt LoadOptions) (*Database, MergeStats, error) {
+//
+// base, when not nil, is a database an earlier load returned: the files
+// are folded on top of it, and the result is the database a load of the
+// base's files plus these would have produced. The merge is associative
+// and commutative, so an earlier load's result is a valid partial sum to
+// continue from. base itself is never modified — worker 0's accumulator
+// starts as a copy of its trees and the temporal index as a clone of its
+// index — so readers may keep using it. The returned MergeStats are then
+// cumulative in Inputs, InputNodes, BytesRead, MergedNodes and Quarantined;
+// the walls, residency and decode quantiles describe this call alone, as
+// does what it publishes to LoadOptions.Telemetry.
+func LoadFilesStreamingCtx(ctx context.Context, label string, base *Database, files []string, opt LoadOptions) (*Database, MergeStats, error) {
 	workers := opt.EffectiveWorkers()
 	reg := telemetry.New()
 	if opt.Telemetry != nil {
@@ -398,11 +409,16 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, files []string, op
 	spans := opt.Spans
 	defer spans.Span("load "+label, "ingest", 0, 0, map[string]any{"workers": workers})()
 
-	if len(files) == 0 {
+	if len(files) == 0 && base == nil {
 		return nil, MergeStats{}, fmt.Errorf("analysis: no profiles in %s", label)
 	}
 	reg.Counter(instFilesDiscovered).Add(uint64(len(files)))
 
+	tix := temporal.NewIndex()
+	if base != nil && base.Temporal != nil {
+		tix = base.Temporal.Clone()
+	}
+	series0, dropped0 := tix.Series, tix.Dropped
 	l := &load{
 		ctx:    ctx,
 		files:  files,
@@ -416,7 +432,7 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, files []string, op
 		// is a p99 signal, invisible in the decode wall total.
 		decLat: reg.Histogram(instDecodeLatencyUS, telemetry.Pow2Bounds(22)),
 		quar:   newQuarantineLog(),
-		tix:    temporal.NewIndex(),
+		tix:    tix,
 	}
 	if l.open == nil {
 		l.open = func(path string) (io.ReadCloser, error) { return os.Open(path) }
@@ -424,13 +440,12 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, files []string, op
 
 	start := time.Now()
 	intern := profio.NewIntern()
-	ws := make([]*loadWorker, min(workers, len(files)))
+	ws := make([]*loadWorker, max(1, min(workers, len(files))))
 	var wg sync.WaitGroup
 	for i := range ws {
 		w := &loadWorker{
 			l:   l,
 			tid: i + 1,
-			acc: cct.NewProfile(0, 0, ""),
 			dec: profio.NewDecoder(intern),
 			src: ctxReader{ctx: ctx},
 		}
@@ -438,6 +453,12 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, files []string, op
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if i == 0 && base != nil {
+				// Copying the base overlaps the other workers' first files.
+				w.acc = base.Merged.Clone()
+			} else {
+				w.acc = cct.NewProfile(0, 0, "")
+			}
 			w.run()
 		}()
 	}
@@ -461,6 +482,9 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, files []string, op
 		seen       identity
 		decodeWall time.Duration
 	)
+	if base != nil {
+		seen.absorb(&base.id)
+	}
 	for _, w := range ws {
 		seen.absorb(&w.seen)
 		reg.Counter(instProfilesMerged).Add(uint64(w.inputs))
@@ -476,8 +500,8 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, files []string, op
 	spans.Complete("merge pipeline", "merge", 0, 0, start, mergeWall, map[string]any{"workers": workers})
 
 	// Publish the remaining roll-ups, then build MergeStats as a pure view
-	// over the registry.
-	reg.Gauge(instNodesMerged).Set(int64(countNodes(merged)))
+	// over the registry — this call's work — made cumulative over the base.
+	reg.Gauge(instNodesMerged).Set(int64(merged.NumNodes()))
 	reg.Gauge(instDecodeWallUS).Set(decodeWall.Microseconds())
 	reg.Gauge(instMergeWallUS).Set(mergeWall.Microseconds())
 	reg.Gauge(instFoldWallUS).Set(foldWall.Microseconds())
@@ -489,9 +513,12 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, files []string, op
 	}
 	reg.Counter(instQuarFiles).Add(uint64(len(quarantined)))
 	reg.Counter(instQuarSalvaged).Add(uint64(salvaged))
-	reg.Counter(instTemporalSeries).Add(uint64(l.tix.Series))
-	reg.Counter(instTemporalDropped).Add(uint64(l.tix.Dropped))
+	reg.Counter(instTemporalSeries).Add(uint64(tix.Series - series0))
+	reg.Counter(instTemporalDropped).Add(uint64(tix.Dropped - dropped0))
 	st := statsView(reg, workers, quarantined)
+	if base != nil {
+		st.addBase(base)
+	}
 
 	if err := ctx.Err(); err != nil {
 		return nil, st, fmt.Errorf("analysis: %w", err)
@@ -505,26 +532,11 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, files []string, op
 	db := &Database{
 		Merged: merged, Ranks: len(seen.ranks), Threads: st.Inputs, Event: seen.event,
 		MeasurementBytes: st.BytesRead,
+		id:               seen, inputNodes: st.InputNodes, quarantined: st.Quarantined,
 	}
-	if l.tix.NumWindows() > 0 {
-		db.Temporal = l.tix
+	if tix.NumWindows() > 0 {
+		db.Temporal = tix
 	}
 	emitPhaseSpans(spans, db.Temporal)
 	return db, st, nil
-}
-
-// countNodes counts p's nodes without the per-node sort (and allocations)
-// the deterministic Profile.NumNodes pays.
-func countNodes(p *cct.Profile) int {
-	var walk func(n *cct.Node) int
-	walk = func(n *cct.Node) int {
-		count := 1
-		n.EachChild(func(c *cct.Node) { count += walk(c) })
-		return count
-	}
-	total := 0
-	for _, t := range p.Trees {
-		total += walk(t.Root)
-	}
-	return total
 }

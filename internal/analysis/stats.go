@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -59,6 +61,20 @@ type MergeStats struct {
 	// by a quarantine- or salvage-policy ingest, sorted by path. Empty
 	// for strict merges, which abort instead.
 	Quarantined []QuarantinedFile
+}
+
+// addBase makes one load's statistics cumulative over the database it
+// continued from: the input counts, bytes and quarantine list then cover
+// every file the result was built from. The walls, residency and decode
+// quantiles stay this load's own.
+func (s *MergeStats) addBase(base *Database) {
+	s.Inputs += base.Threads
+	s.InputNodes += base.inputNodes
+	s.BytesRead += base.MeasurementBytes
+	if len(base.quarantined) > 0 {
+		s.Quarantined = slices.Concat(base.quarantined, s.Quarantined)
+		slices.SortFunc(s.Quarantined, func(a, b QuarantinedFile) int { return strings.Compare(a.Path, b.Path) })
+	}
 }
 
 // QuarantinedFile records one measurement file the ingest pipeline could
@@ -194,9 +210,7 @@ func MeasureMerge(profiles []*cct.Profile) MergeStats {
 			sem <- struct{}{}
 			go func(i int, p *cct.Profile) {
 				defer wg.Done()
-				c := cct.NewProfile(p.Rank, p.Thread, p.Event)
-				c.Merge(p)
-				out[i] = c
+				out[i] = p.Clone()
 				<-sem
 			}(i, p)
 		}

@@ -154,9 +154,9 @@ func mergeItems(items <-chan streamItem, workers, shards int, preserve bool) (*D
 	rwg.Wait()
 	st.ReduceWall = time.Since(reduceStart)
 	st.MergeWall = time.Since(start)
-	st.MergedNodes = countNodes(merged)
+	st.MergedNodes = merged.NumNodes()
 
-	db := &Database{Merged: merged, Ranks: len(id.ranks), Threads: st.Inputs, Event: id.event}
+	db := &Database{Merged: merged, Ranks: len(id.ranks), Threads: st.Inputs, Event: id.event, id: id, inputNodes: st.InputNodes}
 	if tix.NumWindows() > 0 {
 		db.Temporal = tix
 	}

@@ -403,11 +403,26 @@ func (t *Tree) Absorb(o *Tree) {
 	o.Root.eachChild(func(c *Node) { t.Root.MergeChild(c) })
 }
 
-// Clone returns a deep copy of the tree.
+// Clone returns a deep copy of the tree, sharing no node with it. It is a
+// structural copy — each node's frame, metrics and ID copied, children
+// linked in place and spill maps sized exactly — not a merge into an empty
+// tree, so it looks nothing up.
 func (t *Tree) Clone() *Tree {
-	c := New()
-	c.Merge(t)
-	return c
+	return &Tree{Root: cloneNode(t.Root, nil)}
+}
+
+func cloneNode(src, parent *Node) *Node {
+	n := &Node{Frame: src.Frame, Metrics: src.Metrics, parent: parent, id: src.id, nInline: src.nInline, inlineIDs: src.inlineIDs}
+	for i := uint8(0); i < src.nInline; i++ {
+		n.inline[i] = cloneNode(src.inline[i], n)
+	}
+	if len(src.children) > 0 {
+		n.children = make(map[FrameID]*Node, len(src.children))
+		for id, c := range src.children {
+			n.children[id] = cloneNode(c, n)
+		}
+	}
+	return n
 }
 
 // Walk visits every node in deterministic pre-order. Returning false from
@@ -528,6 +543,16 @@ func (p *Profile) Merge(o *Profile) {
 	for i := range p.Trees {
 		p.Trees[i].Merge(o.Trees[i])
 	}
+}
+
+// Clone returns a deep copy of p's identification and trees. The sidecar
+// is not copied: its deltas point at p's nodes, not the copy's.
+func (p *Profile) Clone() *Profile {
+	c := &Profile{Rank: p.Rank, Thread: p.Thread, Event: p.Event}
+	for i, t := range p.Trees {
+		c.Trees[i] = t.Clone()
+	}
+	return c
 }
 
 // MergeClass folds a single storage-class tree into p — the unit of work of

@@ -3,18 +3,20 @@ package profio
 // Stage, then apply: the one v3 decoder.
 //
 // A Decoder reads a profile image whole into a reusable buffer and
-// *stages* it: the header (strings and frame-table entries resolved
-// through decoder-local caches in front of the shared Intern and the
-// process-global frame interner), every section checksum, the footer, the
-// trailer framing, and each tree section's parent, frame and metric
-// columns, decoded under every record-level check into reusable scratch
-// slices. Staging touches no tree, so it is also the whole of validation.
-// Apply then walks the staged columns into a caller-supplied profile and
-// cannot fail: everything that could be wrong with the file was ruled on
-// before the first node was touched. A caller that applies file after file
-// into one accumulator allocates a node only when a calling context is new
-// to that accumulator, and a file it decides to reject has contributed
-// nothing.
+// *stages* it: the header (strings resolved through a decoder-local cache
+// in front of the shared Intern, frame-table entries through a
+// decoder-local memo of the frames earlier images declared), every section
+// checksum, the footer, the trailer framing, and each tree section's
+// parent, frame and metric columns, decoded under every record-level check
+// into reusable scratch slices. Staging touches no tree and no
+// process-global state, so it is also the whole of validation: an image
+// the caller rejects leaves nothing behind in the frame interner. Apply
+// then interns the frames the memo did not know, walks the staged columns
+// into a caller-supplied profile, and cannot fail: everything that could
+// be wrong with the file was ruled on before the first node was touched. A
+// caller that applies file after file into one accumulator allocates a
+// node only when a calling context is new to that accumulator, and a file
+// it decides to reject has contributed nothing.
 //
 // v1/v2 images keep the row decoder (reader.go): Stage salvages them into
 // a private profile and Apply absorbs that profile, so callers see one
@@ -113,9 +115,11 @@ type Decoder struct {
 	legacy *Salvage // the staged v1/v2 image, nil for v3
 
 	strs     []uint32      // file string index → strTab index
-	frameTab []cct.FrameID // file frame index → interned frame
+	frameTab []cct.FrameID // file frame index → interned frame (misses: filled by Apply)
+	frameSrc []byte        // the staged header's frame-table entries, for Apply
+	missed   int           // frame-table entries the memo did not know
 	parent   []uint32
-	frame    []cct.FrameID
+	frame    []uint32 // file frame index per node
 	ents     []metricEnt
 	span     [cct.NumClasses]treeSpan
 	nodes    []*cct.Node // Apply's pre-order node arrays, parallel to parent
@@ -359,7 +363,8 @@ func (d *Decoder) stageV3(img []byte) error {
 
 // stageHeader decodes rank, thread, string table, event and frame table.
 // Strings resolve through the decoder-local cache (a hit allocates
-// nothing), frame-table entries through the decoder-local memo.
+// nothing), frame-table entries through the decoder-local memo; an entry
+// the memo does not know waits for Apply, which interns it.
 func (d *Decoder) stageHeader(b []byte) error {
 	if err := d.parseHeader(b); err != nil {
 		return fmt.Errorf("profio: header: %w", asTruncated(err))
@@ -430,10 +435,27 @@ func (d *Decoder) parseHeader(b []byte) error {
 	if nFrames > 1<<24 {
 		return fmt.Errorf("unreasonable frame table size %d", nFrames)
 	}
-	d.frameTab = d.frameTab[:0]
-	for i := uint64(0); i < nFrames; i++ {
+	d.frameSrc = b[off:]
+	if off, err = d.parseFrames(b, off, nFrames, false); err != nil {
+		return err
+	}
+	if off != len(b) {
+		return fmt.Errorf("trailing bytes in section")
+	}
+	return nil
+}
+
+// parseFrames decodes the n frame-table entries at b[off:] into frameTab
+// and returns the offset past them. An entry the decoder's memo knows
+// resolves to its interned frame. Any other is interned when intern is set
+// — Apply's pass — and otherwise left 0 and counted in missed: staging
+// never interns.
+func (d *Decoder) parseFrames(b []byte, off int, n uint64, intern bool) (int, error) {
+	d.frameTab, d.missed = d.frameTab[:0], 0
+	var err error
+	for i := uint64(0); i < n; i++ {
 		if off >= len(b) {
-			return fmt.Errorf("frame table entry %d: %w", i, errShort)
+			return off, fmt.Errorf("frame table entry %d: %w", i, errShort)
 		}
 		key := frameKey{kind: b[off]}
 		off++
@@ -441,17 +463,19 @@ func (d *Decoder) parseHeader(b []byte) error {
 		var ref [4]uint64
 		for k := range ref {
 			if ref[k], off, err = uvarint(b, off); err != nil {
-				return fmt.Errorf("frame table entry %d: %w", i, err)
+				return off, fmt.Errorf("frame table entry %d: %w", i, err)
 			}
 		}
 		for _, r := range ref[:3] {
 			if r >= uint64(len(d.strs)) {
-				return fmt.Errorf("string index %d out of range", r)
+				return off, fmt.Errorf("string index %d out of range", r)
 			}
 		}
 		key.mod, key.name, key.file, key.line = d.strs[ref[0]], d.strs[ref[1]], d.strs[ref[2]], ref[3]
 		id, ok := d.frames[key]
-		if !ok {
+		switch {
+		case ok:
+		case intern:
 			id = cct.InternFrame(cct.Frame{
 				Kind:   cct.Kind(key.kind),
 				Module: d.strTab[key.mod],
@@ -462,13 +486,12 @@ func (d *Decoder) parseHeader(b []byte) error {
 			if d.frames != nil {
 				d.frames[key] = id
 			}
+		default:
+			d.missed++
 		}
 		d.frameTab = append(d.frameTab, id)
 	}
-	if off != len(b) {
-		return fmt.Errorf("trailing bytes in section")
-	}
-	return nil
+	return off, nil
 }
 
 // stageTree decodes one columnar tree section into the flat scratch
@@ -511,8 +534,8 @@ func (d *Decoder) stageTree(c int, b []byte) (err error) {
 		}
 		d.parent = append(d.parent, uint32(i-gap))
 	}
-	// Frame column: running delta over frame-table indices, resolved to
-	// interned frames here so Apply is a plain ChildID walk. The root's own
+	// Frame column: running delta over frame-table indices, kept as
+	// indices; Apply maps them through the resolved table. The root's own
 	// frame rides in the column for symmetry and is ignored by Apply, as
 	// v1/v2 ignore the root record's frame fields.
 	fi := int64(0)
@@ -525,7 +548,7 @@ func (d *Decoder) stageTree(c int, b []byte) (err error) {
 		if fi < 0 || fi >= int64(len(d.frameTab)) {
 			return fmt.Errorf("node %d: frame index %d out of range", i, fi)
 		}
-		d.frame = append(d.frame, d.frameTab[fi])
+		d.frame = append(d.frame, uint32(fi))
 	}
 	// Metric columns.
 	if off >= len(b) {
@@ -689,6 +712,8 @@ func (d *Decoder) Apply(p *cct.Profile) *cct.TimeSeries {
 		d.nodes = make([]*cct.Node, len(d.parent))
 	}
 	d.nodes = d.nodes[:len(d.parent)]
+	d.resolveFrames()
+	tab := d.frameTab
 	var classNodes [cct.NumClasses][]*cct.Node
 	for c, sp := range d.span {
 		if sp.nodeN == sp.node0 {
@@ -698,7 +723,7 @@ func (d *Decoder) Apply(p *cct.Profile) *cct.TimeSeries {
 		parent, frame := d.parent[sp.node0:sp.nodeN], d.frame[sp.node0:sp.nodeN]
 		nodes[0] = p.Trees[c].Root
 		for i := 1; i < len(nodes); i++ {
-			nodes[i] = nodes[parent[i]].ChildID(frame[i])
+			nodes[i] = nodes[parent[i]].ChildID(tab[frame[i]])
 		}
 		for _, e := range d.ents[sp.ent0:sp.entN] {
 			nodes[e.node].Metrics[e.id] += e.v
@@ -709,6 +734,17 @@ func (d *Decoder) Apply(p *cct.Profile) *cct.TimeSeries {
 		return nil
 	}
 	return d.series.resolve(&classNodes)
+}
+
+// resolveFrames completes frameTab when staging left entries unresolved —
+// frames no earlier image of this decoder declared — by parsing the staged
+// frame table again with interning on. The entries were validated when
+// staged, so the second parse cannot fail. A warm decoder misses nothing
+// and skips it.
+func (d *Decoder) resolveFrames() {
+	if d.missed > 0 {
+		_, _ = d.parseFrames(d.frameSrc, 0, uint64(len(d.frameTab)), true)
+	}
 }
 
 // materialize applies the staged image into a profile of its own.

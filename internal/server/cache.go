@@ -7,7 +7,9 @@ package server
 // bound and keyed by (collection, content generation). The generation
 // advances on every accepted upload, which invalidates exactly that
 // collection's entry — no TTLs, no global flushes, and a cached view can
-// never be served against content it was not merged from.
+// never be served against content it was not merged from. The stale entry
+// is still worth having: the miss that replaces it continues from its
+// database and reads only the files added since (Server.view).
 //
 // Misses are deduplicated singleflight-style: when N queries race on a
 // cold (collection, generation), one merge runs and the rest block on its
@@ -42,17 +44,19 @@ var errMergeSaturated = errors.New("server: merge capacity saturated")
 // viewEntry is one cached merged view. It is immutable once built: snap is
 // db.Merged frozen when the merge (or window clip) completed, so the
 // render-ready form lives and dies with the entry and every hit renders
-// from it.
+// from it. The next generation's build may continue from db, which it
+// only reads.
 type viewEntry struct {
-	name  string // collection name — the LRU/map key
-	gen   uint64 // content generation the merged file list belongs to
+	name  string   // collection name — the LRU/map key
+	gen   uint64   // content generation the merged file list belongs to
+	files []string // the sorted file list db was merged from
 	db    *analysis.Database
 	stats analysis.MergeStats
 	snap  *view.Snapshot
 }
 
-func newViewEntry(name string, gen uint64, db *analysis.Database, stats analysis.MergeStats) *viewEntry {
-	return &viewEntry{name: name, gen: gen, db: db, stats: stats, snap: view.Freeze(db.Merged)}
+func newViewEntry(name string, gen uint64, files []string, db *analysis.Database, stats analysis.MergeStats) *viewEntry {
+	return &viewEntry{name: name, gen: gen, files: files, db: db, stats: stats, snap: view.Freeze(db.Merged)}
 }
 
 // mergeCall is one in-flight merge queries wait on. refs counts the
@@ -75,6 +79,9 @@ type viewCache struct {
 	inflight map[string]*mergeCall    // keyed name@generation
 
 	hits, misses, evictions, merges, canceled *telemetry.Counter
+	// extended counts the merges that continued from the collection's
+	// cached entry instead of reading every file (a subset of merges).
+	extended *telemetry.Counter
 }
 
 func newViewCache(max int, reg *telemetry.Registry) *viewCache {
@@ -91,6 +98,7 @@ func newViewCache(max int, reg *telemetry.Registry) *viewCache {
 		evictions: reg.Counter("server.cache.evictions"),
 		merges:    reg.Counter("server.merges"),
 		canceled:  reg.Counter("server.merges.canceled"),
+		extended:  reg.Counter("server.merges.extended"),
 	}
 }
 
@@ -209,7 +217,8 @@ func (c *viewCache) invalidate(name string) {
 
 // peek returns the cached entry for the collection if one exists at any
 // generation, without touching recency — metadata reporting uses it to
-// attach the last merge's quarantine report.
+// attach the last merge's quarantine report, and a starting merge to find
+// the generation it can continue from.
 func (c *viewCache) peek(name string) *viewEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()

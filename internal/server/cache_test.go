@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"dcprof/internal/analysis"
 	"dcprof/internal/view"
 )
 
@@ -138,17 +137,19 @@ func TestCacheStaleGenerationMiss(t *testing.T) {
 	ctx := context.Background()
 
 	var calls atomic.Int64
-	merge := func(context.Context) (*analysis.Database, analysis.MergeStats, error) {
-		calls.Add(1)
-		return &analysis.Database{}, analysis.MergeStats{}, nil
+	build := func(gen uint64) func(context.Context) (*viewEntry, error) {
+		return func(context.Context) (*viewEntry, error) {
+			calls.Add(1)
+			return &viewEntry{name: "x", gen: gen}, nil
+		}
 	}
-	if _, err := c.get(ctx, "x", 1, nil, merge); err != nil || calls.Load() != 1 {
+	if _, err := c.entry(ctx, "x", 1, nil, build(1)); err != nil || calls.Load() != 1 {
 		t.Fatalf("cold get: calls=%d err=%v", calls.Load(), err)
 	}
-	if _, err := c.get(ctx, "x", 1, nil, merge); err != nil || calls.Load() != 1 {
+	if _, err := c.entry(ctx, "x", 1, nil, build(1)); err != nil || calls.Load() != 1 {
 		t.Fatalf("same-generation get merged again: calls=%d err=%v", calls.Load(), err)
 	}
-	if _, err := c.get(ctx, "x", 2, nil, merge); err != nil || calls.Load() != 2 {
+	if _, err := c.entry(ctx, "x", 2, nil, build(2)); err != nil || calls.Load() != 2 {
 		t.Fatalf("new-generation get did not merge: calls=%d err=%v", calls.Load(), err)
 	}
 	if e := c.peek("x"); e == nil || e.gen != 2 {
@@ -170,21 +171,21 @@ func TestCacheCancellationNotPoisoned(t *testing.T) {
 
 	var calls atomic.Int64
 	started := make(chan struct{})
-	merge := func(mctx context.Context) (*analysis.Database, analysis.MergeStats, error) {
+	merge := func(mctx context.Context) (*viewEntry, error) {
 		if calls.Add(1) == 1 {
 			close(started)
 			// A slow merge: it finishes only by cancellation.
 			<-mctx.Done()
-			return nil, analysis.MergeStats{}, mctx.Err()
+			return nil, mctx.Err()
 		}
-		return &analysis.Database{}, analysis.MergeStats{}, nil
+		return &viewEntry{name: "x", gen: 1}, nil
 	}
 
 	// The doomed client: starts the merge, then disconnects.
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.get(ctx, "x", 1, nil, merge)
+		_, err := c.entry(ctx, "x", 1, nil, merge)
 		errc <- err
 	}()
 	<-started
@@ -199,7 +200,7 @@ func TestCacheCancellationNotPoisoned(t *testing.T) {
 		t.Fatalf("canceled merge left a cache entry: %+v", e)
 	}
 	// ...and the next query must not block or inherit the failure.
-	e, err := c.get(context.Background(), "x", 1, nil, merge)
+	e, err := c.entry(context.Background(), "x", 1, nil, merge)
 	if err != nil || e == nil {
 		t.Fatalf("query after canceled merge: entry=%v err=%v", e, err)
 	}
@@ -220,27 +221,27 @@ func TestCacheCancelOneWaiterKeepsMerge(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	merge := func(mctx context.Context) (*analysis.Database, analysis.MergeStats, error) {
+	merge := func(mctx context.Context) (*viewEntry, error) {
 		close(started)
 		select {
 		case <-release:
-			return &analysis.Database{}, analysis.MergeStats{}, nil
+			return &viewEntry{name: "x", gen: 1}, nil
 		case <-mctx.Done():
-			return nil, analysis.MergeStats{}, mctx.Err()
+			return nil, mctx.Err()
 		}
 	}
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := c.get(leaderCtx, "x", 1, nil, merge)
+		_, err := c.entry(leaderCtx, "x", 1, nil, merge)
 		leaderErr <- err
 	}()
 	<-started
 
 	survivor := make(chan error, 1)
 	go func() {
-		e, err := c.get(context.Background(), "x", 1, nil, merge)
+		e, err := c.entry(context.Background(), "x", 1, nil, merge)
 		if err == nil && e == nil {
 			err = errors.New("nil entry without error")
 		}

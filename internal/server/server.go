@@ -466,13 +466,26 @@ func (s *Server) view(ctx context.Context, name string) (*viewEntry, int, error)
 		if err != nil {
 			return nil, err
 		}
+		// Continue from the collection's cached entry when it was built from
+		// a subset of these files: the merge is a sum, so only the files
+		// added since need reading. Otherwise — nothing cached (first
+		// query, restart, eviction) or files gone — read them all. The old
+		// entry is only read, so hits still rendering from it stay valid.
+		var base *analysis.Database
+		todo := files
+		if prev := s.cache.peek(name); prev != nil {
+			if added, ok := addedFiles(prev.files, files); ok {
+				base, todo = prev.db, added
+				s.cache.extended.Inc()
+			}
+		}
 		// Quarantine policy: ingest validation means on-disk damage is
 		// at-rest corruption after acceptance; one rotten file must degrade
 		// that file's contribution, not the collection's availability. The
 		// quarantine report is surfaced in /stats and metadata. mctx is the
 		// merge's own context: it outlives this request while other queries
 		// still wait, and dies when the last of them disconnects.
-		db, stats, err := analysis.LoadFilesStreamingCtx(mctx, "collection "+name, files, analysis.LoadOptions{
+		db, stats, err := analysis.LoadFilesStreamingCtx(mctx, "collection "+name, base, todo, analysis.LoadOptions{
 			Workers:   s.cfg.Workers,
 			Policy:    analysis.PolicyQuarantine,
 			Telemetry: s.reg,
@@ -481,7 +494,7 @@ func (s *Server) view(ctx context.Context, name string) (*viewEntry, int, error)
 		if err != nil {
 			return nil, err
 		}
-		return newViewEntry(name, gen, db, stats), nil
+		return newViewEntry(name, gen, files, db, stats), nil
 	})
 	if err != nil {
 		switch {
@@ -498,6 +511,24 @@ func (s *Server) view(ctx context.Context, name string) (*viewEntry, int, error)
 		}
 	}
 	return e, http.StatusOK, nil
+}
+
+// addedFiles returns the files of next that built lacks, and whether
+// every file of built is in next. Both lists are sorted.
+func addedFiles(built, next []string) ([]string, bool) {
+	var added []string
+	i := 0
+	for _, f := range next {
+		switch {
+		case i < len(built) && built[i] == f:
+			i++
+		case i < len(built) && built[i] < f:
+			return nil, false // built[i] is gone
+		default:
+			added = append(added, f)
+		}
+	}
+	return added, i == len(built)
 }
 
 // viewError writes a query failure, attaching Retry-After and shed

@@ -78,7 +78,7 @@ func (s *Server) windowView(ctx context.Context, base *viewEntry, t0, t1 uint64)
 		}
 		db := *base.db
 		db.Merged = clipped
-		return newViewEntry(key, base.gen, &db, base.stats), nil
+		return newViewEntry(key, base.gen, base.files, &db, base.stats), nil
 	})
 }
 

@@ -75,7 +75,7 @@ func offlineDB(t *testing.T, srv *Server, name string) *analysis.Database {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, _, err := analysis.LoadFilesStreamingCtx(context.Background(), "test "+name, files,
+	db, _, err := analysis.LoadFilesStreamingCtx(context.Background(), "test "+name, nil, files,
 		analysis.LoadOptions{Policy: analysis.PolicyQuarantine})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -10,24 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"dcprof/internal/analysis"
 	"dcprof/internal/cct"
 	"dcprof/internal/metric"
 	"dcprof/internal/profio"
 )
-
-// get drives viewCache.entry for the cache tests, whose merges return a
-// bare (possibly empty) database: the entry is filed under the generation
-// asked for and carries no snapshot.
-func (c *viewCache) get(ctx context.Context, name string, gen uint64, adm *semaphore, merge func(context.Context) (*analysis.Database, analysis.MergeStats, error)) (*viewEntry, error) {
-	return c.entry(ctx, name, gen, adm, func(mctx context.Context) (*viewEntry, error) {
-		db, stats, err := merge(mctx)
-		if err != nil {
-			return nil, err
-		}
-		return &viewEntry{name: name, gen: gen, db: db, stats: stats}, nil
-	})
-}
 
 // synthProfile builds one deterministic thread profile: a heap variable
 // accessed from two statements and a static, with per-thread latency so

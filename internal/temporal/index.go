@@ -55,6 +55,17 @@ func NewIndex() *Index {
 	return &Index{windows: make(map[uint64]*windowAgg)}
 }
 
+// Clone returns a deep copy of ix: series folded into the copy leave ix,
+// and whoever is reading it, undisturbed.
+func (ix *Index) Clone() *Index {
+	c := *ix
+	c.windows = make(map[uint64]*windowAgg, len(ix.windows))
+	for w, wa := range ix.windows {
+		c.windows[w] = &windowAgg{profile: wa.profile.Clone(), total: wa.total}
+	}
+	return &c
+}
+
 // Width returns the adopted window width in sim cycles (0 until the first
 // series is folded).
 func (ix *Index) Width() uint64 { return ix.width }

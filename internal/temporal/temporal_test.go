@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"dcprof/internal/cct"
@@ -181,6 +182,80 @@ func TestIndexFoldClip(t *testing.T) {
 	a.Metrics[metric.Samples] = 999
 	if got := ix.WindowProfile(0).Total()[metric.Samples]; got != 2 {
 		t.Fatalf("index mutated through clip: samples = %d", got)
+	}
+}
+
+// indexDump renders everything a reader can ask an index: identity, the
+// window list, and each window's total and reconstituted profile.
+func indexDump(ix *Index) string {
+	s := fmt.Sprintf("series=%d dropped=%d width=%d\n", ix.Series, ix.Dropped, ix.Width())
+	for _, w := range ix.WindowIndices() {
+		p := ix.WindowProfile(w)
+		tot := ix.WindowTotal(w)
+		s += fmt.Sprintf("window %d r%d t%d %q total=%s\n", w, p.Rank, p.Thread, p.Event, tot.String())
+		for c, tr := range p.Trees {
+			tr.Walk(func(n *cct.Node, depth int) bool {
+				s += fmt.Sprintf("  %d %*s%s %s\n", c, 2*depth, "", n.Frame, n.Metrics.String())
+				return true
+			})
+		}
+	}
+	return s
+}
+
+// TestIndexCloneLeavesSource: series folded into a clone change the clone
+// alone. The source reads the same afterwards, and the clone — and a clone
+// of the clone — holds what folding every series into one index holds.
+func TestIndexCloneLeavesSource(t *testing.T) {
+	series := func(rank, thread int, at ...uint64) *cct.Profile {
+		p, nodes := buildProfile(rank, thread, 0, "a", "b")
+		r := NewRecorder(100)
+		for i, now := range at {
+			addSample(r, now, cct.ClassStatic, nodes[i%2], sampleVec(1, 10+now))
+		}
+		p.Temporal = r.Series()
+		return p
+	}
+	p1, p2 := series(1, 0, 10, 150), series(1, 1, 20, 30, 260)
+	p3, p4 := series(0, 3, 40, 950), series(2, 0, 170)
+
+	ix := NewIndex()
+	for _, p := range []*cct.Profile{p1, p2} {
+		if err := ix.AddSeries(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := indexDump(ix)
+
+	c := ix.Clone()
+	if err := c.AddSeries(p3); err != nil {
+		t.Fatal(err)
+	}
+	if got := indexDump(ix); got != before {
+		t.Fatalf("folding into the clone changed the source:\n got %s\nwant %s", got, before)
+	}
+	c2 := c.Clone()
+	if err := c2.AddSeries(p4); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		ix   *Index
+		all  []*cct.Profile
+	}{{"clone", c, []*cct.Profile{p1, p2, p3}}, {"clone of clone", c2, []*cct.Profile{p1, p2, p3, p4}}} {
+		want := NewIndex()
+		for _, p := range tc.all {
+			if err := want.AddSeries(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, w := indexDump(tc.ix), indexDump(want); got != w {
+			t.Errorf("%s differs from one index folding every series:\n got %s\nwant %s", tc.name, got, w)
+		}
+	}
+	if got := indexDump(ix); got != before {
+		t.Fatal("a clone of the clone changed the source")
 	}
 }
 
