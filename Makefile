@@ -45,9 +45,10 @@ chaos-smoke:
 	$(GO) test -race -run='^TestChaosPushSmoke$$' -count=1 ./internal/push
 
 # Short fuzz of the reader, the salvage path, the encoder against its
-# reference, a load continued from an earlier load against a full one, and
-# the daemon's upload ingest (the fuzz engine accepts one target per run),
-# on top of the always-run corpus regression pass.
+# reference, a load continued from an earlier load against a full one, the
+# in-memory merges against a file load, and the daemon's upload ingest (the
+# fuzz engine accepts one target per run), on top of the always-run corpus
+# regression pass.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadProfile -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzSalvageProfile -fuzztime=10s ./internal/profio
@@ -55,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadV3Profile -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeMatchesReference -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzLoadContinuesFromBase -fuzztime=10s ./internal/analysis
+	$(GO) test -run='^$$' -fuzz=FuzzMergeMatchesLoad -fuzztime=10s ./internal/analysis
 	$(GO) test -run='^$$' -fuzz=FuzzHandleUpload -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzUploadIdempotency -fuzztime=10s ./internal/server
 

@@ -168,9 +168,10 @@ const (
 // LoadOptions configures LoadMeasurementsStreamingCtx.
 type LoadOptions = analysis.LoadOptions
 
-// Merge reduces per-thread profiles with the channel-fed in-memory
-// reduction (workers <= 0 uses GOMAXPROCS). The inputs are consumed; use
-// MergePreserving to merge the same profiles more than once.
+// Merge reduces per-thread profiles with the loader's reduction: workers
+// (<= 0 uses GOMAXPROCS) fold them into private accumulators, joined
+// pairwise. The inputs are consumed; use MergePreserving to merge the same
+// profiles more than once.
 func Merge(profiles []*Profile, workers int) *Database { return analysis.Merge(profiles, workers) }
 
 // MergePreserving is Merge without input consumption.
@@ -178,25 +179,20 @@ func MergePreserving(profiles []*Profile, workers int) *Database {
 	return analysis.MergePreserving(profiles, workers)
 }
 
-// LoadMeasurements reads and merges a measurement directory.
+// LoadMeasurements reads and merges a measurement directory with `workers`
+// decode-and-fold workers. It is strict: one unreadable file fails the
+// load.
 func LoadMeasurements(dir string, workers int) (*Database, error) {
-	return analysis.LoadDir(dir, workers)
+	db, _, err := analysis.LoadDirStreamingCtx(context.Background(), dir, LoadOptions{Workers: workers})
+	return db, err
 }
 
-// LoadMeasurementsStreaming reads and merges a measurement directory —
+// LoadMeasurementsStreamingCtx reads and merges a measurement directory —
 // every file decoded straight into a worker's accumulator, no decoded
-// profile ever held — returning the load's statistics alongside the
-// database. It is strict: one unreadable file
-// fails the load. Use LoadMeasurementsStreamingCtx to choose a
-// fault-tolerance policy or to cancel mid-merge.
-func LoadMeasurementsStreaming(dir string, workers int) (*Database, MergeStats, error) {
-	return analysis.LoadDirStreaming(dir, workers)
-}
-
-// LoadMeasurementsStreamingCtx is LoadMeasurementsStreaming with
-// cancellation and per-file error policy (strict, quarantine, salvage).
-// Files skipped or partially recovered under a non-strict policy are
-// listed in MergeStats.Quarantined.
+// profile ever held — with cancellation and a per-file error policy
+// (strict, quarantine, salvage), returning the load's statistics alongside
+// the database. Files skipped or partially recovered under a non-strict
+// policy are listed in MergeStats.Quarantined.
 func LoadMeasurementsStreamingCtx(ctx context.Context, dir string, opt LoadOptions) (*Database, MergeStats, error) {
 	return analysis.LoadDirStreamingCtx(ctx, dir, opt)
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"path/filepath"
@@ -102,12 +103,12 @@ func TestLoadDir(t *testing.T) {
 	if _, err := profio.WriteDir(dir, ps); err != nil {
 		t.Fatal(err)
 	}
-	db, err := LoadDir(dir, 4)
+	db, _, err := LoadDirStreamingCtx(context.Background(), dir, LoadOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if db.Merged.Total() != want {
-		t.Error("LoadDir totals differ")
+		t.Error("loaded totals differ")
 	}
 	if db.MeasurementBytes <= 0 {
 		t.Error("MeasurementBytes not recorded")
@@ -118,7 +119,7 @@ func TestLoadDir(t *testing.T) {
 }
 
 func TestLoadDirEmpty(t *testing.T) {
-	if _, err := LoadDir(t.TempDir(), 1); err == nil {
+	if _, _, err := LoadDirStreamingCtx(context.Background(), t.TempDir(), LoadOptions{Workers: 1}); err == nil {
 		t.Error("empty directory accepted")
 	}
 }

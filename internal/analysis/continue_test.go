@@ -14,14 +14,22 @@ import (
 	"dcprof/internal/profio"
 )
 
-// dbDump renders everything a reader can get out of a database: the merged
-// trees' encoding, the identity and byte count, and — when it has one —
-// every window of the temporal index and the detected phases.
+// dbDump renders everything a reader can get out of a database: its
+// measurement byte count and mergeDump.
 func dbDump(t testing.TB, db *Database) string {
+	t.Helper()
+	return fmt.Sprintf("bytes=%d\n", db.MeasurementBytes) + mergeDump(t, db)
+}
+
+// mergeDump renders everything a database holds whether it was loaded from
+// files or merged in memory: the merged trees' encoding, the identity,
+// and — when it has one — every window of the temporal index (its clip and
+// total) and the detected phases.
+func mergeDump(t testing.TB, db *Database) string {
 	t.Helper()
 	var b strings.Builder
 	b.Write(encodeDB(t, db))
-	fmt.Fprintf(&b, "\nranks=%d threads=%d event=%q bytes=%d\n", db.Ranks, db.Threads, db.Event, db.MeasurementBytes)
+	fmt.Fprintf(&b, "\nranks=%d threads=%d event=%q\n", db.Ranks, db.Threads, db.Event)
 	if ix := db.Temporal; ix != nil {
 		fmt.Fprintf(&b, "width=%d windows=%v\n", ix.Width(), ix.WindowIndices())
 		for _, w := range ix.WindowIndices() {

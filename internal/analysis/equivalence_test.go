@@ -6,6 +6,7 @@
 package analysis_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestMicroPipelineEquivalence(t *testing.T) {
 	if _, err := profio.WriteDir(dir, ps); err != nil {
 		t.Fatal(err)
 	}
-	streamed, st, err := analysis.LoadDirStreaming(dir, 3)
+	streamed, st, err := analysis.LoadDirStreamingCtx(context.Background(), dir, analysis.LoadOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestQuarantineMergeMatchesIntactOnly(t *testing.T) {
 	}
 
 	// Strict mode fails fast and names the offending file by full path.
-	_, _, err = LoadDirStreaming(dir, 4)
+	_, _, err = LoadDirStreamingCtx(context.Background(), dir, LoadOptions{Workers: 4})
 	if err == nil {
 		t.Fatal("strict merge of damaged directory succeeded")
 	}
@@ -129,7 +129,7 @@ func TestQuarantineMergeMatchesIntactOnly(t *testing.T) {
 	}
 
 	// Byte-identical to merging only the intact files.
-	want, wantSt, err := LoadDirStreaming(intactDir, 4)
+	want, wantSt, err := LoadDirStreamingCtx(context.Background(), intactDir, LoadOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,11 +75,10 @@ type LoadOptions struct {
 	// Workers is the number of decode-and-fold workers, each with its own
 	// accumulator (<= 0 uses GOMAXPROCS).
 	Workers int
-	// Shards and SectionParallel are ignored. They tuned the fold-shard
-	// count and the per-file section fan-out of the pipeline that
-	// materialised every file as trees; file loads have neither stage any
-	// more, and the merged result never depended on them.
-	Shards, SectionParallel int
+	// Shards is ignored. It tuned the fold-shard count of the pipeline
+	// that materialised every file as trees; file loads have no such stage
+	// any more, and the merged result never depended on it.
+	Shards int
 	// Policy selects strict, quarantine, or salvage error handling.
 	Policy ErrorPolicy
 	// Open overrides how profile files are opened (nil uses os.Open) —
@@ -184,13 +183,6 @@ func statsView(reg *telemetry.Registry, workers int, quarantined []QuarantinedFi
 		DecodeFileP99: time.Duration(dh.P99) * time.Microsecond,
 		Quarantined:   quarantined,
 	}
-}
-
-// LoadDirStreaming reads a measurement directory written by profio.WriteDir
-// with PolicyStrict and no cancellation. See LoadDirStreamingCtx for the
-// full surface.
-func LoadDirStreaming(dir string, workers int) (*Database, MergeStats, error) {
-	return LoadDirStreamingCtx(context.Background(), dir, LoadOptions{Workers: workers})
 }
 
 // LoadDirStreamingCtx reads and merges a measurement directory with
@@ -399,7 +391,8 @@ func (w *loadWorker) stage(path string) (*profio.Staged, error) {
 // the walls, residency and decode quantiles describe this call alone, as
 // does what it publishes to LoadOptions.Telemetry.
 func LoadFilesStreamingCtx(ctx context.Context, label string, base *Database, files []string, opt LoadOptions) (*Database, MergeStats, error) {
-	workers := opt.EffectiveWorkers()
+	// The workers that run: never more than there are files to claim.
+	workers := max(1, min(opt.EffectiveWorkers(), len(files)))
 	reg := telemetry.New()
 	if opt.Telemetry != nil {
 		// Publish the private per-load accounting into the caller's
@@ -440,7 +433,7 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, base *Database, fi
 
 	start := time.Now()
 	intern := profio.NewIntern()
-	ws := make([]*loadWorker, max(1, min(workers, len(files))))
+	ws := make([]*loadWorker, workers)
 	var wg sync.WaitGroup
 	for i := range ws {
 		w := &loadWorker{
@@ -469,12 +462,12 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, base *Database, fi
 	// overlap wherever threads shared calling contexts, so this is a tree
 	// walk over W-1 accumulators, not W×files trees.
 	reduceStart := time.Now()
-	reduceDone := spans.Span("reduce accumulators", "merge", 0, 0, map[string]any{"workers": len(ws)})
-	reducePairwise(len(ws), func(dst, src int) {
-		for c, t := range ws[src].acc.Trees {
-			ws[dst].acc.Trees[c].Absorb(t)
-		}
-	})
+	reduceDone := spans.Span("reduce accumulators", "merge", 0, 0, map[string]any{"workers": workers})
+	accs := make([]*cct.Profile, workers)
+	for i, w := range ws {
+		accs[i] = w.acc
+	}
+	reducePairwise(accs)
 	reduceDone()
 	reduceWall := time.Since(reduceStart)
 
@@ -539,4 +532,55 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, base *Database, fi
 	}
 	emitPhaseSpans(spans, db.Temporal)
 	return db, st, nil
+}
+
+// reducePairwise joins the accumulators into accs[0] in parallel rounds:
+// each round absorbs the upper half into the lower half, pair by pair, so
+// the depth is log2(n) — the shape of the paper's reduction tree.
+func reducePairwise(accs []*cct.Profile) {
+	for n := len(accs); n > 1; n = (n + 1) / 2 {
+		half := (n + 1) / 2
+		var wg sync.WaitGroup
+		for i := 0; i+half < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for c, t := range accs[i+half].Trees {
+					accs[i].Trees[c].Absorb(t)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// identity tracks which sources a merge has seen: the set of ranks, and
+// the lowest (rank, thread) with its event — the merged profile's identity,
+// chosen so it does not depend on arrival order.
+type identity struct {
+	ranks        map[int]struct{}
+	rank, thread int
+	event        string
+}
+
+func (id *identity) see(rank, thread int, event string) {
+	if id.ranks == nil {
+		id.ranks = map[int]struct{}{}
+	}
+	first := len(id.ranks) == 0
+	id.ranks[rank] = struct{}{}
+	if first || rank < id.rank || (rank == id.rank && thread < id.thread) {
+		id.rank, id.thread, id.event = rank, thread, event
+	}
+}
+
+// absorb folds another merge's sightings into id.
+func (id *identity) absorb(o *identity) {
+	if len(o.ranks) == 0 {
+		return
+	}
+	id.see(o.rank, o.thread, o.event)
+	for r := range o.ranks {
+		id.ranks[r] = struct{}{}
+	}
 }

@@ -284,7 +284,7 @@ func TestQuarantineExactAtLateDamage(t *testing.T) {
 		}
 	}
 
-	want, _, err := LoadDirStreaming(intactDir, 2)
+	want, _, err := LoadDirStreamingCtx(context.Background(), intactDir, LoadOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

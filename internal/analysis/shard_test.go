@@ -23,32 +23,38 @@ func encodeDB(t testing.TB, db *Database) []byte {
 	return encodeProfile(t, db.Merged)
 }
 
-// TestMergeShardInvariance is the tentpole correctness property: the
-// sharded shared-nothing merge must produce a byte-identical encoded
-// result for every shard count — sharding is a scheduling decision, never
-// a semantic one.
-func TestMergeShardInvariance(t *testing.T) {
-	ps := randomProfiles(77, 3, 16)
-	want := encodeDB(t, MergePreserving(ps, 4))
-	for _, shards := range []int{1, 2, 7, 16} {
-		items := make(chan streamItem, 1)
-		go func() {
-			for _, p := range ps {
-				items <- streamItem{p: p}
+// TestMergeWorkerInvariance: the in-memory merge, consuming or preserving,
+// must produce the 1-worker database at every worker count, with and
+// without sidecars — the worker count is a scheduling decision, never a
+// semantic one. Consuming merges run on freshly generated copies.
+func TestMergeWorkerInvariance(t *testing.T) {
+	for _, sidecars := range []bool{false, true} {
+		gen := func() []*cct.Profile {
+			ps := randomProfiles(77, 3, 16)
+			if sidecars {
+				withRandomSidecars(ps, 77)
 			}
-			close(items)
-		}()
-		db, _ := mergeItems(items, 4, shards, true)
-		if got := encodeDB(t, db); !bytes.Equal(got, want) {
-			t.Errorf("shards=%d: merged encoding differs from default merge", shards)
+			return ps
+		}
+		ps := gen()
+		want := mergeDump(t, MergePreserving(ps, 1))
+		if got := mergeDump(t, Merge(gen(), 1)); got != want {
+			t.Errorf("sidecars=%v: 1-worker Merge differs from 1-worker MergePreserving", sidecars)
+		}
+		for _, workers := range []int{2, 7, 16} {
+			if got := mergeDump(t, MergePreserving(ps, workers)); got != want {
+				t.Errorf("sidecars=%v workers=%d: MergePreserving differs from 1 worker", sidecars, workers)
+			}
+			if got := mergeDump(t, Merge(gen(), workers)); got != want {
+				t.Errorf("sidecars=%v workers=%d: Merge differs from 1 worker", sidecars, workers)
+			}
 		}
 	}
 }
 
 // TestLoadShardInvariance runs the same property end to end through the
 // file loader: same directory, different worker counts and policies (and
-// the Shards/SectionParallel fields file loads now ignore), byte-identical
-// merged database.
+// the Shards field file loads now ignore), byte-identical merged database.
 func TestLoadShardInvariance(t *testing.T) {
 	ps := randomProfiles(101, 2, 24)
 	dir := filepath.Join(t.TempDir(), "m")
@@ -59,9 +65,9 @@ func TestLoadShardInvariance(t *testing.T) {
 	for _, cfg := range []LoadOptions{
 		{Workers: 1, Shards: 1},
 		{Workers: 4, Shards: 2},
-		{Workers: 4, Shards: 7, SectionParallel: 4},
+		{Workers: 4, Shards: 7},
 		{Workers: 8, Shards: 16},
-		{Workers: 3, Policy: PolicySalvage, SectionParallel: 2},
+		{Workers: 3, Policy: PolicySalvage},
 	} {
 		db, _, err := LoadDirStreamingCtx(context.Background(), dir, cfg)
 		if err != nil {
@@ -76,6 +82,80 @@ func TestLoadShardInvariance(t *testing.T) {
 			t.Errorf("%+v: merged encoding differs", cfg)
 		}
 	}
+}
+
+// FuzzMergeMatchesLoad: profiles built from fuzz bytes, with or without
+// sidecars, merge to one database three ways — MergePreserving at a
+// fuzz-chosen worker count, Merge over a second build of the same
+// profiles, and a file load of their profio.WriteDir output — and
+// MergePreserving leaves every input's encoding as it was.
+func FuzzMergeMatchesLoad(f *testing.F) {
+	f.Add([]byte{3, 0, 0x15, 7, 1, 0x92, 40, 2, 0x3c, 9}, uint8(2), false)
+	f.Add([]byte{11, 5, 0xff, 1, 9, 0x80, 2, 10, 0x41, 200, 0, 0x07, 33}, uint8(7), true)
+	f.Add([]byte{}, uint8(0), true)
+	f.Fuzz(func(t *testing.T, data []byte, workers uint8, sidecars bool) {
+		ps := fuzzProfiles(data, sidecars)
+		before := make([][]byte, len(ps))
+		for i, p := range ps {
+			before[i] = encodeProfile(t, p)
+		}
+		want := mergeDump(t, MergePreserving(ps, 1+int(workers%8)))
+		for i, p := range ps {
+			if !bytes.Equal(encodeProfile(t, p), before[i]) {
+				t.Fatalf("MergePreserving changed input %d", i)
+			}
+		}
+		if got := mergeDump(t, Merge(fuzzProfiles(data, sidecars), 1+int(workers/8%8))); got != want {
+			t.Error("Merge differs from MergePreserving")
+		}
+		dir := filepath.Join(t.TempDir(), "m")
+		if _, err := profio.WriteDir(dir, ps); err != nil {
+			t.Fatal(err)
+		}
+		files, err := profio.Files(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, _, err := LoadFilesStreamingCtx(context.Background(), "fuzz", nil, files, LoadOptions{Workers: 1 + int(workers%5)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mergeDump(t, db); got != want {
+			t.Error("file load differs from MergePreserving")
+		}
+	})
+}
+
+// fuzzProfiles builds thread profiles from fuzz bytes: the first byte sets
+// the thread count (1–12, four threads per rank), and every following
+// triple adds one sample — its thread, then a byte choosing the storage
+// class, the call path's function and depth, then its latency and line.
+// With sidecars, every profile gets a random sidecar seeded by the input
+// length.
+func fuzzProfiles(data []byte, sidecars bool) []*cct.Profile {
+	n, seed := 1, int64(len(data))
+	if len(data) > 0 {
+		n, data = 1+int(data[0]%12), data[1:]
+	}
+	ps := make([]*cct.Profile, n)
+	for i := range ps {
+		ps[i] = cct.NewProfile(i/4, i%4, "IBS@4096")
+	}
+	for ; len(data) >= 3; data = data[3:] {
+		sel, lat := data[1], data[2]
+		path := []cct.Frame{
+			{Kind: cct.KindCall, Module: "exe", Name: fmt.Sprintf("f%d", sel>>2&7), File: "a.c", Line: int(sel >> 5)},
+			{Kind: cct.KindStmt, Module: "exe", Name: "s", File: "a.c", Line: int(lat % 16)},
+		}
+		var v metric.Vector
+		v[metric.Samples] = 1
+		v[metric.Latency] = uint64(lat)
+		ps[int(data[0])%n].Trees[cct.Class(sel%uint8(cct.NumClasses))].AddSample(path[int(sel>>7):], &v)
+	}
+	if sidecars {
+		withRandomSidecars(ps, seed)
+	}
+	return ps
 }
 
 // scalePoint is one cell of the merge-scale sweep.

@@ -28,33 +28,30 @@ type MergeStats struct {
 	// a GOMAXPROCS-worker reduction over (copies of) the same inputs.
 	SequentialMerge, ParallelMerge time.Duration
 
-	// Workers is the concurrency the load or merge ran with.
+	// Workers is the number of decode-and-fold workers the load ran: the
+	// requested count, capped at the number of files to load.
 	Workers int
 	// BytesRead is the total size of the measurement files merged, as
-	// read by the loader (0 for in-memory merges).
+	// read by the loader.
 	BytesRead int64
 	// DecodeWall and MergeWall are stage wall times, both measured from
-	// the start: DecodeWall ends when the last file finished staging (for
-	// an in-memory merge, when the last profile arrived), MergeWall when
-	// the merged database was assembled. The stages overlap — every worker
-	// applies a file as soon as it has staged it.
+	// the start: DecodeWall ends when the last file finished staging,
+	// MergeWall when the merged database was assembled. The stages overlap
+	// — every worker applies a file as soon as it has staged it.
 	DecodeWall, MergeWall time.Duration
 	// FoldWall and ReduceWall break MergeWall down: FoldWall (also from
 	// the start) ends when the last worker has applied its last file,
 	// ReduceWall is the duration of the final pairwise reduce of the
-	// accumulators alone — the only barrier. For a file load that is a
-	// walk over workers−1 accumulator trees; for an in-memory merge it is
-	// pointer adoption between shared-nothing shards.
+	// accumulators alone — the only barrier, a walk over Workers−1
+	// accumulator trees.
 	FoldWall, ReduceWall time.Duration
 	// MaxResident is the peak number of files staged but not yet applied
 	// — at most Workers, however many files the measurement holds; no
-	// decoded profile is ever held (0 for in-memory merges, where the
-	// caller already owns every profile).
+	// decoded profile is ever held.
 	MaxResident int
 	// DecodeFileP50/P95/P99 are per-file decode latency quantiles (open,
 	// read, stage) from the loader's histogram — the tail a slow disk or one
-	// pathological file produces, invisible in DecodeWall's total (zero
-	// for in-memory merges).
+	// pathological file produces, invisible in DecodeWall's total.
 	DecodeFileP50, DecodeFileP95, DecodeFileP99 time.Duration
 
 	// Quarantined lists the files skipped (or only partially recovered)

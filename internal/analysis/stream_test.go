@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -45,7 +46,7 @@ func TestLoadDirStreamingMatchesBatch(t *testing.T) {
 	if _, err := profio.WriteDir(dir, ps); err != nil {
 		t.Fatal(err)
 	}
-	db, st, err := LoadDirStreaming(dir, workers)
+	db, st, err := LoadDirStreamingCtx(context.Background(), dir, LoadOptions{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +84,27 @@ func TestLoadDirStreamingMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestLoadReportsWorkersRun: MergeStats.Workers is the number of workers
+// that ran — never more than there were files to load, including when a
+// load continues from a base and folds only the new files.
+func TestLoadReportsWorkersRun(t *testing.T) {
+	files := writeFiles(t, filepath.Join(t.TempDir(), "m"), 19, 1, 4, false)
+	ctx := context.Background()
+	base, st, err := LoadFilesStreamingCtx(ctx, "three", nil, files[:3], LoadOptions{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Workers != 3 {
+		t.Errorf("3-file load at 8 workers reports %d workers, want 3", st.Workers)
+	}
+	if _, st, err = LoadFilesStreamingCtx(ctx, "one more", base, files[3:], LoadOptions{Workers: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if st.Workers != 1 {
+		t.Errorf("1-file load continued from a base reports %d workers, want 1", st.Workers)
+	}
+}
+
 func TestLoadDirStreamingSingleWorker(t *testing.T) {
 	ps := randomProfiles(3, 1, 5)
 	dir := filepath.Join(t.TempDir(), "m")
@@ -90,7 +112,7 @@ func TestLoadDirStreamingSingleWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := MergePreserving(ps, 1)
-	db, _, err := LoadDirStreaming(dir, 1)
+	db, _, err := LoadDirStreamingCtx(context.Background(), dir, LoadOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,32 +131,12 @@ func TestLoadDirStreamingCorruptFile(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := LoadDirStreaming(dir, 2)
+	_, _, err := LoadDirStreamingCtx(context.Background(), dir, LoadOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("corrupt file accepted")
 	}
 	if !strings.Contains(err.Error(), filepath.Base(bad)) {
 		t.Errorf("error %q does not name the corrupt file", err)
-	}
-}
-
-func TestMergeStream(t *testing.T) {
-	ps := randomProfiles(17, 2, 8)
-	want := MergePreserving(ps, 0)
-
-	ch := make(chan *cct.Profile)
-	go func() {
-		for _, p := range cloneProfiles(ps) {
-			ch <- p
-		}
-		close(ch)
-	}()
-	db, st := MergeStream(ch, 4)
-	if canonicalProfile(db.Merged) != canonicalProfile(want.Merged) {
-		t.Error("MergeStream result differs from batch merge")
-	}
-	if st.Inputs != 16 || st.InputNodes == 0 {
-		t.Errorf("stats: %+v", st)
 	}
 }
 
@@ -192,7 +194,7 @@ func BenchmarkLoadDirStreaming128(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := LoadDirStreaming(dir, 8); err != nil {
+		if _, _, err := LoadDirStreamingCtx(context.Background(), dir, LoadOptions{Workers: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -371,36 +371,20 @@ func mergeNode(dst, src *Node) {
 	}
 }
 
-// MergeFrom adds src's subtree (structure and metrics) into n, the
-// incremental analogue of Tree.Merge: a streaming analyzer can graft
-// partially-built subtrees into an accumulator as they are decoded. src is
-// left untouched.
-func (n *Node) MergeFrom(src *Node) {
-	mergeNode(n, src)
-}
-
-// MergeChild folds src — a child-level subtree from another tree over the
-// same interner — into n, consuming it. When n already has a child with
-// src's frame the two subtrees merge recursively; otherwise src is adopted
-// wholesale, re-parented under n with no copying. Adoption is what makes
-// the sharded merge's reduce cheap: shards partition root subtrees, so
-// most reduce steps move a pointer instead of walking a tree. Either way
-// src belongs to n's tree afterwards and must not be used by the caller.
-func (n *Node) MergeChild(src *Node) {
-	if dst, ok := n.lookupID(src.id); ok {
-		mergeNode(dst, src)
-		return
-	}
-	src.parent = n
-	n.attach(src)
-}
-
-// Absorb moves o's structure and metrics into t, consuming o. Overlapping
-// subtrees merge; disjoint ones re-parent into t without copying. Use
-// Merge when the source must survive.
+// Absorb moves o's structure and metrics into t, consuming o. A root
+// subtree whose frame t's root already has merges into it recursively; any
+// other is adopted wholesale, re-parented under t's root with no copying.
+// Use Merge when the source must survive.
 func (t *Tree) Absorb(o *Tree) {
 	t.Root.Metrics.Add(&o.Root.Metrics)
-	o.Root.eachChild(func(c *Node) { t.Root.MergeChild(c) })
+	o.Root.eachChild(func(c *Node) {
+		if dst, ok := t.Root.lookupID(c.id); ok {
+			mergeNode(dst, c)
+			return
+		}
+		c.parent = t.Root
+		t.Root.attach(c)
+	})
 }
 
 // Clone returns a deep copy of the tree, sharing no node with it. It is a
@@ -553,13 +537,6 @@ func (p *Profile) Clone() *Profile {
 		c.Trees[i] = t.Clone()
 	}
 	return c
-}
-
-// MergeClass folds a single storage-class tree into p — the unit of work of
-// the streaming analyzer, which receives class trees individually as
-// profiles are decoded. t is left untouched.
-func (p *Profile) MergeClass(c Class, t *Tree) {
-	p.Trees[c].Merge(t)
 }
 
 // Total sums metrics across all storage classes.

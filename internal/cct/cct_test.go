@@ -352,13 +352,13 @@ func TestAbsorbAdoptsDisjoint(t *testing.T) {
 	}
 }
 
-// TestMergeChildOverlap: merging into an existing child must fold metrics
-// recursively rather than attach a duplicate child.
+// TestMergeChildOverlap: absorbing a subtree whose context already exists
+// must fold metrics recursively rather than attach a duplicate child.
 func TestMergeChildOverlap(t *testing.T) {
 	a, b := New(), New()
 	a.AddSample([]Frame{call("f", 1), stmt("f", 10)}, sampleVec(5))
 	b.AddSample([]Frame{call("f", 1), stmt("f", 10)}, sampleVec(6))
-	b.Root.EachChild(func(c *Node) { a.Root.MergeChild(c) })
+	a.Absorb(b)
 	if n := a.Root.NumChildren(); n != 1 {
 		t.Fatalf("root has %d children, want 1", n)
 	}
@@ -367,7 +367,7 @@ func TestMergeChildOverlap(t *testing.T) {
 	}
 }
 
-// TestAttachSpillsToMap: adoption through MergeChild must follow the same
+// TestAttachSpillsToMap: adoption through Absorb must follow the same
 // inline-then-map layout as ChildID so lookups keep working past the
 // inline fanout.
 func TestAttachSpillsToMap(t *testing.T) {
@@ -375,7 +375,7 @@ func TestAttachSpillsToMap(t *testing.T) {
 	for i := 0; i < nodeInline+3; i++ {
 		b.AddSample([]Frame{call("f", i)}, sampleVec(1))
 	}
-	b.Root.EachChild(func(c *Node) { a.Root.MergeChild(c) })
+	a.Absorb(b)
 	if n := a.Root.NumChildren(); n != nodeInline+3 {
 		t.Fatalf("root has %d children, want %d", n, nodeInline+3)
 	}

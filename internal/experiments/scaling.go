@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -86,7 +87,7 @@ func measureStreaming(profiles []*cct.Profile, threads int) (string, string) {
 	if _, err := profio.WriteDir(dir, profiles); err != nil {
 		return "n/a", "n/a"
 	}
-	_, st, err := analysis.LoadDirStreaming(dir, streamWorkers)
+	_, st, err := analysis.LoadDirStreamingCtx(context.Background(), dir, analysis.LoadOptions{Workers: streamWorkers})
 	if err != nil {
 		return "n/a", "n/a"
 	}

@@ -28,10 +28,10 @@ type windowAgg struct {
 }
 
 // Index merges the temporal sidecars of a measurement's profiles into
-// per-window partial profiles. It is built single-threaded during the
-// analyzer's split stage (one AddSeries per decoded profile) and is
-// read-only afterwards; Clip, WindowProfile, and Phases are safe for
-// concurrent readers once folding is done.
+// per-window partial profiles. AddSeries calls must not overlap — the
+// in-memory merge makes them in one sequential pass, the file loader under
+// a mutex — and the index is read-only afterwards; Clip, WindowProfile,
+// and Phases are safe for concurrent readers once folding is done.
 type Index struct {
 	width   uint64
 	windows map[uint64]*windowAgg
