@@ -5,7 +5,8 @@ GO ?= go
 # check is the full pre-merge gate: static checks, the whole test suite
 # (including the fault-injection suite), the race detector over the
 # goroutine-heavy packages (the simulator's thread fan-out, the analyzer's
-# streaming merge pipeline, and the fault-tolerant I/O layers), a short
+# streaming merge pipeline, the fault-tolerant I/O layers, and the
+# lock-free interval map with its users), a short
 # fuzz of the profile reader, salvager, and the daemon's upload ingest,
 # and a one-iteration merge benchmark smoke to catch gross regressions.
 check: lint build test test-benchmark race chaos-smoke fuzz-smoke bench-smoke bench-merge-scale
@@ -35,6 +36,7 @@ test-benchmark:
 
 race:
 	$(GO) test -race ./internal/sim ./internal/analysis ./internal/profio ./internal/faultio ./internal/profiler ./internal/server ./internal/push ./internal/temporal ./internal/cct ./internal/view
+	$(GO) test -race ./internal/heapmap ./internal/mem ./internal/loadmap
 	$(GO) test -race ./internal/telemetry/...
 
 # Chaos smoke: the dcpush client through a scripted faulty transport
@@ -46,9 +48,9 @@ chaos-smoke:
 
 # Short fuzz of the reader, the salvage path, the encoder against its
 # reference, a load continued from an earlier load against a full one, the
-# in-memory merges against a file load, and the daemon's upload ingest (the
-# fuzz engine accepts one target per run), on top of the always-run corpus
-# regression pass.
+# in-memory merges against a file load, the daemon's upload ingest, and the
+# heap interval map against its model (the fuzz engine accepts one target
+# per run), on top of the always-run corpus regression pass.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadProfile -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzSalvageProfile -fuzztime=10s ./internal/profio
@@ -59,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMergeMatchesLoad -fuzztime=10s ./internal/analysis
 	$(GO) test -run='^$$' -fuzz=FuzzHandleUpload -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzUploadIdempotency -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzMapMatchesModel -fuzztime=10s ./internal/heapmap
 
 # One-iteration merge benchmarks, then the three opt-in wall-clock gates:
 # merge throughput with instruments and spans attached within 5% of

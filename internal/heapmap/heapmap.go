@@ -3,23 +3,30 @@
 // asymmetry: every memory sample performs one lookup, while mutation only
 // happens on malloc/free — orders of magnitude rarer.
 //
-// Readers never block and never see a lock: Lookup binary-searches an
-// immutable snapshot published through an atomic pointer. Writers copy the
-// sorted entry slice under a mutex and republish it (copy-on-write), so a
-// mutation costs O(n) in live ranges — the same bound the previous
-// RWMutex-guarded ivmap paid — but samplers on other threads are never
-// serialized against it, and snapshot identity gives per-thread caches a
-// free invalidation rule: any mutation republishes, so a cache that still
-// holds the current snapshot pointer is provably current (no stale hit
-// after a free or an address-reusing realloc).
+// Readers never block and never see a lock: Lookup searches an immutable
+// snapshot published through an atomic pointer. A snapshot is a spine —
+// each leaf's first lower bound, contiguous, beside the leaves — over
+// sorted leaves of at most leafCap entries. Writers serialize on a mutex,
+// copy the one leaf they change plus the spine, and republish
+// (copy-on-write), so a mutation costs O(leafCap + n/leafCap) in n live
+// ranges rather than O(n), and samplers on other threads are never
+// serialized against it. Snapshot identity gives per-thread caches a free
+// invalidation rule: any mutation republishes, so a cache that still holds
+// the current snapshot pointer is provably current (no stale hit after a
+// free or an address-reusing realloc).
 package heapmap
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
+
+// leafCap bounds a leaf's entries: the per-mutation leaf copy against the
+// spine length. An insert into a full leaf splits it in two halves; a
+// removal that empties a leaf drops it from the spine. Leaves are never
+// merged otherwise.
+const leafCap = 64
 
 // entry is one [lo, hi) range and its value.
 type entry[V any] struct {
@@ -27,20 +34,75 @@ type entry[V any] struct {
 	v      V
 }
 
-// snapshot is one immutable published state: entries sorted by lo,
-// pairwise disjoint.
+// snapshot is one immutable published state. Its entries, concatenated
+// leaf by leaf, are sorted by lo and pairwise disjoint; every leaf is
+// non-empty, and los[i] == leaves[i][0].lo.
 type snapshot[V any] struct {
-	entries []entry[V]
+	los    []uint64
+	leaves [][]entry[V]
+	n      int
+}
+
+// find locates the last entry whose lo is at most addr — the only one that
+// can contain addr — as leaf index li and entry index ei. ei is -1 when
+// addr lies below every entry (li is then 0).
+func (s *snapshot[V]) find(addr uint64) (li, ei int) {
+	i, j := 0, len(s.los)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if s.los[h] <= addr {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i == 0 {
+		return 0, -1
+	}
+	li = i - 1
+	es := s.leaves[li]
+	i, j = 1, len(es) // es[0].lo == los[li] <= addr
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if es[h].lo <= addr {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return li, i - 1
 }
 
 // lookup returns the entry containing addr.
 func (s *snapshot[V]) lookup(addr uint64) (entry[V], bool) {
-	es := s.entries
-	i := sort.Search(len(es), func(i int) bool { return es[i].lo > addr }) - 1
-	if i >= 0 && addr < es[i].hi {
-		return es[i], true
+	if li, ei := s.find(addr); ei >= 0 {
+		if e := s.leaves[li][ei]; addr < e.hi {
+			return e, true
+		}
 	}
 	return entry[V]{}, false
+}
+
+// splice returns a snapshot of n entries whose spine replaces leaves[i:j]
+// with the given leaves: the spine copy every mutation pays. The bounds
+// are shared with s when the edit leaves them as they were.
+func (s *snapshot[V]) splice(i, j, n int, with ...[]entry[V]) *snapshot[V] {
+	k := len(s.leaves) - (j - i) + len(with)
+	ns := &snapshot[V]{los: s.los, leaves: make([][]entry[V], 0, k), n: n}
+	ns.leaves = append(append(append(ns.leaves, s.leaves[:i]...), with...), s.leaves[j:]...)
+	same := len(with) == j-i
+	for t := 0; same && t < len(with); t++ {
+		same = with[t][0].lo == s.los[i+t]
+	}
+	if !same {
+		ns.los = make([]uint64, 0, k)
+		ns.los = append(ns.los, s.los[:i]...)
+		for _, l := range with {
+			ns.los = append(ns.los, l[0].lo)
+		}
+		ns.los = append(ns.los, s.los[j:]...)
+	}
+	return ns
 }
 
 // Map maps non-overlapping half-open intervals to values. The zero value
@@ -52,33 +114,56 @@ type Map[V any] struct {
 	rebuilds atomic.Uint64
 }
 
-// Insert adds [lo, hi) -> v, rebuilding and republishing the snapshot. It
-// returns an error if the interval is empty or overlaps an existing one.
+// publish makes s the current snapshot. Callers hold m.mu.
+func (m *Map[V]) publish(s *snapshot[V]) {
+	m.snap.Store(s)
+	m.rebuilds.Add(1)
+}
+
+// Insert adds [lo, hi) -> v, copying one leaf and the spine and
+// republishing. It returns an error if the interval is empty or overlaps an
+// existing one.
 func (m *Map[V]) Insert(lo, hi uint64, v V) error {
 	if lo >= hi {
 		return fmt.Errorf("heapmap: empty interval [%#x, %#x)", lo, hi)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var cur []entry[V]
-	if s := m.snap.Load(); s != nil {
-		cur = s.entries
+	s := m.snap.Load()
+	if s == nil {
+		s = &snapshot[V]{}
 	}
-	i := sort.Search(len(cur), func(i int) bool { return cur[i].lo > lo })
-	if i > 0 && cur[i-1].hi > lo {
-		p := cur[i-1]
+	li, ei := s.find(lo)
+	var leaf []entry[V]
+	if len(s.leaves) > 0 {
+		leaf = s.leaves[li]
+	}
+	if ei >= 0 && leaf[ei].hi > lo {
+		p := leaf[ei]
 		return fmt.Errorf("heapmap: [%#x, %#x) overlaps existing [%#x, %#x)", lo, hi, p.lo, p.hi)
 	}
-	if i < len(cur) && cur[i].lo < hi {
-		nx := cur[i]
+	// The successor is the next entry in this leaf, or the next leaf's first.
+	at := ei + 1
+	nx, hasNext := entry[V]{}, false
+	if at < len(leaf) {
+		nx, hasNext = leaf[at], true
+	} else if li+1 < len(s.leaves) {
+		nx, hasNext = s.leaves[li+1][0], true
+	}
+	if hasNext && nx.lo < hi {
 		return fmt.Errorf("heapmap: [%#x, %#x) overlaps existing [%#x, %#x)", lo, hi, nx.lo, nx.hi)
 	}
-	next := make([]entry[V], 0, len(cur)+1)
-	next = append(next, cur[:i]...)
-	next = append(next, entry[V]{lo: lo, hi: hi, v: v})
-	next = append(next, cur[i:]...)
-	m.snap.Store(&snapshot[V]{entries: next})
-	m.rebuilds.Add(1)
+	nl := make([]entry[V], len(leaf)+1)
+	copy(nl, leaf[:at])
+	nl[at] = entry[V]{lo: lo, hi: hi, v: v}
+	copy(nl[at+1:], leaf[at:])
+	j := min(li+1, len(s.leaves))
+	if len(nl) <= leafCap {
+		m.publish(s.splice(li, j, s.n+1, nl))
+	} else {
+		h := len(nl) / 2
+		m.publish(s.splice(li, j, s.n+1, nl[:h:h], nl[h:]))
+	}
 	return nil
 }
 
@@ -86,6 +171,20 @@ func (m *Map[V]) Insert(lo, hi uint64, v V) error {
 // its value. It reports false (and republishes nothing) if no interval
 // starts at lo.
 func (m *Map[V]) RemoveAt(lo uint64) (V, bool) {
+	return m.remove(lo, true)
+}
+
+// RemoveContaining removes the interval containing addr, returning its
+// value. It reports false (and republishes nothing) if no interval
+// contains addr.
+func (m *Map[V]) RemoveContaining(addr uint64) (V, bool) {
+	return m.remove(addr, false)
+}
+
+// remove drops the interval containing addr — only if it starts exactly at
+// addr when exact is set — rewriting its leaf (or dropping the leaf when it
+// empties) and copying the spine.
+func (m *Map[V]) remove(addr uint64, exact bool) (V, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var zero V
@@ -93,35 +192,48 @@ func (m *Map[V]) RemoveAt(lo uint64) (V, bool) {
 	if s == nil {
 		return zero, false
 	}
-	cur := s.entries
-	i := sort.Search(len(cur), func(i int) bool { return cur[i].lo > lo }) - 1
-	if i < 0 || cur[i].lo != lo {
+	li, ei := s.find(addr)
+	if ei < 0 {
 		return zero, false
 	}
-	v := cur[i].v
-	next := make([]entry[V], 0, len(cur)-1)
-	next = append(next, cur[:i]...)
-	next = append(next, cur[i+1:]...)
-	m.snap.Store(&snapshot[V]{entries: next})
-	m.rebuilds.Add(1)
-	return v, true
+	leaf := s.leaves[li]
+	e := leaf[ei]
+	if (exact && e.lo != addr) || addr >= e.hi {
+		return zero, false
+	}
+	// Published leaves are never written, so a leaf that loses an end
+	// entry can share the old one's array (pinning at most leafCap
+	// entries); only a removal from the middle copies.
+	switch {
+	case len(leaf) == 1:
+		m.publish(s.splice(li, li+1, s.n-1))
+	case ei == 0:
+		m.publish(s.splice(li, li+1, s.n-1, leaf[1:]))
+	case ei == len(leaf)-1:
+		m.publish(s.splice(li, li+1, s.n-1, leaf[:ei:ei]))
+	default:
+		nl := make([]entry[V], 0, len(leaf)-1)
+		nl = append(append(nl, leaf[:ei]...), leaf[ei+1:]...)
+		m.publish(s.splice(li, li+1, s.n-1, nl))
+	}
+	return e.v, true
 }
 
 // Lookup returns the value of the interval containing addr. Lock-free.
 func (m *Map[V]) Lookup(addr uint64) (V, bool) {
-	s := m.snap.Load()
-	if s == nil {
-		var zero V
-		return zero, false
+	if s := m.snap.Load(); s != nil {
+		if e, ok := s.lookup(addr); ok {
+			return e.v, true
+		}
 	}
-	e, ok := s.lookup(addr)
-	return e.v, ok
+	var zero V
+	return zero, false
 }
 
 // Cache is a 1-entry per-reader lookup cache exploiting sample locality:
 // consecutive samples usually land in the same block. It is validated by
-// snapshot identity, so any Insert/RemoveAt anywhere invalidates every
-// cache automatically. Each reader owns its Cache; it must not be shared.
+// snapshot identity, so any mutation anywhere invalidates every cache
+// automatically. Each reader owns its Cache; it must not be shared.
 type Cache[V any] struct {
 	snap   *snapshot[V]
 	lo, hi uint64
@@ -150,11 +262,10 @@ func (m *Map[V]) LookupCached(addr uint64, c *Cache[V]) (V, bool, bool) {
 
 // Len returns the number of live intervals. Lock-free.
 func (m *Map[V]) Len() int {
-	s := m.snap.Load()
-	if s == nil {
-		return 0
+	if s := m.snap.Load(); s != nil {
+		return s.n
 	}
-	return len(s.entries)
+	return 0
 }
 
 // Rebuilds returns how many times the snapshot has been rebuilt and
@@ -162,15 +273,18 @@ func (m *Map[V]) Len() int {
 func (m *Map[V]) Rebuilds() uint64 { return m.rebuilds.Load() }
 
 // Each calls fn on every interval in ascending order against the current
-// snapshot. fn returning false stops the iteration.
+// snapshot. fn returning false stops the iteration. fn may mutate the map:
+// the iteration continues over the snapshot taken when Each was called.
 func (m *Map[V]) Each(fn func(lo, hi uint64, v V) bool) {
 	s := m.snap.Load()
 	if s == nil {
 		return
 	}
-	for _, e := range s.entries {
-		if !fn(e.lo, e.hi, e.v) {
-			return
+	for _, leaf := range s.leaves {
+		for _, e := range leaf {
+			if !fn(e.lo, e.hi, e.v) {
+				return
+			}
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dcprof/internal/ivmap"
+	"dcprof/internal/heapmap"
 	"dcprof/internal/mem"
 )
 
@@ -38,13 +38,16 @@ type Module struct {
 	dataBase mem.Addr
 	textBase uint64
 
-	mu        sync.Mutex
-	funcs     []*Function
-	statics   []*StaticVar
-	staticMap ivmap.Map[*StaticVar]
-	bssTop    mem.Addr
-	ipToStmt  map[uint64]stmt
-	nextIP    uint64
+	// staticMap resolves data addresses to statics without taking mu:
+	// its reads are lock-free.
+	staticMap heapmap.Map[*StaticVar]
+
+	mu       sync.Mutex
+	funcs    []*Function
+	statics  []*StaticVar
+	bssTop   mem.Addr
+	ipToStmt map[uint64]stmt
+	nextIP   uint64
 }
 
 type stmt struct {
@@ -130,9 +133,8 @@ func (m *Module) AddStatic(name string, size uint64) *StaticVar {
 }
 
 // FindStatic resolves a data address to the static variable containing it.
+// Lock-free: it takes no module mutex.
 func (m *Module) FindStatic(addr mem.Addr) (*StaticVar, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.staticMap.Lookup(uint64(addr))
 }
 

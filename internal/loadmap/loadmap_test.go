@@ -189,6 +189,8 @@ func TestConcurrentLoadUnloadAndResolve(t *testing.T) {
 			lib := lm.Load("libtmp.so")
 			lib.AddStatic("tmp", 128)
 			lm.Unload(lib)
+			// The executable's own static map grows under its readers.
+			exe.AddStatic("late", 64)
 		}
 	}()
 	for i := 0; i < 2000; i++ {

@@ -3,7 +3,7 @@ package mem
 import (
 	"sync"
 
-	"dcprof/internal/ivmap"
+	"dcprof/internal/heapmap"
 )
 
 // PageTable tracks, per virtual page, the NUMA domain the page's physical
@@ -19,7 +19,7 @@ type PageTable struct {
 
 	mu        sync.RWMutex
 	home      map[PageID]int32
-	overrides ivmap.Map[Policy] // keyed by page id
+	overrides heapmap.Map[Policy] // keyed by page id
 	defaultP  Policy
 	perDomain []uint64 // pages homed per domain
 }
@@ -71,28 +71,24 @@ func (pt *PageTable) SetRangePolicy(lo, hi Addr, p Policy) {
 	first, last := uint64(PageOf(lo)), uint64(PageOf(hi-1))
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	// Drop any override intersecting the new range, trimming partial overlap.
-	for {
-		var hit ivmap.Interval[Policy]
-		found := false
-		pt.overrides.Each(func(iv ivmap.Interval[Policy]) bool {
-			if iv.Lo <= last && first <= iv.Hi-1 {
-				hit, found = iv, true
-				return false
-			}
+	// Drop any override intersecting the new range, trimming partial
+	// overlap. Each walks one snapshot, so the edits do not disturb it.
+	pt.overrides.Each(func(olo, ohi uint64, op Policy) bool {
+		if olo > last {
+			return false
+		}
+		if ohi <= first {
 			return true
-		})
-		if !found {
-			break
 		}
-		pt.overrides.RemoveAt(hit.Lo)
-		if hit.Lo < first {
-			pt.mustInsertOverride(hit.Lo, first, hit.Value)
+		pt.overrides.RemoveAt(olo)
+		if olo < first {
+			pt.mustInsertOverride(olo, first, op)
 		}
-		if hit.Hi > last+1 {
-			pt.mustInsertOverride(last+1, hit.Hi, hit.Value)
+		if ohi > last+1 {
+			pt.mustInsertOverride(last+1, ohi, op)
 		}
-	}
+		return true
+	})
 	pt.mustInsertOverride(first, last+1, p)
 }
 
@@ -112,20 +108,15 @@ func (pt *PageTable) ClearRangePolicy(lo, hi Addr) {
 	first, last := uint64(PageOf(lo)), uint64(PageOf(hi-1))
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	for {
-		removed := false
-		pt.overrides.Each(func(iv ivmap.Interval[Policy]) bool {
-			if iv.Lo >= first && iv.Lo <= last {
-				pt.overrides.RemoveAt(iv.Lo)
-				removed = true
-				return false
-			}
-			return true
-		})
-		if !removed {
-			return
+	pt.overrides.Each(func(olo, _ uint64, _ Policy) bool {
+		if olo > last {
+			return false
 		}
-	}
+		if olo >= first {
+			pt.overrides.RemoveAt(olo)
+		}
+		return true
+	})
 }
 
 // Resolve returns the home domain of the page containing addr, homing the

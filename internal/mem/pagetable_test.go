@@ -86,15 +86,27 @@ func TestRangePolicyReplacement(t *testing.T) {
 	if d := pt.Resolve(lo+12*PageSize, 2); d != 0 {
 		t.Errorf("right flank placed in %d, want 0", d)
 	}
+	// One range across all three overrides: trims both flanks and drops
+	// the middle in one call.
+	pt.SetRangePolicy(lo+2*PageSize, lo+10*PageSize, Bind{Domain: 2})
+	for page, want := range map[int]int{1: 0, 3: 2, 6: 2, 9: 2, 11: 0} {
+		if d := pt.Resolve(lo+Addr(page*PageSize), 1); d != want {
+			t.Errorf("page %d after the spanning override placed in %d, want %d", page, d, want)
+		}
+	}
 }
 
 func TestClearRangePolicy(t *testing.T) {
 	pt := NewPageTable(4, FirstTouch{})
 	lo := HeapBase
-	pt.SetRangePolicy(lo, lo+4*PageSize, Bind{Domain: 3})
+	pt.SetRangePolicy(lo, lo+2*PageSize, Bind{Domain: 3})
+	pt.SetRangePolicy(lo+2*PageSize, lo+4*PageSize, Bind{Domain: 3})
+	pt.SetRangePolicy(lo+4*PageSize, lo+6*PageSize, Bind{Domain: 3})
 	pt.ClearRangePolicy(lo, lo+4*PageSize)
-	if d := pt.Resolve(lo, 1); d != 1 {
-		t.Errorf("cleared range placed in %d, want first-touch 1", d)
+	for page, want := range map[int]int{0: 1, 3: 1, 5: 3} {
+		if d := pt.Resolve(lo+Addr(page*PageSize), 1); d != want {
+			t.Errorf("page %d after clearing placed in %d, want %d", page, d, want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dcprof/internal/cache"
+	"dcprof/internal/cct"
 	"dcprof/internal/heapmap"
 	"dcprof/internal/machine"
 	"dcprof/internal/mem"
@@ -132,7 +133,7 @@ func classifyBench(b *testing.B) (*Profiler, []mem.Addr) {
 // heap map — the per-sample lookup the paper keeps on the fast path.
 func BenchmarkClassify(b *testing.B) {
 	prof, bufs := classifyBench(b)
-	var c heapmap.Cache[*heapBlock]
+	var c heapmap.Cache[[]cct.FrameID]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -149,7 +150,7 @@ func BenchmarkClassifyParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		var c heapmap.Cache[*heapBlock]
+		var c heapmap.Cache[[]cct.FrameID]
 		i := 0
 		for pb.Next() {
 			prof.classify(bufs[i%len(bufs)]+16, &c)

@@ -19,13 +19,13 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"dcprof/internal/analysis"
 	"dcprof/internal/cct"
-	"dcprof/internal/ivmap"
 	"dcprof/internal/mem"
 	"dcprof/internal/metric"
 )
@@ -74,8 +74,14 @@ func benchLegacyAttribution(b *testing.B) {
 	cfg.Period = 1 << 30 // the real profiler stays quiet; we drive the replica
 	_, th := benchSetup(cfg, 12)
 
+	// The seed's heap map: one flat slice of blocks sorted by lo, searched
+	// with sort.Search under a read lock.
+	type legacyBlock struct {
+		lo, hi uint64
+		prefix []cct.Frame
+	}
 	var mu sync.RWMutex
-	var blocks ivmap.Map[[]cct.Frame]
+	var blocks []legacyBlock
 	var bufs []mem.Addr
 	allocPrefix := []cct.Frame{
 		{Kind: cct.KindCall, Module: "exe", Name: "fn", File: "f.c", Line: 1},
@@ -86,10 +92,9 @@ func benchLegacyAttribution(b *testing.B) {
 	for i := 0; i < 512; i++ {
 		a := th.Malloc(8192)
 		bufs = append(bufs, a)
-		if err := blocks.Insert(uint64(a), uint64(a)+8192, allocPrefix); err != nil {
-			b.Fatal(err)
-		}
+		blocks = append(blocks, legacyBlock{uint64(a), uint64(a) + 8192, allocPrefix})
 	}
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i].lo < blocks[j].lo })
 	root := &legacyNode{children: make(map[cct.Frame]*legacyNode)}
 	lm := th.Proc.LoadMap
 	ip := th.IP()
@@ -104,8 +109,14 @@ func benchLegacyAttribution(b *testing.B) {
 		if !ok {
 			b.Fatal("bench IP unresolvable")
 		}
+		ea := uint64(bufs[i%len(bufs)])
 		mu.RLock()
-		prefix, ok := blocks.Lookup(uint64(bufs[i%len(bufs)]))
+		j := sort.Search(len(blocks), func(j int) bool { return blocks[j].lo > ea }) - 1
+		ok = j >= 0 && ea < blocks[j].hi
+		var prefix []cct.Frame
+		if ok {
+			prefix = blocks[j].prefix
+		}
 		mu.RUnlock()
 		if !ok {
 			b.Fatal("bench block missing")

@@ -8,7 +8,6 @@ import (
 	"dcprof/internal/cache"
 	"dcprof/internal/cct"
 	"dcprof/internal/heapmap"
-	"dcprof/internal/ivmap"
 	"dcprof/internal/loadmap"
 	"dcprof/internal/mem"
 	"dcprof/internal/metric"
@@ -17,26 +16,20 @@ import (
 	"dcprof/internal/temporal"
 )
 
-// heapBlock is the tracked state of one live heap allocation: its
-// allocation call path (ending in the allocation statement, the allocator
-// entry point, and the "heap data accesses" mark), pre-interned so the
-// sample hot path can prepend it with a single slice reference and no
-// string hashing.
-type heapBlock struct {
-	prefix []cct.FrameID // immutable once created
-	size   uint64
-}
-
 // Profiler attaches data-centric measurement to one simulated process.
 type Profiler struct {
 	cfg  Config
 	proc *sim.Process
 
-	// blocks maps live tracked heap ranges to their allocation contexts.
-	// Written by allocating threads, read by every sampling thread;
-	// lookups are lock-free against a copy-on-write snapshot, so samplers
-	// never block behind an allocating thread (or each other).
-	blocks heapmap.Map[*heapBlock]
+	// blocks maps live tracked heap ranges to their allocation contexts:
+	// each block's allocation call path (ending in the allocation
+	// statement, the allocator entry point, and the "heap data accesses"
+	// mark), pre-interned and immutable once created, so the sample hot
+	// path can prepend it with a single slice reference and no string
+	// hashing. Written by allocating threads, read by every sampling
+	// thread; lookups are lock-free against a copy-on-write snapshot, so
+	// samplers never block behind an allocating thread (or each other).
+	blocks heapmap.Map[[]cct.FrameID]
 
 	// states holds per-thread profiler state (thread-local CCTs; no locks
 	// on the sample path, as in the paper).
@@ -78,8 +71,8 @@ type tstate struct {
 
 	pendingLabel string
 	// stackVars maps registered stack-variable ranges to their dummy-node
-	// prefixes (§7 extension). Thread-local: no locking.
-	stackVars ivmap.Map[[]cct.FrameID]
+	// prefixes (§7 extension). Thread-local: its mutex is never contended.
+	stackVars heapmap.Map[[]cct.FrameID]
 
 	// stackIDs mirrors the thread's live stack as interned FrameIDs; the
 	// bottom ConvCacheDepth frames are known current (same invalidation
@@ -110,7 +103,7 @@ type tstate struct {
 
 	// blockCache is the thread's 1-entry heap-map cache (sample locality:
 	// consecutive samples usually land in the same block).
-	blockCache heapmap.Cache[*heapBlock]
+	blockCache heapmap.Cache[[]cct.FrameID]
 
 	// rec buckets samples into sim-time windows (nil when
 	// Config.TemporalWindow is zero). Thread-local, zero-alloc in steady
@@ -307,11 +300,10 @@ func (p *Profiler) OnAlloc(t *sim.Thread, addr mem.Addr, size uint64, kind sim.A
 	prefix = append(prefix, ts.stackIDs...)
 	prefix = append(prefix, stmtID, p.allocKindIDs[kind], mark)
 
-	blk := &heapBlock{prefix: prefix, size: size}
 	// A racing free of an overlapping stale range cannot happen (allocator
 	// hands out disjoint live ranges), so Insert only fails on profiler
 	// bookkeeping bugs.
-	if err := p.blocks.Insert(uint64(addr), uint64(addr)+size, blk); err != nil {
+	if err := p.blocks.Insert(uint64(addr), uint64(addr)+size, prefix); err != nil {
 		panic("profiler: heap map corrupt: " + err.Error())
 	}
 	p.trackedAllocs.Add(1)
@@ -432,15 +424,15 @@ func (ts *tstate) record(class cct.Class, prefix []cct.FrameID, leaf cct.FrameID
 // under. The heap lookup is lock-free; cache is the calling thread's
 // 1-entry locality cache (pass a scratch Cache when classifying outside a
 // sampling thread).
-func (p *Profiler) classify(ea mem.Addr, cache *heapmap.Cache[*heapBlock]) (cct.Class, []cct.FrameID) {
-	blk, ok, cached := p.blocks.LookupCached(uint64(ea), cache)
+func (p *Profiler) classify(ea mem.Addr, cache *heapmap.Cache[[]cct.FrameID]) (cct.Class, []cct.FrameID) {
+	prefix, ok, cached := p.blocks.LookupCached(uint64(ea), cache)
 	p.tel.heapLookups.Inc()
 	if ok {
 		if cached {
 			p.tel.blockCacheHits.Inc()
 		}
 		p.tel.heapHits.Inc()
-		return cct.ClassHeap, blk.prefix
+		return cct.ClassHeap, prefix
 	}
 	if sv, found := p.proc.LoadMap.FindStatic(ea); found {
 		if fr, ok := p.staticPrefix.Load(sv); ok {

@@ -144,30 +144,43 @@ func NewDecoder(in *Intern) *Decoder {
 // which trees staged clean and what was damaged; it stays valid until the
 // next Stage. An error from r other than io.EOF ends the image at the
 // bytes read so far, and whatever runs into that end reports the error.
+//
+// The 8-byte magic and version are judged before the buffer grows: input
+// that is not a profile of a known version costs at most the buffer's
+// existing capacity (4 KiB in a fresh decoder), however long it is.
 func (d *Decoder) Stage(r io.Reader) (*Staged, error) {
-	d.readErr = d.fill(r)
-	img := d.buf
-	d.st = Staged{Errs: d.st.Errs[:0], Bytes: int64(len(img))}
+	d.buf = d.buf[:0]
+	d.readErr = d.fill(r, 8)
+	d.st = Staged{Errs: d.st.Errs[:0]}
 	d.legacy = nil
 	d.haveTS, d.damaged = false, false
 	d.span = [cct.NumClasses]treeSpan{}
 
-	if len(img) < 4 {
+	hdr := d.buf
+	if len(hdr) < 4 {
 		return nil, fmt.Errorf("profio: reading magic: %w", d.short())
 	}
-	if m := binary.LittleEndian.Uint32(img); m != Magic {
+	if m := binary.LittleEndian.Uint32(hdr); m != Magic {
 		return nil, fmt.Errorf("profio: bad magic %#x", m)
 	}
-	if len(img) < 8 {
+	if len(hdr) < 8 {
 		return nil, fmt.Errorf("profio: reading version: %w", d.short())
 	}
-	switch v := binary.LittleEndian.Uint32(img[4:]); v {
-	case Version:
+	v := binary.LittleEndian.Uint32(hdr[4:])
+	if v != Version && v != Version1 && v != Version2 {
+		return nil, fmt.Errorf("profio: unsupported version %d", v)
+	}
+	if d.readErr == nil {
+		d.readErr = d.fill(r, -1)
+	}
+	img := d.buf
+	d.st.Bytes = int64(len(img))
+	if v == Version {
 		d.st.Version = v
 		if err := d.stageV3(img); err != nil {
 			return nil, err
 		}
-	case Version1, Version2:
+	} else {
 		src := io.Reader(bytes.NewReader(img))
 		if d.readErr != nil {
 			src = io.MultiReader(src, errReader{d.readErr})
@@ -179,8 +192,6 @@ func (d *Decoder) Stage(r io.Reader) (*Staged, error) {
 		d.legacy = rr.salvage()
 		d.st = d.legacy.Staged
 		d.st.Bytes = int64(len(img))
-	default:
-		return nil, fmt.Errorf("profio: unsupported version %d", v)
 	}
 	if !d.st.Intact() {
 		telSalvageFiles.Inc()
@@ -195,15 +206,17 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// fill reads r to EOF into the reusable buffer, which therefore grows
-// with the bytes actually present. It returns the error that ended the
-// read, nil for a clean EOF.
-func (d *Decoder) fill(r io.Reader) error {
-	b := d.buf[:0]
+// fill appends r's bytes to the reusable buffer until it holds at least
+// want bytes, or to EOF when want is negative. Each read fills the spare
+// capacity, and the buffer grows only when full, so it grows with the bytes
+// actually present and a small want never grows it. It returns the error
+// that ended the read, nil for a clean EOF or once want bytes are held.
+func (d *Decoder) fill(r io.Reader, want int) error {
+	b := d.buf
 	if cap(b) == 0 {
 		b = make([]byte, 0, 4096)
 	}
-	for {
+	for want < 0 || len(b) < want {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
 		}
@@ -217,6 +230,8 @@ func (d *Decoder) fill(r io.Reader) error {
 			return err
 		}
 	}
+	d.buf = b
+	return nil
 }
 
 // short is the error for input that ended before a complete record: the

@@ -2,6 +2,10 @@ package profio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
+	"strings"
 	"testing"
 
 	"dcprof/internal/cct"
@@ -105,5 +109,61 @@ func TestValidateV2RejectsVersion1(t *testing.T) {
 	}
 	if _, err := ValidateV2Profile(bytes.NewReader(enc)); err == nil {
 		t.Error("v1 stream accepted by v2-only validator")
+	}
+}
+
+// zeroReader yields n zero bytes, counting the bytes it hands out.
+type zeroReader struct{ n, read int64 }
+
+func (z *zeroReader) Read(p []byte) (int, error) {
+	if z.read >= z.n {
+		return 0, io.EOF
+	}
+	k := min(int64(len(p)), z.n-z.read)
+	clear(p[:k])
+	z.read += k
+	return int(k), nil
+}
+
+// TestValidateRejectsHostileHeaderEarly checks that a body whose 8-byte
+// header is not a known profile is turned away before the body is
+// buffered: 64 MiB of zeros, or a good magic with version 99 in front of
+// them, cost a few KiB however long the body runs. Short inputs keep
+// their error texts.
+func TestValidateRejectsHostileHeaderEarly(t *testing.T) {
+	v99 := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, Magic), 99)
+	for _, c := range []struct {
+		name string
+		hdr  []byte
+		want string
+	}{
+		{"zeros", nil, "bad magic 0x0"},
+		{"version 99", v99, "unsupported version 99"},
+	} {
+		body := &zeroReader{n: 64 << 20}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ValidateV2Profile(io.MultiReader(bytes.NewReader(c.hdr), body))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+			t.Errorf("%s: rejecting the header allocated %d B, want <= 64 KiB", c.name, alloc)
+		}
+		if read := body.read + int64(len(c.hdr)); read > 4<<10 {
+			t.Errorf("%s: read %d B of the body, want <= 4 KiB", c.name, read)
+		}
+	}
+	for _, c := range []struct {
+		in   []byte
+		want string
+	}{
+		{[]byte{1, 2, 3}, "profio: reading magic: "},
+		{v99[:6], "profio: reading version: "},
+	} {
+		if _, err := ValidateV2Profile(bytes.NewReader(c.in)); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%d-byte input: err = %v, want prefix %q", len(c.in), err, c.want)
+		}
 	}
 }

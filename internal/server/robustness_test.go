@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -471,4 +472,54 @@ func TestUploadClientDisconnect(t *testing.T) {
 	waitFor(t, func() bool { return fileCount(t, srv, "col") == 1 })
 	mustUpload(t, ts, "col", encodeProfile(t, synthProfile(0, 1, 200)))
 	mustGet(t, ts, "/collections/col/topdown")
+}
+
+// hostileBody yields n zero bytes.
+type hostileBody struct{ n int64 }
+
+func (z *hostileBody) Read(p []byte) (int, error) {
+	if z.n <= 0 {
+		return 0, io.EOF
+	}
+	k := min(int64(len(p)), z.n)
+	clear(p[:k])
+	z.n -= k
+	return int(k), nil
+}
+
+// TestUploadRejectsHostileBodyEarly posts 64 MiB of zeros straight into
+// the upload handler: the header alone condemns it, so the answer is 400,
+// nothing but the collection's metadata is left in its directory (no
+// profile, no temp file), and the handler allocates far less than the
+// body.
+func TestUploadRejectsHostileBodyEarly(t *testing.T) {
+	srv, err := New(Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	req := httptest.NewRequest(http.MethodPost, "/collections/hostile/profiles", &hostileBody{n: 64 << 20})
+	req.SetPathValue("name", "hostile")
+	rr := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.handleUpload(rr, req)
+	runtime.ReadMemStats(&after)
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "bad magic") {
+		t.Fatalf("status %d: %s, want 400 naming the bad magic", rr.Code, rr.Body.String())
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("rejecting a 64 MiB body allocated %d B, want <= 1 MiB", alloc)
+	}
+	if col := srv.store.get("hostile"); col != nil {
+		ents, err := os.ReadDir(col.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if e.Name() != metaFile {
+				t.Errorf("rejected upload left %s in the collection", e.Name())
+			}
+		}
+	}
 }
