@@ -4,9 +4,10 @@ GO ?= go
 
 # check is the full pre-merge gate: static checks, the whole test suite
 # (including the fault-injection suite), the race detector over the
-# goroutine-heavy packages (the simulator's thread fan-out, the analyzer's
-# streaming merge pipeline, the fault-tolerant I/O layers, and the
-# lock-free interval map with its users), a short
+# goroutine-heavy packages (the simulator's thread fan-out and memory
+# hierarchy, the analyzer's streaming merge pipeline, the fault-tolerant
+# I/O layers, and the lock-free readers: the interval map, the page table
+# and the statement-IP table), a short
 # fuzz of the profile reader, salvager, and the daemon's upload ingest,
 # and a one-iteration merge benchmark smoke to catch gross regressions.
 check: lint build test test-benchmark race chaos-smoke fuzz-smoke bench-smoke bench-merge-scale
@@ -36,7 +37,7 @@ test-benchmark:
 
 race:
 	$(GO) test -race ./internal/sim ./internal/analysis ./internal/profio ./internal/faultio ./internal/profiler ./internal/server ./internal/push ./internal/temporal ./internal/cct ./internal/view
-	$(GO) test -race ./internal/heapmap ./internal/mem ./internal/loadmap
+	$(GO) test -race ./internal/heapmap ./internal/mem ./internal/loadmap ./internal/cache ./internal/machine
 	$(GO) test -race ./internal/telemetry/...
 
 # Chaos smoke: the dcpush client through a scripted faulty transport

@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"dcprof/internal/machine"
 	"dcprof/internal/mem"
@@ -18,6 +17,12 @@ const l3Shards = 64
 // Hierarchy is the memory system of one node: per-core private caches and
 // TLB, per-socket shared L3, and per-NUMA-domain DRAM controllers. It is
 // safe for concurrent use by goroutines simulating hardware threads.
+//
+// An access writes only state its own core owns (caches, TLB, statistics,
+// all under the core's lock, which SMT siblings share) plus the genuinely
+// shared state: the socket's L3 shard and the home domain's DRAM
+// controller, each under its own lock, and the page table on a first touch.
+// Topology questions are answered from tables built at construction.
 type Hierarchy struct {
 	topo machine.Topology
 	cfg  Config
@@ -27,18 +32,25 @@ type Hierarchy struct {
 	l3Shift uint // log2(shards): low key bits consumed by shard selection
 	dram    []controller
 
-	// Aggregate statistics (atomics; exact under concurrency).
-	srcCount  [NumSources]atomic.Uint64
-	tlbMisses atomic.Uint64
-	accesses  atomic.Uint64
+	// remoteLat[a*NUMADomains+b] is the interconnect cost of a line
+	// fetched by domain a from memory homed in domain b.
+	remoteLat []uint64
 }
 
 type coreState struct {
-	mu  sync.Mutex
-	l1  *setAssoc
-	l2  *setAssoc
-	tlb *setAssoc
-	_   [32]byte // reduce false sharing between adjacent cores
+	mu     sync.Mutex
+	l1     *setAssoc
+	l2     *setAssoc
+	tlb    *setAssoc
+	domain int // the core's NUMA domain
+	socket int // the core's socket
+
+	// Statistics, guarded by mu; Snapshot sums them over cores.
+	accesses  uint64
+	tlbMisses uint64
+	srcCount  [NumSources]uint64
+
+	_ [64]byte // keep adjacent cores' hot fields on separate cache lines
 }
 
 type l3Shard struct {
@@ -67,9 +79,22 @@ func NewHierarchy(topo machine.Topology, cfg Config) *Hierarchy {
 		dram:  make([]controller, topo.NUMADomains),
 	}
 	for i := range h.cores {
-		h.cores[i].l1 = newSetAssoc(cfg.L1Sets, cfg.L1Ways)
-		h.cores[i].l2 = newSetAssoc(cfg.L2Sets, cfg.L2Ways)
-		h.cores[i].tlb = newSetAssoc(cfg.TLBSets, cfg.TLBWays)
+		cs := &h.cores[i]
+		cs.l1 = newSetAssoc(cfg.L1Sets, cfg.L1Ways)
+		cs.l2 = newSetAssoc(cfg.L2Sets, cfg.L2Ways)
+		cs.tlb = newSetAssoc(cfg.TLBSets, cfg.TLBWays)
+		cs.domain = topo.DomainOfCore(i)
+		cs.socket = topo.SocketOfCore(i)
+	}
+	n := topo.NUMADomains
+	h.remoteLat = make([]uint64, n*n)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			// RemoteHop is calibrated for a cross-package (2-hop)
+			// access; on-package die-to-die links (Magny-Cours) cost
+			// one hop.
+			h.remoteLat[a*n+b] = cfg.RemoteHop * uint64(topo.DomainDistance(a, b)) / 2
+		}
 	}
 	shards := l3Shards
 	setsPerShard := cfg.L3Sets / shards
@@ -114,28 +139,29 @@ func (h *Hierarchy) Access(core, asid int, addr mem.Addr, write bool, pt *mem.Pa
 	if core < 0 || core >= len(h.cores) {
 		panic(fmt.Sprintf("cache: core %d out of range [0,%d)", core, len(h.cores)))
 	}
-	h.accesses.Add(1)
 	cs := &h.cores[core]
 	lk := lineKey(asid, addr)
 	pk := pageKey(asid, addr)
-	myDomain := h.topo.DomainOfCore(core)
+	myDomain := cs.domain
 
 	var res AccessResult
 
 	cs.mu.Lock()
+	cs.accesses++
 	if _, ok := cs.tlb.lookup(pk); !ok {
 		res.TLBMiss = true
 		res.Latency += h.cfg.TLBMissLat
 		cs.tlb.insert(pk)
-		h.tlbMisses.Add(1)
+		cs.tlbMisses++
 	}
 	t := now + res.Latency // issue time after translation
 
 	if _, ok := cs.l1.lookup(lk); ok {
+		cs.srcCount[SrcL1]++
 		cs.mu.Unlock()
 		res.Latency += h.cfg.L1Lat
 		res.Source = SrcL1
-		h.finishHit(&res, addr, pt)
+		finishHit(&res, addr, pt)
 		return res
 	}
 	if i, ok := cs.l2.lookup(lk); ok {
@@ -145,61 +171,65 @@ func (h *Hierarchy) Access(core, asid int, addr mem.Addr, write bool, pt *mem.Pa
 			// classified by the fill's memory source — this is how
 			// bandwidth-saturated streams stay visible to the PMU.
 			cs.l1.insert(lk)
-			h.prefetch(cs, core, asid, addr, pt, t)
+			h.prefetch(cs, asid, addr, pt, t)
+			cs.srcCount[origin]++
 			cs.mu.Unlock()
 			res.Latency += residual + h.cfg.L2Lat
 			res.QueueDelay = residual
 			res.Source = origin
 			res.HomeDomain = home
 			res.Remote = home != myDomain
-			h.srcCount[origin].Add(1)
 			return res
 		}
 		cs.l1.insert(lk)
-		h.prefetch(cs, core, asid, addr, pt, t)
+		h.prefetch(cs, asid, addr, pt, t)
+		cs.srcCount[SrcL2]++
 		cs.mu.Unlock()
 		res.Latency += h.cfg.L2Lat
 		res.Source = SrcL2
-		h.finishHit(&res, addr, pt)
+		finishHit(&res, addr, pt)
 		return res
 	}
 	// Probe the socket's shared L3.
-	socket := h.topo.SocketOfCore(core)
+	socket := cs.socket
 	if hit, residual, origin, home, late := h.l3Lookup(socket, lk, t); hit {
 		cs.l2.insert(lk)
 		cs.l1.insert(lk)
-		h.prefetch(cs, core, asid, addr, pt, t)
-		cs.mu.Unlock()
+		h.prefetch(cs, asid, addr, pt, t)
 		if late {
+			cs.srcCount[origin]++
+			cs.mu.Unlock()
 			res.Latency += residual + h.cfg.L3Lat
 			res.QueueDelay = residual
 			res.Source = origin
 			res.HomeDomain = home
 			res.Remote = home != myDomain
-			h.srcCount[origin].Add(1)
 			return res
 		}
+		cs.srcCount[SrcL3]++
+		cs.mu.Unlock()
 		res.Latency += h.cfg.L3Lat
 		res.Source = SrcL3
-		h.finishHit(&res, addr, pt)
+		finishHit(&res, addr, pt)
 		return res
 	}
 
 	// Cross-socket intervention: a line recently used on another socket is
 	// served from that socket's L3 across the interconnect instead of from
 	// memory (SMP coherence, as on POWER7 / HyperTransport probes).
-	for s := 0; s < h.topo.Sockets; s++ {
+	for s := range h.l3 {
 		if s == socket || !h.l3Present(s, lk) {
 			continue
 		}
 		cs.l2.insert(lk)
 		cs.l1.insert(lk)
 		h.l3Insert(socket, lk)
-		h.prefetch(cs, core, asid, addr, pt, t)
+		h.prefetch(cs, asid, addr, pt, t)
+		cs.srcCount[SrcRemoteL3]++
 		cs.mu.Unlock()
 		res.Latency += h.cfg.L3Lat + h.cfg.RemoteHop
 		res.Source = SrcRemoteL3
-		h.finishHit(&res, addr, pt)
+		finishHit(&res, addr, pt)
 		if res.HomeDomain >= 0 {
 			res.Remote = res.HomeDomain != myDomain
 		}
@@ -213,9 +243,7 @@ func (h *Hierarchy) Access(core, asid int, addr mem.Addr, write bool, pt *mem.Pa
 
 	lat := h.cfg.MemLat
 	if res.Remote {
-		// RemoteHop is calibrated for a cross-package (2-hop) access;
-		// on-package die-to-die links (Magny-Cours) cost one hop.
-		lat += h.cfg.RemoteHop * uint64(h.topo.DomainDistance(myDomain, home)) / 2
+		lat += h.remoteLat[myDomain*len(h.dram)+home]
 		res.Source = SrcRemoteDRAM
 	} else {
 		res.Source = SrcLocalDRAM
@@ -227,18 +255,16 @@ func (h *Hierarchy) Access(core, asid int, addr mem.Addr, write bool, pt *mem.Pa
 	h.l3Insert(socket, lk)
 	cs.l2.insert(lk)
 	cs.l1.insert(lk)
-	h.prefetch(cs, core, asid, addr, pt, t+lat)
+	h.prefetch(cs, asid, addr, pt, t+lat)
+	cs.srcCount[res.Source]++
 	cs.mu.Unlock()
-
-	h.srcCount[res.Source].Add(1)
 	return res
 }
 
 // finishHit fills in NUMA fields for cache hits (the home is whatever the
 // page table already records; unplaced means the line was installed by a
 // prefetch in this domain — treat as local).
-func (h *Hierarchy) finishHit(res *AccessResult, addr mem.Addr, pt *mem.PageTable) {
-	h.srcCount[res.Source].Add(1)
+func finishHit(res *AccessResult, addr mem.Addr, pt *mem.PageTable) {
 	if home, ok := pt.Home(addr); ok {
 		res.HomeDomain = home
 	} else {
@@ -252,7 +278,7 @@ func (h *Hierarchy) finishHit(res *AccessResult, addr mem.Addr, pt *mem.PageTabl
 // bandwidth at the home domain and completes at a future time; a demand
 // access that arrives before then pays the residual (see setAssoc.pending).
 // Caller holds cs.mu.
-func (h *Hierarchy) prefetch(cs *coreState, core, asid int, addr mem.Addr, pt *mem.PageTable, now uint64) {
+func (h *Hierarchy) prefetch(cs *coreState, asid int, addr mem.Addr, pt *mem.PageTable, now uint64) {
 	for d := 1; d <= h.cfg.PrefetchDegree; d++ {
 		next := addr + mem.Addr(d*LineSize)
 		if mem.PageOf(next) != mem.PageOf(addr) {
@@ -262,28 +288,26 @@ func (h *Hierarchy) prefetch(cs *coreState, core, asid int, addr mem.Addr, pt *m
 		if cs.l2.present(lk) {
 			continue
 		}
-		socket := h.topo.SocketOfCore(core)
-		if h.l3Present(socket, lk) {
+		if h.l3Present(cs.socket, lk) {
 			// On-socket already: cheap L3->L2 fill, effectively ready.
 			cs.l2.insert(lk)
 			continue
 		}
 		// Fill from memory in the background — unless the home controller
 		// is backed up past the throttle point (finite miss queues).
-		myDomain := h.topo.DomainOfCore(core)
-		home := pt.Resolve(next, myDomain)
+		home := pt.Resolve(next, cs.domain)
 		if h.cfg.PrefetchThrottle > 0 && h.dram[home].saturated(now, h.cfg.DRAMService) {
 			continue
 		}
 		qd := h.dram[home].fetch(now, h.cfg.DRAMService)
 		lat := h.cfg.MemLat + qd + h.cfg.DRAMService
 		src := SrcLocalDRAM
-		if home != myDomain {
-			lat += h.cfg.RemoteHop * uint64(h.topo.DomainDistance(myDomain, home)) / 2
+		if home != cs.domain {
+			lat += h.remoteLat[cs.domain*len(h.dram)+home]
 			src = SrcRemoteDRAM
 		}
 		ready := now + lat
-		h.l3InsertPending(socket, lk, ready, lat, src, home)
+		h.l3InsertPending(cs.socket, lk, ready, lat, src, home)
 		way, _ := cs.l2.insert(lk)
 		cs.l2.setPending(way, ready, lat, src, home)
 	}
@@ -342,16 +366,21 @@ type Stats struct {
 	DRAMBusy     []uint64
 }
 
-// Snapshot returns current aggregate counters.
+// Snapshot returns current aggregate counters, summed over the cores.
 func (h *Hierarchy) Snapshot() Stats {
 	s := Stats{
-		Accesses:     h.accesses.Load(),
-		TLBMisses:    h.tlbMisses.Load(),
 		DRAMAccesses: make([]uint64, len(h.dram)),
 		DRAMBusy:     make([]uint64, len(h.dram)),
 	}
-	for i := range h.srcCount {
-		s.BySource[i] = h.srcCount[i].Load()
+	for i := range h.cores {
+		cs := &h.cores[i]
+		cs.mu.Lock()
+		s.Accesses += cs.accesses
+		s.TLBMisses += cs.tlbMisses
+		for src, n := range cs.srcCount {
+			s.BySource[src] += n
+		}
+		cs.mu.Unlock()
 	}
 	for i := range h.dram {
 		s.DRAMAccesses[i], s.DRAMBusy[i] = h.dram[i].stats()

@@ -274,3 +274,38 @@ func TestConcurrentAccessesRaceFree(t *testing.T) {
 		t.Errorf("accesses = %d, want %d", s.Accesses, topo.NumCores()*2000)
 	}
 }
+
+// TestAccessAllocFree gates the per-access path at zero heap allocations:
+// an L1 hit, and a DRAM miss on a homed page whose controller window is
+// already booked (a new window is one map entry, paid once per 2,048
+// simulated cycles, not per access).
+func TestAccessAllocFree(t *testing.T) {
+	h, pt := testHierarchy()
+	a := mem.HeapBase
+	h.Access(0, 0, a, false, pt, 0)
+	if allocs := testing.AllocsPerRun(1000, func() { h.Access(0, 0, a, false, pt, 0) }); allocs != 0 {
+		t.Errorf("L1 hit: %v allocs per access, want 0", allocs)
+	}
+
+	const runs = 200
+	page := func(i int) mem.Addr { return a + mem.PageSize*mem.Addr(1+i) }
+	for i := 0; i <= runs+2; i++ {
+		pt.Resolve(page(i), 0)
+		// A warm-up miss in page i books window i of domain 0's
+		// controller; the measured miss reads the page's first line.
+		h.Access(0, 0, page(i)+32*LineSize, false, pt, uint64(i)*windowCycles)
+	}
+	i, misses := 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if r := h.Access(0, 0, page(i), false, pt, uint64(i)*windowCycles); r.Source == SrcLocalDRAM {
+			misses++
+		}
+		i++
+	})
+	if misses != runs+1 {
+		t.Fatalf("%d of %d measured accesses missed to DRAM", misses, runs+1)
+	}
+	if allocs != 0 {
+		t.Errorf("DRAM miss: %v allocs per access, want 0", allocs)
+	}
+}

@@ -14,21 +14,21 @@ import (
 	"dcprof/internal/profio"
 )
 
-// streamWorkers fixes the streaming-ingest concurrency so the residency
-// column is comparable across rows and machines.
-const streamWorkers = 4
+// loadWorkers fixes the file loader's worker count so the load and
+// residency columns are comparable across rows and machines.
+const loadWorkers = 4
 
 // scaling quantifies the paper's §2.2 scalability claims directly: as the
 // thread count grows, per-thread profiles stay compact (size tracks
 // distinct calling contexts, not execution volume), merged databases stay
 // near single-thread size (cross-thread CCT coalescing), the
-// reduction-tree merge parallelizes, and the streaming ingest pipeline
-// holds only a bounded number of decoded profiles resident no matter how
-// many files the measurement has.
+// reduction-tree merge parallelizes, and the file loader holds only a
+// bounded number of decoded profiles resident no matter how many files the
+// measurement has.
 func scaling(ctx *Context, s Scale) *Table {
 	t := &Table{ID: "scaling", Title: "measurement and analysis scalability vs thread count",
 		Header: []string{"threads", "profile bytes/thread", "input CCT nodes", "merged nodes",
-			"coalescing", "merge seq", "merge par", "stream ingest+merge", "peak resident"}}
+			"coalescing", "merge seq", "merge par", fmt.Sprintf("load from files (%d workers)", loadWorkers), "peak resident"}}
 
 	counts := []int{8, 32, 128}
 	if s == Quick {
@@ -57,7 +57,7 @@ func scaling(ctx *Context, s Scale) *Table {
 			}
 		}
 		st := analysis.MeasureMerge(res.Profiles)
-		streamCell, residentCell := measureStreaming(res.Profiles, threads)
+		loadCell, residentCell := measureLoad(res.Profiles, threads)
 		t.AddRow(
 			fmt.Sprintf("%d", threads),
 			fmt.Sprintf("%d", bytes/int64(len(res.Profiles))),
@@ -66,19 +66,19 @@ func scaling(ctx *Context, s Scale) *Table {
 			fmt.Sprintf("%.1fx", st.CoalescingFactor()),
 			st.SequentialMerge.Round(10_000).String(),
 			st.ParallelMerge.Round(10_000).String(),
-			streamCell,
+			loadCell,
 			residentCell,
 		)
 	}
 	t.AddNote("per-thread size and merged nodes stay flat as threads grow: the compactness the paper needs at Sequoia scale")
-	t.AddNote("file loader (%d workers) decodes each file straight into a worker's accumulator; files staged but not yet applied never exceed the worker count while thread count grows", streamWorkers)
+	t.AddNote("file loader (%d workers) decodes each file straight into a worker's accumulator; files staged but not yet applied never exceed the worker count while thread count grows", loadWorkers)
 	return t
 }
 
-// measureStreaming writes the profiles to a scratch measurement directory
+// measureLoad writes the profiles to a scratch measurement directory
 // and loads it back, reporting the load's end-to-end wall time and its
 // peak of files staged but not yet applied.
-func measureStreaming(profiles []*cct.Profile, threads int) (string, string) {
+func measureLoad(profiles []*cct.Profile, threads int) (string, string) {
 	dir, err := os.MkdirTemp("", "dcprof-scaling")
 	if err != nil {
 		return "n/a", "n/a"
@@ -87,7 +87,7 @@ func measureStreaming(profiles []*cct.Profile, threads int) (string, string) {
 	if _, err := profio.WriteDir(dir, profiles); err != nil {
 		return "n/a", "n/a"
 	}
-	_, st, err := analysis.LoadDirStreamingCtx(context.Background(), dir, analysis.LoadOptions{Workers: streamWorkers})
+	_, st, err := analysis.LoadDirStreamingCtx(context.Background(), dir, analysis.LoadOptions{Workers: loadWorkers})
 	if err != nil {
 		return "n/a", "n/a"
 	}

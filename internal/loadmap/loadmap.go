@@ -55,7 +55,9 @@ type stmt struct {
 	line int
 }
 
-// Function is one function symbol within a module.
+// Function is one function symbol within a module. Its statement IPs are
+// read without a lock: IPFor looks the line up in an immutable map that the
+// first use of a new line copies and republishes.
 type Function struct {
 	// Module is the owning load module.
 	Module *Module
@@ -66,8 +68,8 @@ type Function struct {
 	File      string
 	StartLine int
 
-	mu     sync.Mutex
-	lineIP map[int]uint64
+	mu     sync.Mutex                     // serializes new lines
+	lineIP atomic.Pointer[map[int]uint64] // line -> IP; copy-on-write
 }
 
 // StaticVar is one static variable symbol with its data-segment range.
@@ -103,7 +105,8 @@ func (m *Module) DataBase() mem.Addr { return m.dataBase }
 
 // AddFunc declares a function symbol.
 func (m *Module) AddFunc(name, file string, startLine int) *Function {
-	f := &Function{Module: m, Name: name, File: file, StartLine: startLine, lineIP: make(map[int]uint64)}
+	f := &Function{Module: m, Name: name, File: file, StartLine: startLine}
+	f.lineIP.Store(&map[int]uint64{})
 	m.mu.Lock()
 	m.funcs = append(m.funcs, f)
 	m.mu.Unlock()
@@ -158,15 +161,21 @@ func (m *Module) Funcs() []*Function {
 
 // IPFor returns the synthetic instruction address for a source line within
 // the function, creating it on first use. Distinct (function, line) pairs
-// get distinct addresses; repeated queries are stable.
+// get distinct addresses; repeated queries are stable. A known line takes
+// no lock.
 func (f *Function) IPFor(line int) uint64 {
-	f.mu.Lock()
-	if ip, ok := f.lineIP[line]; ok {
-		f.mu.Unlock()
+	if ip, ok := (*f.lineIP.Load())[line]; ok {
 		return ip
 	}
-	f.mu.Unlock()
 
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	// Re-check: another thread may have added the line since the lock-free
+	// read; its IP is the one already handed out.
+	cur := *f.lineIP.Load()
+	if ip, ok := cur[line]; ok {
+		return ip
+	}
 	m := f.Module
 	m.mu.Lock()
 	ip := m.nextIP
@@ -174,15 +183,12 @@ func (f *Function) IPFor(line int) uint64 {
 	m.ipToStmt[ip] = stmt{fn: f, line: line}
 	m.mu.Unlock()
 
-	f.mu.Lock()
-	// Re-check: another thread may have won the race; prefer its mapping to
-	// keep IPFor stable. The orphaned ip still resolves correctly.
-	if existing, ok := f.lineIP[line]; ok {
-		f.mu.Unlock()
-		return existing
+	next := make(map[int]uint64, len(cur)+1)
+	for l, v := range cur {
+		next[l] = v
 	}
-	f.lineIP[line] = ip
-	f.mu.Unlock()
+	next[line] = ip
+	f.lineIP.Store(&next)
 	return ip
 }
 

@@ -175,6 +175,58 @@ func TestConcurrentIPFor(t *testing.T) {
 	}
 }
 
+// TestConcurrentIPForOverlappingLines has goroutines ask for overlapping
+// line sets of two functions at once, so new lines are published while
+// other goroutines read the map lock-free. Each (function, line) must get
+// one IP, distinct pairs distinct IPs, and every IP must resolve back.
+func TestConcurrentIPForOverlappingLines(t *testing.T) {
+	m := NewModule("exe", 0)
+	fns := []*Function{m.AddFunc("a", "a.c", 1), m.AddFunc("b", "b.c", 100)}
+	const workers, lines = 8, 64
+	got := make([][2][lines]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < lines; k++ {
+				line := (k + w*lines/workers) % lines // each worker starts elsewhere
+				for fi, f := range fns {
+					got[w][fi][line] = f.IPFor(line)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool)
+	for fi, f := range fns {
+		for line := 0; line < lines; line++ {
+			ip := got[0][fi][line]
+			for w := 1; w < workers; w++ {
+				if got[w][fi][line] != ip {
+					t.Fatalf("%s line %d: workers got IPs %#x and %#x", f.Name, line, ip, got[w][fi][line])
+				}
+			}
+			if seen[ip] {
+				t.Fatalf("%s line %d: IP %#x already handed to another statement", f.Name, line, ip)
+			}
+			seen[ip] = true
+			if rf, rl, ok := m.Resolve(ip); !ok || rf != f || rl != line {
+				t.Errorf("IP %#x resolves to %v line %d, want %s line %d", ip, rf, rl, f.Name, line)
+			}
+		}
+	}
+}
+
+// TestIPForKnownLineAllocFree gates the lock-free read at zero allocations.
+func TestIPForKnownLineAllocFree(t *testing.T) {
+	f := NewModule("exe", 0).AddFunc("main", "main.c", 1)
+	f.IPFor(7)
+	if allocs := testing.AllocsPerRun(1000, func() { f.IPFor(7) }); allocs != 0 {
+		t.Errorf("IPFor on a known line: %v allocs, want 0", allocs)
+	}
+}
+
 func TestConcurrentLoadUnloadAndResolve(t *testing.T) {
 	lm := NewMap()
 	exe := lm.Load("exe")

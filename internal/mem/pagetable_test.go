@@ -182,3 +182,106 @@ func TestQuickInterleaveEven(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHomedPageReadsWhileWritersChurn reads one homed page's domain
+// lock-free while writers first-touch, discard and re-policy other pages —
+// pages in the stable page's own chunk, across the chunk boundary next to
+// it, and in chunks created during the run below it, so the directory
+// entry the readers need moves with each republish. Every read must return
+// the stable page's domain.
+func TestHomedPageReadsWhileWritersChurn(t *testing.T) {
+	pt := NewPageTable(4, FirstTouch{})
+	boundary := HeapBase + 64*chunkPages*PageSize // first page of chunk 64
+	stable := boundary - 32*PageSize              // in chunk 63, below every churned range
+	if d := pt.Resolve(stable, 3); d != 3 {
+		t.Fatalf("stable page homed in %d", d)
+	}
+	const iters = 2000
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if d, ok := pt.Home(stable + 8); !ok || d != 3 {
+					errs <- "Home lost the stable page"
+					return
+				}
+				if d := pt.Resolve(stable, i%4); d != 3 {
+					errs <- "Resolve moved the stable page"
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				lo := boundary - Addr(4+i%8)*PageSize // straddles the boundary
+				hi := boundary + Addr(1+i%8)*PageSize
+				far := HeapBase + Addr(2+w*8+i%8)*chunkPages*PageSize
+				pt.Resolve(lo, w)
+				pt.Resolve(hi, w)
+				pt.Resolve(far, w)
+				switch i % 3 {
+				case 0:
+					pt.Discard(lo, hi)
+				case 1:
+					pt.SetRangePolicy(lo, hi, Interleave{})
+				case 2:
+					pt.ClearRangePolicy(lo, hi)
+					pt.Discard(far, far+PageSize)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	var total uint64
+	for _, n := range pt.DomainCounts() {
+		total += n
+	}
+	if int(total) != pt.MappedPages() {
+		t.Errorf("DomainCounts sum to %d, MappedPages = %d", total, pt.MappedPages())
+	}
+}
+
+// TestDiscardAcrossChunks discards a range spanning three chunks, one of
+// them never created, and checks the counts follow.
+func TestDiscardAcrossChunks(t *testing.T) {
+	pt := NewPageTable(2, FirstTouch{})
+	page := func(i int) Addr { return HeapBase + Addr(i)*PageSize }
+	for _, i := range []int{0, chunkPages - 1, chunkPages, 3 * chunkPages, 3*chunkPages + 5} {
+		pt.Resolve(page(i), i%2)
+	}
+	pt.Discard(page(chunkPages-1), page(3*chunkPages+1))
+	if got := pt.MappedPages(); got != 2 {
+		t.Errorf("MappedPages = %d, want 2", got)
+	}
+	for i, want := range map[int]bool{0: true, chunkPages - 1: false, chunkPages: false, 3 * chunkPages: false, 3*chunkPages + 5: true} {
+		if _, ok := pt.Home(page(i)); ok != want {
+			t.Errorf("page %d homed = %v, want %v", i, ok, want)
+		}
+	}
+	if c := pt.DomainCounts(); c[0]+c[1] != 2 {
+		t.Errorf("DomainCounts = %v", c)
+	}
+}
+
+// TestHomedReadsAllocFree gates the read path at zero allocations.
+func TestHomedReadsAllocFree(t *testing.T) {
+	pt := NewPageTable(4, FirstTouch{})
+	pt.Resolve(HeapBase, 2)
+	if allocs := testing.AllocsPerRun(1000, func() { pt.Home(HeapBase + 64) }); allocs != 0 {
+		t.Errorf("Home: %v allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { pt.Resolve(HeapBase+64, 1) }); allocs != 0 {
+		t.Errorf("Resolve of a homed page: %v allocs, want 0", allocs)
+	}
+}
