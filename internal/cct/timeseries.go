@@ -23,7 +23,8 @@ type TimeDelta struct {
 	Class Class
 	// Node is the CCT node the metrics were attributed to. It is a node
 	// of the owning Profile's Trees[Class]; the on-disk encoding refers
-	// to it by its deterministic pre-order index in that tree.
+	// to it by its deterministic pre-order position across the profile's
+	// trees, class by class, so the class is implied by the position.
 	Node *Node
 	// Metrics is the increment recorded during the window (not a
 	// cumulative total).
@@ -37,7 +38,7 @@ type TimeWindow struct {
 	// [Index*Width, (Index+1)*Width).
 	Index uint64
 	// Deltas holds the per-node increments. Order is unspecified in
-	// memory; the encoder sorts by (class, node pre-order index).
+	// memory; the encoder sorts by pre-order position and sums repeats.
 	Deltas []TimeDelta
 }
 

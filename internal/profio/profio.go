@@ -26,9 +26,11 @@
 //	trailer ×N (optional)       — u32 section magic · section
 //
 // where every section is `uvarint payloadLen · payload · u32 CRC32(payload)`.
-// Trailer sections after the footer are tagged by a magic ("DCPT" = the
-// temporal sidecar, see temporal.go); unknown magics are checksum-verified
-// and skipped, so older data survives newer writers and vice versa.
+// Trailer sections after the footer are tagged by a magic ("DCPC" = the
+// temporal sidecar as deflated columns, see temporal.go; "DCPT" = the row
+// encoding it replaced, read but no longer written); unknown magics are
+// checksum-verified and skipped, so older data survives newer writers and
+// vice versa.
 //
 // Format v3 (the current write format, see v3.go) keeps v2's framing —
 // magic, section/checksum layout, footer, trailers — but deduplicates
@@ -44,6 +46,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"dcprof/internal/cct"
 	"dcprof/internal/metric"
@@ -118,7 +123,7 @@ func (e *encoder) treeRows(lo, hi int) {
 }
 
 // appendSparse encodes a metric vector as `byte nnz · {byte id · uvarint
-// value}×nnz`, the form v2 node rows and sidecar entries share.
+// value}×nnz`, the metric form of a v2 node row.
 func appendSparse(out []byte, v *metric.Vector) []byte {
 	nz := len(out)
 	out = append(out, 0)
@@ -201,56 +206,130 @@ func (OSFS) SyncDir(path string) error {
 // (including mid-write: full filesystem, dead rank) can therefore never
 // leave a partial file under a final profile name — readers see either the
 // complete file or nothing.
+//
+// The temp files are encoded, written and fsynced on up to GOMAXPROCS
+// workers, one pooled encoder each; the renames publish them in input
+// order. When profile i fails, exactly profiles 0..i-1 are published, the
+// error is profile i's, and every later temp file is removed.
 func WriteDir(dir string, profiles []*cct.Profile) (int64, error) {
 	return WriteDirFS(OSFS{}, dir, profiles)
 }
 
-// WriteDirFS is WriteDir over an explicit filesystem.
+// WriteDirFS is WriteDir over an explicit filesystem, which must allow
+// concurrent use.
 func WriteDirFS(fsys FS, dir string, profiles []*cct.Profile) (int64, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}
+	temps := make([]tempFile, len(profiles))
+	done := make(chan int, len(profiles))
+	var next atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(profiles)); w > 0; w-- {
+		wg.Add(1)
+		go func(keep bool) {
+			defer wg.Done()
+			// One encoder per worker, for all of its files. Only one goes
+			// back to the pool, as a sequential write would leave it: the
+			// others' scratch (MiBs on a dense profile) is not pinned
+			// after a one-off burst.
+			e := encoderPool.Get().(*encoder)
+			if keep {
+				defer encoderPool.Put(e)
+			}
+			for !stop.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(profiles) {
+					return
+				}
+				temps[i] = writeTemp(fsys, dir, e, profiles[i])
+				done <- i
+			}
+		}(w == 1)
+	}
+
+	// Publish in input order as the temp files complete.
 	var total int64
-	for _, p := range profiles {
-		n, err := writeOne(fsys, dir, p)
-		total += n
-		if err != nil {
-			return total, err
+	var err error
+	ready := make([]bool, len(profiles))
+	published := 0
+	for published < len(profiles) && err == nil {
+		ready[<-done] = true
+		for ; published < len(profiles) && ready[published]; published++ {
+			if err = temps[published].publish(fsys); err != nil {
+				break
+			}
+			total += temps[published].n
 		}
 	}
+	if err != nil {
+		stop.Store(true)
+		wg.Wait()
+		for _, t := range temps[published+1:] {
+			if t.err == nil && t.tmp != "" {
+				fsys.Remove(t.tmp)
+			}
+		}
+		return total, err
+	}
+	wg.Wait()
 	if err := fsys.SyncDir(dir); err != nil {
 		return total, fmt.Errorf("profio: syncing %s: %w", dir, err)
 	}
 	return total, nil
 }
 
-func writeOne(fsys FS, dir string, p *cct.Profile) (int64, error) {
-	final := filepath.Join(dir, FileName(p.Rank, p.Thread))
-	tmp := final + TmpSuffix
+// tempFile is one profile's completed (or failed) temp file, awaiting
+// publication.
+type tempFile struct {
+	tmp, final string
+	n          int64
+	err        error
+}
+
+// writeTemp encodes p into its temp file, fsyncs and closes it. On failure
+// the temp file is already removed.
+func writeTemp(fsys FS, dir string, e *encoder, p *cct.Profile) tempFile {
+	t := tempFile{final: filepath.Join(dir, FileName(p.Rank, p.Thread))}
+	tmp := t.final + TmpSuffix
 	f, err := fsys.Create(tmp)
 	if err != nil {
-		return 0, err
+		t.err = err
+		return t
 	}
-	n, err := writeProfile(f, p, Version)
+	n, err := e.write(f, p, Version)
 	if err != nil {
 		f.Close()
 		fsys.Remove(tmp)
-		return 0, fmt.Errorf("profio: writing %s: %w", tmp, err)
+		t.err = fmt.Errorf("profio: writing %s: %w", tmp, err)
+		return t
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		fsys.Remove(tmp)
-		return 0, fmt.Errorf("profio: syncing %s: %w", tmp, err)
+		t.err = fmt.Errorf("profio: syncing %s: %w", tmp, err)
+		return t
 	}
 	if err := f.Close(); err != nil {
 		fsys.Remove(tmp)
-		return 0, fmt.Errorf("profio: closing %s: %w", tmp, err)
+		t.err = fmt.Errorf("profio: closing %s: %w", tmp, err)
+		return t
 	}
-	if err := fsys.Rename(tmp, final); err != nil {
-		fsys.Remove(tmp)
-		return 0, fmt.Errorf("profio: publishing %s: %w", final, err)
+	t.tmp, t.n = tmp, n
+	return t
+}
+
+// publish renames a completed temp file to its final name.
+func (t *tempFile) publish(fsys FS) error {
+	if t.err != nil {
+		return t.err
+	}
+	if err := fsys.Rename(t.tmp, t.final); err != nil {
+		fsys.Remove(t.tmp)
+		return fmt.Errorf("profio: publishing %s: %w", t.final, err)
 	}
 	telWriteProfiles.Inc()
-	telWriteBytes.Add(uint64(n))
-	return n, nil
+	telWriteBytes.Add(uint64(t.n))
+	return nil
 }

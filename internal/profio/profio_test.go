@@ -3,7 +3,12 @@ package profio
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -193,6 +198,71 @@ func TestWriteReadDir(t *testing.T) {
 		a, b := got[i-1], got[i]
 		if a.Rank > b.Rank || (a.Rank == b.Rank && a.Thread >= b.Thread) {
 			t.Error("ReadDir not sorted")
+		}
+	}
+}
+
+// renameLog is an FS that records the final names it publishes, in
+// order, from however many goroutines rename.
+type renameLog struct {
+	OSFS
+	mu    sync.Mutex
+	names []string
+}
+
+func (r *renameLog) Rename(oldpath, newpath string) error {
+	r.mu.Lock()
+	r.names = append(r.names, filepath.Base(newpath))
+	r.mu.Unlock()
+	return r.OSFS.Rename(oldpath, newpath)
+}
+
+// TestWriteDirPublishesInInputOrder: with more workers than the host has
+// CPUs, WriteDirFS publishes in input order; when profile i fails, exactly
+// profiles 0..i-1 are published, the error is profile i's, and no temp
+// file is left behind.
+func TestWriteDirPublishesInInputOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	var ps []*cct.Profile
+	var want []string
+	var size int64
+	for th := 0; th < 40; th++ {
+		p := temporalProfile(0, th)
+		ps = append(ps, p)
+		want = append(want, FileName(0, th))
+		n, err := EncodedSize(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += n
+	}
+	for _, bad := range []int{-1, 0, 17, 39} {
+		in := append([]*cct.Profile{}, ps...)
+		if bad >= 0 {
+			in[bad] = cct.NewProfile(0, bad, "IBS@1")
+			in[bad].Trees[cct.ClassStatic] = nil
+		}
+		dir := t.TempDir()
+		fsys := &renameLog{}
+		total, err := WriteDirFS(fsys, dir, in)
+		published := len(in)
+		if bad >= 0 {
+			published = bad
+			if err == nil || !strings.Contains(err.Error(), "no static data tree") {
+				t.Errorf("profile %d bad: error %v, want its missing tree named", bad, err)
+			}
+		} else if err != nil || total != size {
+			t.Errorf("wrote %d B (%v), want %d", total, err, size)
+		}
+		if !slices.Equal(fsys.names, want[:published]) {
+			t.Errorf("profile %d bad: published %v, want %v", bad, fsys.names, want[:published])
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != published {
+			t.Errorf("profile %d bad: directory holds %d entries, want the %d published", bad, len(ents), published)
 		}
 	}
 }

@@ -459,12 +459,12 @@ func (d *rowReader) readTrailers() error {
 			return d.trailerErr(fmt.Errorf("profio: %w", err))
 		}
 		switch m {
-		case TemporalMagic:
+		case TemporalMagic, TemporalRowsMagic:
 			if d.temporal != nil {
 				d.trailerDamaged = true
 				return fmt.Errorf("profio: duplicate temporal trailer section")
 			}
-			ts, err := decodeTimeSeries(payload, &d.classNodes)
+			ts, err := decodeTimeSeries(m, payload, &d.classNodes)
 			if err != nil {
 				d.trailerDamaged = true
 				return fmt.Errorf("profio: temporal sidecar: %w", err)

@@ -690,12 +690,12 @@ func (d *Decoder) stageTrailers(img []byte, off int) error {
 			return fmt.Errorf("profio: trailer %#x: %w", m, err)
 		}
 		switch m {
-		case TemporalMagic:
+		case TemporalMagic, TemporalRowsMagic:
 			if d.haveTS {
 				d.damaged = true
 				return fmt.Errorf("profio: duplicate temporal trailer section")
 			}
-			if err := d.series.stage(payload, &counts); err != nil {
+			if err := d.series.stage(m, payload, &counts); err != nil {
 				d.damaged = true
 				return fmt.Errorf("profio: temporal sidecar: %w", err)
 			}

@@ -237,7 +237,7 @@ func TestTemporalNodeDeltaOverflowRejected(t *testing.T) {
 	pl = append(pl, byte(cct.ClassHeap))
 	uv(^uint64(0)) // entry 2: delta wraps back to node 0
 	pl = append(pl, 0)
-	img := appendTrailer(base.Bytes(), TemporalMagic, pl)
+	img := appendTrailer(base.Bytes(), TemporalRowsMagic, pl)
 	if _, err := ReadProfile(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "node index overflows") {
 		t.Fatalf("wrapping node delta not rejected: %v", err)
 	}
@@ -341,46 +341,71 @@ func TestSalvageDamagedTreeDropsSidecar(t *testing.T) {
 	}
 }
 
-// FuzzTemporalSection throws arbitrary bytes at the sidecar decoder two
-// ways: framed as a checksum-valid DCPT trailer (so the decoder itself is
-// always reached) and appended raw after the footer. Neither may panic;
-// salvage must still recover every tree.
+// FuzzTemporalSection throws arbitrary bytes at the sidecar decoder four
+// ways: framed as a checksum-valid "DCPT" row payload, as a "DCPC"
+// payload (block length and deflate stream: inflate and the staging cap),
+// as a "DCPC" column block the harness deflates (so mutations reach the
+// column parser), all three so the decoder itself is always reached, and
+// appended raw after the footer. None may panic; salvage must still
+// recover every tree; and a sidecar that decodes re-encodes to one that
+// decodes to the same series.
 func FuzzTemporalSection(f *testing.F) {
-	var base bytes.Buffer
-	if err := WriteProfile(&base, sampleProfile(3, 17)); err != nil {
+	base := encodeV3(f, sampleProfile(3, 17))
+	// Seed from what the encoders really write, so the fuzzer mutates
+	// from structurally interesting points.
+	payload := func(img []byte) []byte {
+		ix, err := IndexSections(bytes.NewReader(img), int64(len(img)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		tr := ix.Trailers()[0]
+		return append([]byte{}, img[tr.Offset:tr.Offset+tr.Len]...)
+	}
+	p := temporalProfile(3, 17)
+	rows := payload(encode(f, func(b *bytes.Buffer, p *cct.Profile) error { return referenceWriteProfile(b, p) }, p))
+	cols := payload(encodeV3(f, p))
+	_, k := binary.Uvarint(cols)
+	block, err := inflateAll(cols[k:])
+	if err != nil {
 		f.Fatal(err)
 	}
-	var withSidecar bytes.Buffer
-	if err := WriteProfile(&withSidecar, temporalProfile(3, 17)); err != nil {
-		f.Fatal(err)
+	for _, seed := range [][]byte{rows, cols, block, {}, {0x80, 0x01, 0x01, 0x00, 0x01}} {
+		f.Add(seed)
 	}
-	// The valid sidecar payload itself, so the fuzzer mutates from a
-	// structurally interesting point.
-	rest := withSidecar.Bytes()[len(base.Bytes())+4:] // skip trailer magic
-	n, k := binary.Uvarint(rest)
-	if k <= 0 {
-		f.Fatal("seed image: bad sidecar framing")
-	}
-	f.Add(append([]byte{}, rest[k:k+int(n)]...))
-	f.Add([]byte{})
-	f.Add([]byte{0x80, 0x01, 0x01, 0x00, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		framed := appendTrailer(base.Bytes(), TemporalMagic, data)
-		if p, err := ReadProfile(bytes.NewReader(framed)); err == nil {
-			var out bytes.Buffer
-			if err := WriteProfile(&out, p); err != nil {
-				t.Fatalf("decoded temporal profile failed to re-encode: %v", err)
+		// Staging costs at most 17 B a block byte (an empty window: the
+		// byte of its entry count and 16 B staged), so a stream padded to
+		// 17/16 of the block always passes the decoder's staging cap.
+		z := padDeflate(data, len(data)+len(data)/maxStage+1)
+		deflated := append(binary.AppendUvarint(nil, uint64(len(data))), z...)
+		for _, framed := range [][]byte{
+			appendTrailer(base, TemporalRowsMagic, data),
+			appendTrailer(base, TemporalMagic, data),
+			appendTrailer(base, TemporalMagic, deflated),
+		} {
+			if p, err := ReadProfile(bytes.NewReader(framed)); err == nil {
+				var out bytes.Buffer
+				if err := WriteProfile(&out, p); err != nil {
+					t.Fatalf("decoded temporal profile failed to re-encode: %v", err)
+				}
+				back, err := ReadProfile(bytes.NewReader(out.Bytes()))
+				if err != nil {
+					t.Fatalf("re-encoded temporal profile failed to decode: %v", err)
+				}
+				if err := sameSeries(back, p); err != nil {
+					t.Fatalf("re-encoding changed the series: %v", err)
+				}
+			}
+			s, err := SalvageProfile(bytes.NewReader(framed), nil)
+			if err != nil {
+				t.Fatalf("salvage failed on framed sidecar: %v", err)
+			}
+			if s.Trees != cct.NumClasses {
+				t.Fatalf("framed sidecar cost %d trees", cct.NumClasses-s.Trees)
 			}
 		}
-		s, err := SalvageProfile(bytes.NewReader(framed), nil)
-		if err != nil {
-			t.Fatalf("salvage failed on framed sidecar: %v", err)
-		}
-		if s.Trees != cct.NumClasses {
-			t.Fatalf("framed sidecar cost %d trees", cct.NumClasses-s.Trees)
-		}
 		// Raw append: arbitrary post-footer garbage.
-		raw := append(append([]byte{}, base.Bytes()...), data...)
+		raw := append(append([]byte{}, base...), data...)
 		if _, err := SalvageProfile(bytes.NewReader(raw), nil); err != nil {
 			t.Fatalf("salvage failed on raw trailer bytes: %v", err)
 		}

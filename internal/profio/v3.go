@@ -33,14 +33,16 @@ package profio
 // index — no per-node string handling at all (stage.go, stageTree).
 //
 // Node pre-order indices are identical to v2's (both follow the
-// deterministic tree Walk), so the temporal sidecar trailer carries over
-// byte-for-byte.
+// deterministic tree Walk), so the temporal sidecar trailer is the same
+// in both.
 
 import (
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 
 	"dcprof/internal/cct"
@@ -76,11 +78,15 @@ type encoder struct {
 	strs     map[string]uint32
 	strList  []string
 
-	// Sidecar scratch (temporal.go).
-	table []nodeSlot
+	// Sidecar scratch (temporal.go): the node → position table, the
+	// windows in index order, one index's deltas, the column block's
+	// sections, and the deflate writer, made on first use.
+	table []uint32
 	shift uint
 	wins  []*cct.TimeWindow
 	ents  []sideEntry
+	cols  [numCols][]byte
+	fw    *flate.Writer
 }
 
 // frameRec is one frame-table entry: a frame by string-table indices.
@@ -97,10 +103,13 @@ var encoderPool = sync.Pool{New: func() any { return &encoder{strs: make(map[str
 // to w in one Write (none when w is nil). It returns the image's length.
 func writeProfile(w io.Writer, p *cct.Profile, version uint32) (int64, error) {
 	e := encoderPool.Get().(*encoder)
-	defer func() {
-		e.reset()
-		encoderPool.Put(e)
-	}()
+	defer encoderPool.Put(e)
+	return e.write(w, p, version)
+}
+
+// write is writeProfile on this encoder, which it leaves reset.
+func (e *encoder) write(w io.Writer, p *cct.Profile, version uint32) (int64, error) {
+	defer e.reset()
 	if err := e.encode(p, version); err != nil {
 		return 0, err
 	}
@@ -134,6 +143,17 @@ func (e *encoder) encode(p *cct.Profile, version uint32) error {
 		if t == nil || t.Root == nil {
 			return fmt.Errorf("profio: profile has no %v tree", cct.Class(c))
 		}
+	}
+	if cap(e.nodes) == 0 {
+		// A new encoder sizes the columns by a count first: grown node by
+		// node from nothing they would allocate two to four times their
+		// final size. A warm one skips the walk, and doubles them when a
+		// larger profile comes along.
+		n := 0
+		for _, t := range p.Trees {
+			n += t.NumNodes()
+		}
+		e.nodes, e.parent, e.frame = make([]*cct.Node, 0, n), make([]uint32, 0, n), make([]uint32, 0, n)
 	}
 	for c, t := range p.Trees {
 		e.off[c] = len(e.nodes)
@@ -207,9 +227,9 @@ func (e *encoder) linearise(n *cct.Node, parent uint32) {
 		e.frameIdx[id] = fi
 	}
 	self := uint32(len(e.nodes))
-	e.nodes = append(e.nodes, n)
-	e.parent = append(e.parent, parent)
-	e.frame = append(e.frame, fi-1)
+	e.nodes = append(grow(e.nodes, 1), n)
+	e.parent = append(grow(e.parent, 1), parent)
+	e.frame = append(grow(e.frame, 1), fi-1)
 
 	base := len(e.kids)
 	e.kids = n.AppendChildren(e.kids)
@@ -266,7 +286,8 @@ func (e *encoder) endSection(start int) {
 
 // treeColumns appends nodes[lo:hi] as one columnar v3 tree payload.
 func (e *encoder) treeColumns(lo, hi int) {
-	out := binary.AppendUvarint(e.out, uint64(hi-lo))
+	// Room for the tree up front: a v3 tree takes about five bytes a node.
+	out := binary.AppendUvarint(grow(e.out, 8*(hi-lo)), uint64(hi-lo))
 	// Parent column: pre-order guarantees parent(i) < i, so the gap is ≥ 1
 	// and — along any call chain — exactly 1, a single byte.
 	for i := lo + 1; i < hi; i++ {
@@ -316,6 +337,19 @@ func (e *encoder) treeColumns(lo, hi int) {
 		}
 	}
 	e.out = out
+}
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it has to reallocate. Past 256 elements append grows a
+// slice by about 1.25× a step, which allocates some five times the final
+// size on the way up; a cold encoder — the usual one, since the garbage
+// collections between measurement writes empty the pool — would pay that
+// on every column it builds.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) < n {
+		s = slices.Grow(s, max(n, len(s)))
+	}
+	return s
 }
 
 // zigzag maps a signed delta to the unsigned varint space (0, -1, 1, -2 →

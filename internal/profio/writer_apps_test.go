@@ -9,8 +9,9 @@ import (
 	"dcprof/internal/profio"
 )
 
-// TestEncoderMatchesReferenceOnAppRun: byte identity on what the profiler
-// really produces — recorder-built sidecars over trees grown sample by
+// TestEncoderMatchesReferenceOnAppRun: the encoder agrees with the
+// reference (byte identity to the footer, the same decoded series after
+// it) on what the profiler really produces — recorder-built sidecars over trees grown sample by
 // sample — from one quick run of the NW case study.
 func TestEncoderMatchesReferenceOnAppRun(t *testing.T) {
 	cfg := nw.TestConfig()
@@ -31,8 +32,8 @@ func TestEncoderMatchesReferenceOnAppRun(t *testing.T) {
 		if err := profio.ReferenceWriteProfile(&want, p); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("thread %d: encoder (%d bytes) and reference (%d bytes) differ", p.Thread, got.Len(), want.Len())
+		if err := profio.SameImage(got.Bytes(), want.Bytes()); err != nil {
+			t.Errorf("thread %d: %v", p.Thread, err)
 		}
 		if p.Temporal != nil {
 			windows += len(p.Temporal.Windows)

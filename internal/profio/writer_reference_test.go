@@ -1,12 +1,16 @@
 package profio
 
 // The bufio/map encoder the one-pass slice encoder (v3.go) replaced, kept
-// as the test oracle: every byte the new encoder produces is compared with
-// what this one produces (writer_test.go). It is the previous
-// implementation verbatim, less the v2-cost shadow accounting and the
-// telemetry increments, neither of which touched an output byte. The
-// hand-built fixtures in robustness_test.go and v3_test.go use its
-// bufio helpers (writeU32, writeUvarint, writeTree, newStringTable).
+// as the test oracle: every byte the new encoder produces up to and
+// including the footer is compared with what this one produces, and the
+// sidecars after it by the series they decode to (writer_test.go,
+// sameImage). It is the previous implementation verbatim, less the
+// v2-cost shadow accounting and the telemetry increments, neither of which
+// touched an output byte. Its sidecar is the "DCPT" row encoding — the
+// only writer of it left, which is also how the row fixture under
+// testdata/ was made (sidecar_test.go). The hand-built fixtures in
+// robustness_test.go and v3_test.go use its bufio helpers (writeU32,
+// writeUvarint, writeTree, newStringTable).
 
 import (
 	"bufio"
@@ -471,6 +475,6 @@ func writeTemporalSection(w *bufio.Writer, sw *bufio.Writer, payload *bytes.Buff
 		}
 	}
 
-	writeU32(w, TemporalMagic)
+	writeU32(w, TemporalRowsMagic)
 	return flushSection(w, sw, payload)
 }

@@ -2,9 +2,12 @@ package profio
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -58,7 +61,8 @@ func randomSeries(rng *rand.Rand, p *cct.Profile, windows int, tidy bool) *cct.T
 }
 
 // requireReferenceBytes fails unless the encoder and the reference encoder
-// agree on p to the byte, in both formats, and EncodedSize on the length.
+// agree on p, in both formats (see sameImage), and EncodedSize on the
+// length.
 func requireReferenceBytes(t testing.TB, name string, p *cct.Profile) {
 	t.Helper()
 	for _, f := range []struct {
@@ -72,14 +76,8 @@ func requireReferenceBytes(t testing.TB, name string, p *cct.Profile) {
 			func(b *bytes.Buffer, p *cct.Profile) error { return WriteProfileV2(b, p) },
 			func(b *bytes.Buffer, p *cct.Profile) error { return referenceWriteProfileV2(b, p) }},
 	} {
-		got, want := encode(t, f.got, p), encode(t, f.ref, p)
-		if !bytes.Equal(got, want) {
-			at := 0
-			for at < len(got) && at < len(want) && got[at] == want[at] {
-				at++
-			}
-			t.Fatalf("%s %s: encoder (%d bytes) and reference (%d bytes) differ at offset %d",
-				name, f.version, len(got), len(want), at)
+		if err := sameImage(encode(t, f.got, p), encode(t, f.ref, p)); err != nil {
+			t.Fatalf("%s %s: %v", name, f.version, err)
 		}
 	}
 	n, err := EncodedSize(p)
@@ -89,6 +87,138 @@ func requireReferenceBytes(t testing.TB, name string, p *cct.Profile) {
 	if want := len(encodeV3(t, p)); n != int64(want) {
 		t.Fatalf("%s: EncodedSize = %d, WriteProfile wrote %d", name, n, want)
 	}
+}
+
+// sameImage compares an encoder's image with the reference encoder's:
+// they must agree to the byte up to and including the footer, and their
+// trailers must decode to the same series. The reference writes the
+// "DCPT" rows, the encoder the deflated columns, whose bytes are stable
+// only within one toolchain — so the trailers are compared by what they
+// decode to, never by their bytes.
+func sameImage(got, want []byte) error {
+	gp, err := beforeTrailers(got)
+	if err != nil {
+		return fmt.Errorf("encoder image: %w", err)
+	}
+	wp, err := beforeTrailers(want)
+	if err != nil {
+		return fmt.Errorf("reference image: %w", err)
+	}
+	if !bytes.Equal(got[:gp], want[:wp]) {
+		at := 0
+		for at < gp && at < wp && got[at] == want[at] {
+			at++
+		}
+		return fmt.Errorf("encoder (%d bytes to the footer) and reference (%d) differ at offset %d", gp, wp, at)
+	}
+	g, err := ReadProfile(bytes.NewReader(got))
+	if err != nil {
+		return fmt.Errorf("reading the encoder's image: %w", err)
+	}
+	w, err := ReadProfile(bytes.NewReader(want))
+	if err != nil {
+		return fmt.Errorf("reading the reference image: %w", err)
+	}
+	return sameSeries(g, w)
+}
+
+// beforeTrailers returns the length of a v2/v3 image up to and including
+// its footer.
+func beforeTrailers(img []byte) (int, error) {
+	ix, err := IndexSections(bytes.NewReader(img), int64(len(img)))
+	if err != nil {
+		return 0, err
+	}
+	tr := ix.Trailers()
+	if len(tr) == 0 {
+		return len(img), nil
+	}
+	var n [binary.MaxVarintLen64]byte
+	return int(tr[0].Offset) - 4 - binary.PutUvarint(n[:], uint64(tr[0].Len)), nil
+}
+
+// flatDelta is one entry of a canonical series: a window marker (node
+// -1) or a delta, its node named by its pre-order index in its class
+// tree.
+type flatDelta struct {
+	index   uint64
+	class   cct.Class
+	node    int
+	metrics metric.Vector
+}
+
+// flatSeries is p's sidecar the way the format stores it: windows in
+// index order, each index once, its deltas summed per node and in
+// (class, pre-order index) order.
+func flatSeries(p *cct.Profile) (uint64, []flatDelta) {
+	if p.Temporal == nil || len(p.Temporal.Windows) == 0 {
+		return 0, nil
+	}
+	pos := map[*cct.Node]int{}
+	for _, t := range p.Trees {
+		i := 0
+		t.Walk(func(n *cct.Node, _ int) bool {
+			pos[n] = i
+			i++
+			return true
+		})
+	}
+	type key struct {
+		class cct.Class
+		node  int
+	}
+	byIndex := map[uint64]map[key]metric.Vector{}
+	for _, w := range p.Temporal.Windows {
+		m := byIndex[w.Index]
+		if m == nil {
+			m = map[key]metric.Vector{}
+			byIndex[w.Index] = m
+		}
+		for i := range w.Deltas {
+			d := &w.Deltas[i]
+			k := key{d.Class, pos[d.Node]}
+			v := m[k]
+			v.Add(&d.Metrics)
+			m[k] = v
+		}
+	}
+	var indices []uint64
+	for index := range byIndex {
+		indices = append(indices, index)
+	}
+	slices.Sort(indices)
+	var out []flatDelta
+	for _, index := range indices {
+		out = append(out, flatDelta{index: index, node: -1})
+		m := byIndex[index]
+		var keys []key
+		for k := range m {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, func(a, b key) int {
+			return cmp.Or(cmp.Compare(a.class, b.class), cmp.Compare(a.node, b.node))
+		})
+		for _, k := range keys {
+			out = append(out, flatDelta{index, k.class, k.node, m[k]})
+		}
+	}
+	return p.Temporal.Width, out
+}
+
+// sameSeries fails unless a and b carry the same series, up to the
+// encoder's sort and coalesce.
+func sameSeries(a, b *cct.Profile) error {
+	wa, fa := flatSeries(a)
+	wb, fb := flatSeries(b)
+	if wa != wb || len(fa) != len(fb) {
+		return fmt.Errorf("series differ: width %d vs %d, %d vs %d windows and deltas", wa, wb, len(fa), len(fb))
+	}
+	for i := range fa {
+		if fa[i] != fb[i] {
+			return fmt.Errorf("series differ at entry %d: %+v vs %+v", i, fa[i], fb[i])
+		}
+	}
+	return nil
 }
 
 // TestEncoderMatchesReference: the slice encoder writes the bytes the

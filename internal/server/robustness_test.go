@@ -8,8 +8,11 @@ package server
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -519,6 +522,103 @@ func TestUploadRejectsHostileBodyEarly(t *testing.T) {
 		for _, e := range ents {
 			if e.Name() != metaFile {
 				t.Errorf("rejected upload left %s in the collection", e.Name())
+			}
+		}
+	}
+}
+
+// deflateBomb returns a deflate stream of about size bytes that inflates
+// to about a thousand times that: copies of one sync-flushed block of a
+// MiB of zeros, then a final empty block.
+func deflateBomb(size int) []byte {
+	var b bytes.Buffer
+	fw, _ := flate.NewWriter(&b, flate.BestCompression)
+	fw.Write(make([]byte, 1<<20))
+	fw.Flush()
+	unit := append([]byte{}, b.Bytes()...)
+	b.Reset()
+	fw.Close()
+	var out []byte
+	for len(out)+len(unit)+b.Len() <= size {
+		out = append(out, unit...)
+	}
+	return append(out, b.Bytes()...)
+}
+
+// emptyWindows returns a deflated "DCPC" payload for p: a column block
+// of n empty windows, padded with empty stored blocks to a sixteenth of
+// the block — small and valid, but staging its windows costs 16 B each.
+func emptyWindows(p *cct.Profile, n int) []byte {
+	block := binary.AppendUvarint(nil, 1) // window width
+	for _, t := range p.Trees {
+		block = binary.AppendUvarint(block, uint64(t.NumNodes()))
+	}
+	block = append(block, 1, 0) // one run, from window 0
+	block = binary.AppendUvarint(block, uint64(n))
+	block = append(block, make([]byte, n)...) // no entries in any window
+	var z bytes.Buffer
+	fw, _ := flate.NewWriter(&z, flate.BestSpeed)
+	fw.Write(block)
+	for z.Len() < len(block)/16 {
+		fw.Flush()
+	}
+	fw.Close()
+	return append(binary.AppendUvarint(nil, uint64(len(block))), z.Bytes()...)
+}
+
+// TestUploadRejectsDeflateBomb posts a valid profile followed by a
+// checksum-valid temporal sidecar that is cheap to send and dear to
+// stage: a 64 KiB deflate stream that claims the largest column block
+// the decoder's 16× cap admits and inflates to far more, and a valid
+// block of a million empty windows deflated to 64 KiB. Each upload is
+// refused with 400, leaves no file in the collection, and costs at most
+// 16× the sidecar plus 1 MiB.
+func TestUploadRejectsDeflateBomb(t *testing.T) {
+	p := synthProfile(0, 0, 100)
+	var img bytes.Buffer
+	if err := profio.WriteProfile(&img, p); err != nil {
+		t.Fatal(err)
+	}
+	bomb := deflateBomb(64 << 10)
+	for name, payload := range map[string][]byte{
+		"deflate bomb":  append(binary.AppendUvarint(nil, uint64(16*len(bomb))), bomb...),
+		"empty windows": emptyWindows(p, 1<<20),
+	} {
+		body := binary.LittleEndian.AppendUint32(bytes.Clone(img.Bytes()), profio.TemporalMagic)
+		body = binary.AppendUvarint(body, uint64(len(payload)))
+		body = append(body, payload...)
+		body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(payload))
+
+		srv, err := New(Config{DataDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		req := httptest.NewRequest(http.MethodPost, "/collections/bomb/profiles", bytes.NewReader(body))
+		req.SetPathValue("name", "bomb")
+		rr := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		srv.handleUpload(rr, req)
+		runtime.ReadMemStats(&after)
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "temporal sidecar") {
+			t.Fatalf("%s: status %d: %s, want 400 naming the temporal sidecar", name, rr.Code, rr.Body.String())
+		}
+		alloc, budget := after.TotalAlloc-before.TotalAlloc, uint64(16*len(payload)+1<<20)
+		t.Logf("%s: a %d B sidecar, %d B allocated, budget %d", name, len(payload), alloc, budget)
+		if alloc > budget {
+			t.Errorf("%s: rejecting a %d B sidecar allocated %d B, want <= %d", name, len(payload), alloc, budget)
+		}
+		if col := srv.store.get("bomb"); col != nil {
+			ents, err := os.ReadDir(col.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				if e.Name() != metaFile {
+					t.Errorf("%s: rejected upload left %s in the collection", name, e.Name())
+				}
 			}
 		}
 	}
