@@ -34,6 +34,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -240,23 +241,33 @@ func main() {
 		return
 	}
 
-	switch *which {
-	case "topdown":
-		fmt.Println(view.RenderTopDown(db.Merged, opts))
-	case "bottomup":
-		fmt.Println(view.RenderBottomUp(db.Merged, opts))
-	case "vars":
-		fmt.Println(view.RenderVariables(db.Merged, opts))
-	case "advice":
-		fmt.Println(view.RenderAdvice(db.Merged, *rows))
-	case "all":
-		fmt.Println(view.RenderVariables(db.Merged, opts))
-		fmt.Println(view.RenderTopDown(db.Merged, opts))
-		fmt.Println(view.RenderBottomUp(db.Merged, opts))
-		fmt.Println(view.RenderAdvice(db.Merged, *rows))
-	default:
+	if !renderViews(os.Stdout, view.Freeze(db.Merged), *which, opts) {
 		fatal(exitUsage, "unknown view %q", *which)
 	}
+}
+
+// renderViews prints the named text view — or, for "all", every view —
+// from one frozen snapshot, so the merged tree is indexed once however many
+// views are drawn. It reports false for an unknown view name.
+func renderViews(w io.Writer, s *view.Snapshot, which string, opts view.Options) bool {
+	switch which {
+	case "topdown":
+		fmt.Fprintln(w, s.RenderTopDown(opts))
+	case "bottomup":
+		fmt.Fprintln(w, s.RenderBottomUp(opts))
+	case "vars":
+		fmt.Fprintln(w, s.RenderVariables(opts))
+	case "advice":
+		fmt.Fprintln(w, s.RenderAdvice(opts.MaxRows))
+	case "all":
+		fmt.Fprintln(w, s.RenderVariables(opts))
+		fmt.Fprintln(w, s.RenderTopDown(opts))
+		fmt.Fprintln(w, s.RenderBottomUp(opts))
+		fmt.Fprintln(w, s.RenderAdvice(opts.MaxRows))
+	default:
+		return false
+	}
+	return true
 }
 
 // reportQuarantine warns on stderr when a degraded-policy load skipped

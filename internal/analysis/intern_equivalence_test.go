@@ -90,7 +90,7 @@ func stringRebuild(p *cct.Profile) *cct.Profile {
 	for ci, tree := range p.Trees {
 		dst := out.Trees[ci]
 		tree.Walk(func(n *cct.Node, _ int) bool {
-			if n.Frame.Kind == cct.KindRoot {
+			if n.Frame().Kind == cct.KindRoot {
 				dst.Root.Metrics.Add(&n.Metrics)
 				return true
 			}

@@ -53,12 +53,13 @@ func ToJSON(db *Database) *JSONDatabase {
 }
 
 func convertNode(n *cct.Node) *JSONNode {
+	f := n.Frame()
 	j := &JSONNode{
-		Kind:   n.Frame.Kind.String(),
-		Name:   n.Frame.Name,
-		Module: n.Frame.Module,
-		File:   n.Frame.File,
-		Line:   n.Frame.Line,
+		Kind:   f.Kind.String(),
+		Name:   f.Name,
+		Module: f.Module,
+		File:   f.File,
+		Line:   f.Line,
 	}
 	for i, v := range n.Metrics {
 		if v != 0 {

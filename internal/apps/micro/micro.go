@@ -180,7 +180,7 @@ func RunFig2(count int, blockBytes uint64) *Fig2Result {
 	tracked, _, _ := prof.Stats()
 	out.TrackedAllocations = tracked
 	db.Merged.Trees[cct.ClassHeap].Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind == cct.KindHeapData {
+		if n.Frame().Kind == cct.KindHeapData {
 			out.VariablesInProfile++
 			inc := n.Inclusive()
 			out.SamplesOnVariable += inc[metric.Samples]

@@ -112,18 +112,25 @@ func (f Frame) String() string {
 const nodeInline = 4
 
 // Node is one CCT node. Children are keyed by interned FrameID — path
-// insertion and merge compare integers, never strings. The resolved Frame
-// is kept on the node too, so display and deterministic ordering
-// (Children, Walk, the on-disk encoding) are unchanged by interning.
+// insertion and merge compare integers, never strings. The node keeps only
+// the ID; Frame resolves it through the default interner, so display and
+// deterministic ordering (Children, Walk, the on-disk encoding) are
+// unchanged by interning.
+//
+// Field order is load-bearing: every pointer-bearing field comes first, so
+// the collector scans the 48-byte prefix (6 words) and skips the rest, and
+// the node is 160 bytes, an exact size class (TestNodeSizePinned,
+// TestNodePointersFirst).
 type Node struct {
-	// Frame identifies the node within its parent.
-	Frame Frame
-	// Metrics holds the node's exclusive metric values (samples attributed
-	// directly to this node; usually only leaves have nonzero metrics).
-	Metrics metric.Vector
-
 	parent *Node
-	id     FrameID
+
+	// First nodeInline children live inline; the rest spill to a map.
+	inline   [nodeInline]*Node
+	children map[FrameID]*Node
+
+	id        FrameID
+	nInline   uint8
+	inlineIDs [nodeInline]FrameID
 
 	// scratch is single-owner bookkeeping space for whichever component
 	// animates the node's tree; the temporal recorder uses it as a
@@ -132,12 +139,14 @@ type Node struct {
 	// per-thread while samples flow, so there is exactly one writer.
 	scratch uint64
 
-	// First nodeInline children live inline; the rest spill to a map.
-	nInline   uint8
-	inlineIDs [nodeInline]FrameID
-	inline    [nodeInline]*Node
-	children  map[FrameID]*Node
+	// Metrics holds the node's exclusive metric values (samples attributed
+	// directly to this node; usually only leaves have nonzero metrics).
+	Metrics metric.Vector
 }
+
+// Frame returns the frame identifying the node within its parent, resolved
+// from the default interner: one atomic load and an index.
+func (n *Node) Frame() Frame { return FrameByID(n.id) }
 
 // Parent returns the node's parent (nil at the root).
 func (n *Node) Parent() *Node { return n.parent }
@@ -167,7 +176,7 @@ func (n *Node) ChildID(id FrameID) *Node {
 	if c, ok := n.children[id]; ok {
 		return c
 	}
-	c := &Node{Frame: FrameByID(id), parent: n, id: id}
+	c := &Node{parent: n, id: id}
 	n.attach(c)
 	return c
 }
@@ -224,13 +233,15 @@ func (n *Node) AppendChildren(dst []*Node) []*Node {
 	for _, c := range n.children {
 		dst = append(dst, c)
 	}
-	slices.SortFunc(dst[base:], func(a, b *Node) int { return CompareFrames(a.Frame, b.Frame) })
+	slices.SortFunc(dst[base:], func(a, b *Node) int { return CompareFrameIDs(a.id, b.id) })
 	return dst
 }
 
 // CompareFrames is the deterministic sibling order (by kind, module, name,
 // file, line) that Children, Walk and the views present.
-func CompareFrames(a, b Frame) int {
+func CompareFrames(a, b Frame) int { return compareFrames(&a, &b) }
+
+func compareFrames(a, b *Frame) int {
 	switch {
 	case a.Kind != b.Kind:
 		return cmp.Compare(a.Kind, b.Kind)
@@ -262,7 +273,7 @@ func CompareWalkOrder(a, b *Node) int {
 	for a.parent != b.parent {
 		a, b = a.parent, b.parent
 	}
-	return CompareFrames(a.Frame, b.Frame)
+	return CompareFrameIDs(a.id, b.id)
 }
 
 func (n *Node) depth() int {
@@ -292,15 +303,12 @@ func (n *Node) eachChild(fn func(*Node)) {
 // sort Children pays for.
 func (n *Node) EachChild(fn func(*Node)) { n.eachChild(fn) }
 
-// Path returns the frames from the root (exclusive) down to n.
+// Path returns the frames from the root (exclusive) down to n: it climbs
+// to the parentless root, resolving no frame to find where to stop.
 func (n *Node) Path() []Frame {
-	var rev []Frame
-	for cur := n; cur != nil && cur.Frame.Kind != KindRoot; cur = cur.parent {
-		rev = append(rev, cur.Frame)
-	}
-	out := make([]Frame, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	out := make([]Frame, n.depth())
+	for cur, i := n, len(out)-1; i >= 0; cur, i = cur.parent, i-1 {
+		out[i] = cur.Frame()
 	}
 	return out
 }
@@ -313,8 +321,7 @@ type Tree struct {
 
 // New creates an empty tree.
 func New() *Tree {
-	root := Frame{Kind: KindRoot}
-	return &Tree{Root: &Node{Frame: root, id: InternFrame(root)}}
+	return &Tree{Root: &Node{id: InternFrame(Frame{Kind: KindRoot})}}
 }
 
 // InsertPath walks (creating as needed) the path of frames from the root
@@ -388,7 +395,7 @@ func (t *Tree) Absorb(o *Tree) {
 }
 
 // Clone returns a deep copy of the tree, sharing no node with it. It is a
-// structural copy — each node's frame, metrics and ID copied, children
+// structural copy — each node's metrics and frame ID copied, children
 // linked in place and spill maps sized exactly — not a merge into an empty
 // tree, so it looks nothing up.
 func (t *Tree) Clone() *Tree {
@@ -396,7 +403,7 @@ func (t *Tree) Clone() *Tree {
 }
 
 func cloneNode(src, parent *Node) *Node {
-	n := &Node{Frame: src.Frame, Metrics: src.Metrics, parent: parent, id: src.id, nInline: src.nInline, inlineIDs: src.inlineIDs}
+	n := &Node{Metrics: src.Metrics, parent: parent, id: src.id, nInline: src.nInline, inlineIDs: src.inlineIDs}
 	for i := uint8(0); i < src.nInline; i++ {
 		n.inline[i] = cloneNode(src.inline[i], n)
 	}

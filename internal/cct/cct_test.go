@@ -153,7 +153,7 @@ func TestWalkOrderDeterministic(t *testing.T) {
 		tr.AddSample([]Frame{call("mid", 1), stmt("mid", 2)}, sampleVec(1))
 		var names []string
 		tr.Walk(func(n *Node, _ int) bool {
-			names = append(names, n.Frame.Name)
+			names = append(names, n.Frame().Name)
 			return true
 		})
 		return names
@@ -415,9 +415,53 @@ func TestCompareWalkOrderMatchesWalk(t *testing.T) {
 
 // TestNodeSizePinned: the views' render snapshot indexes the tree from
 // outside, so speeding queries up must not grow the node every sample and
-// every merge allocates.
+// every merge allocates. 160 bytes is an exact allocator size class; the
+// node keeps its frame's ID, never a copy of the frame.
 func TestNodeSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 232 {
-		t.Errorf("unsafe.Sizeof(Node{}) = %d, pinned at 232", got)
+	if got := unsafe.Sizeof(Node{}); got != 160 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d, pinned at 160", got)
 	}
+}
+
+// TestNodePointersFirst: every pointer-bearing field of Node precedes every
+// pointer-free one, so the collector scans a 48-byte prefix of each node
+// and stops there.
+func TestNodePointersFirst(t *testing.T) {
+	typ := reflect.TypeOf(Node{})
+	prefix, free := uintptr(0), ""
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !hasPointers(f.Type) {
+			if free == "" {
+				free = f.Name
+			}
+			continue
+		}
+		if free != "" {
+			t.Errorf("pointer-bearing field %s follows pointer-free field %s", f.Name, free)
+		}
+		prefix = f.Offset + f.Type.Size()
+	}
+	if prefix != 48 {
+		t.Errorf("pointer-bearing prefix is %d bytes, want 48", prefix)
+	}
+}
+
+// hasPointers reports whether values of type t hold anything the garbage
+// collector must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Map, reflect.Slice, reflect.String, reflect.Interface,
+		reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -69,10 +69,10 @@ func TestCloneIsStructuralCopy(t *testing.T) {
 				}
 				n.EachChild(func(k *cct.Node) {
 					if k.Parent() != n {
-						t.Fatalf("seed %d class %d: child %v not linked to its parent", seed, c, k.Frame)
+						t.Fatalf("seed %d class %d: child %v not linked to its parent", seed, c, k.Frame())
 					}
 					if again := n.ChildID(k.ID()); again != k {
-						t.Fatalf("seed %d class %d: child %v not found by its ID", seed, c, k.Frame)
+						t.Fatalf("seed %d class %d: child %v not found by its ID", seed, c, k.Frame())
 					}
 				})
 				n.Metrics[metric.Samples] += 7

@@ -99,3 +99,16 @@ func InternFrame(f Frame) FrameID { return defaultInterner.Intern(f) }
 
 // FrameByID resolves an ID from the default interner.
 func FrameByID(id FrameID) Frame { return defaultInterner.Resolve(id) }
+
+// CompareFrameIDs is CompareFrames over two IDs of the default interner,
+// comparing the frames in place rather than copying them out. Pointers
+// into a published snapshot stay valid while other threads intern: a later
+// Intern either appends past every published length or copies into a new
+// backing array, leaving the old one to the snapshots that still hold it.
+func CompareFrameIDs(a, b FrameID) int {
+	if a == b {
+		return 0 // interning makes equal IDs equal frames
+	}
+	s := *defaultInterner.snap.Load()
+	return compareFrames(&s[a], &s[b])
+}

@@ -3,6 +3,7 @@ package cct
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -97,11 +98,78 @@ func TestInternConcurrent(t *testing.T) {
 	}
 }
 
+// TestFrameReadsWhileInterning: nodes resolve their frames, and siblings
+// compare through pointers into the interner's published slice, while
+// other goroutines intern new frames and so grow that slice — in place or
+// into a new backing array. A pointer taken into a published snapshot must
+// keep reading the same frame throughout (run under -race).
+func TestFrameReadsWhileInterning(t *testing.T) {
+	const readers, writers, perWriter, rounds = 4, 4, 2000, 50
+	tr := New()
+	for i := 0; i < 64; i++ {
+		tr.InsertPath([]Frame{call(fmt.Sprintf("race-fn%d", i%8), i%5), stmt(fmt.Sprintf("race-st%d", i), i)})
+	}
+	var nodes []*Node
+	var want []Frame
+	var refs []*Frame
+	tr.Walk(func(n *Node, _ int) bool {
+		nodes = append(nodes, n)
+		want = append(want, n.Frame())
+		refs = append(refs, &(*defaultInterner.snap.Load())[n.ID()])
+		return true
+	})
+
+	var growing, reading sync.WaitGroup
+	var grown atomic.Bool
+	errs := make(chan string, readers)
+	for w := 0; w < writers; w++ {
+		growing.Add(1)
+		go func(w int) {
+			defer growing.Done()
+			for i := 0; i < perWriter; i++ {
+				InternFrame(call(fmt.Sprintf("race-grow%d-%d", w, i), i))
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func(r int) {
+			defer reading.Done()
+			// Keep reading until the writers are done, however the
+			// scheduler interleaves the two.
+			for k := 0; k < rounds || !grown.Load(); k++ {
+				for i, n := range nodes {
+					if got := n.Frame(); got != want[i] {
+						errs <- fmt.Sprintf("reader %d: node %d frame %v, want %v", r, i, got, want[i])
+						return
+					}
+					if *refs[i] != want[i] {
+						errs <- fmt.Sprintf("reader %d: pointer to frame %d now reads %v", r, i, *refs[i])
+						return
+					}
+					j := (i + k + 1) % len(nodes)
+					if got, w := CompareFrameIDs(n.ID(), nodes[j].ID()), CompareFrames(want[i], want[j]); got != w {
+						errs <- fmt.Sprintf("reader %d: CompareFrameIDs(%d, %d) = %d, want %d", r, i, j, got, w)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	growing.Wait()
+	grown.Store(true)
+	reading.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
 // walkSeq flattens a tree's deterministic pre-order into comparable rows.
 func walkSeq(tr *Tree) []string {
 	var out []string
 	tr.Walk(func(n *Node, depth int) bool {
-		out = append(out, fmt.Sprintf("%d|%v|%v", depth, n.Frame, n.Metrics))
+		out = append(out, fmt.Sprintf("%d|%v|%v", depth, n.Frame(), n.Metrics))
 		return true
 	})
 	return out
@@ -119,7 +187,7 @@ func TestQuickStringAndIDPathsEquivalent(t *testing.T) {
 		b := New()
 		ref := randomTree(seed, 30) // same sequence; walk it to recover paths
 		ref.Walk(func(n *Node, _ int) bool {
-			if n.Frame.Kind == KindRoot {
+			if n.Frame().Kind == KindRoot {
 				return true
 			}
 			var ids []FrameID
@@ -179,8 +247,8 @@ func TestInlineSpill(t *testing.T) {
 		t.Fatalf("Children returned %d, want %d", len(kids), fanout)
 	}
 	for i := 1; i < len(kids); i++ {
-		if CompareFrames(kids[i-1].Frame, kids[i].Frame) >= 0 {
-			t.Fatalf("Children not sorted at %d: %v !< %v", i, kids[i-1].Frame, kids[i].Frame)
+		if CompareFrames(kids[i-1].Frame(), kids[i].Frame()) >= 0 {
+			t.Fatalf("Children not sorted at %d: %v !< %v", i, kids[i-1].Frame(), kids[i].Frame())
 		}
 	}
 

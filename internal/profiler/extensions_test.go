@@ -81,7 +81,7 @@ func TestStackVarAttribution(t *testing.T) {
 	varNode, ok := unknown.Root.Lookup(cct.Frame{Kind: cct.KindStackVar, Module: "exe", Name: "local_buf"})
 	if !ok {
 		for _, c := range unknown.Root.Children() {
-			t.Logf("unknown child: %v", c.Frame)
+			t.Logf("unknown child: %v", c.Frame())
 		}
 		t.Fatal("stack variable dummy node missing")
 	}

@@ -99,7 +99,7 @@ func TestLastNodeCacheCoalescesSteadyState(t *testing.T) {
 	var leaves int
 	var leafSamples uint64
 	heap.Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind == cct.KindStmt && !n.Metrics.IsZero() {
+		if n.Frame().Kind == cct.KindStmt && !n.Metrics.IsZero() {
 			leaves++
 			leafSamples = n.Metrics[metric.Samples]
 		}
@@ -139,8 +139,8 @@ func TestLastNodeCacheAcrossContextChanges(t *testing.T) {
 	// work:12, each with its own sample count.
 	counts := map[string]uint64{}
 	heap.Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind == cct.KindStmt && !n.Metrics.IsZero() {
-			counts[n.Frame.Name] += n.Metrics[metric.Samples]
+		if n.Frame().Kind == cct.KindStmt && !n.Metrics.IsZero() {
+			counts[n.Frame().Name] += n.Metrics[metric.Samples]
 		}
 		return true
 	})
@@ -200,7 +200,7 @@ func moduleStmtSamples(profs []*cct.Profile, module string) uint64 {
 	for _, p := range profs {
 		for _, tree := range p.Trees {
 			tree.Walk(func(n *cct.Node, _ int) bool {
-				if n.Frame.Kind == cct.KindStmt && n.Frame.Module == module {
+				if n.Frame().Kind == cct.KindStmt && n.Frame().Module == module {
 					total += n.Metrics[metric.Samples]
 				}
 				return true

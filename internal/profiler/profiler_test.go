@@ -86,9 +86,9 @@ func TestHeapAttributionUnderAllocationPath(t *testing.T) {
 		c, ok := n.Lookup(want)
 		if !ok {
 			for _, ch := range n.Children() {
-				t.Logf("  have child: %v", ch.Frame)
+				t.Logf("  have child: %v", ch.Frame())
 			}
-			t.Fatalf("missing frame %v under %v", want, n.Frame)
+			t.Fatalf("missing frame %v under %v", want, n.Frame())
 		}
 		n = c
 	}
@@ -256,8 +256,8 @@ func TestSkidCorrectionAblation(t *testing.T) {
 		prof := f.mergedProfile()
 		for _, tree := range prof.Trees {
 			tree.Walk(func(n *cct.Node, _ int) bool {
-				if n.Frame.Kind == cct.KindStmt && n.Frame.File == "work.c" {
-					switch n.Frame.Line {
+				if n.Frame().Kind == cct.KindStmt && n.Frame().File == "work.c" {
+					switch n.Frame().Line {
 					case 12:
 						lat12 += n.Metrics[metric.Latency]
 					case 13:
@@ -305,7 +305,7 @@ func TestSameAllocationPathCoalesces(t *testing.T) {
 	heap := f.mergedProfile().Trees[cct.ClassHeap]
 	marks := 0
 	heap.Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind == cct.KindHeapData {
+		if n.Frame().Kind == cct.KindHeapData {
 			marks++
 		}
 		return true
@@ -332,7 +332,7 @@ func TestDistinctAllocationSitesStayDistinct(t *testing.T) {
 	heap := f.mergedProfile().Trees[cct.ClassHeap]
 	marks := 0
 	heap.Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind == cct.KindHeapData {
+		if n.Frame().Kind == cct.KindHeapData {
 			marks++
 		}
 		return true

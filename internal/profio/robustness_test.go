@@ -139,9 +139,9 @@ func encodeV1(t *testing.T, p *cct.Profile) []byte {
 	strs := newStringTable()
 	for _, tree := range p.Trees {
 		tree.Walk(func(n *cct.Node, _ int) bool {
-			strs.intern(n.Frame.Module)
-			strs.intern(n.Frame.Name)
-			strs.intern(n.Frame.File)
+			strs.intern(n.Frame().Module)
+			strs.intern(n.Frame().Name)
+			strs.intern(n.Frame().File)
 			return true
 		})
 	}

@@ -218,7 +218,7 @@ func (e *encoder) linearise(n *cct.Node, parent uint32) {
 	}
 	fi := e.frameIdx[id]
 	if fi == 0 {
-		f := &n.Frame
+		f := n.Frame()
 		e.frames = append(e.frames, frameRec{
 			id: id, kind: f.Kind, line: uint64(int64(f.Line)),
 			module: e.intern(f.Module), name: e.intern(f.Name), file: e.intern(f.File),

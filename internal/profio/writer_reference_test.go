@@ -48,9 +48,9 @@ func writeProfileV2(w *bufio.Writer, p *cct.Profile) error {
 	strs := newStringTable()
 	for _, tree := range p.Trees {
 		tree.Walk(func(n *cct.Node, _ int) bool {
-			strs.intern(n.Frame.Module)
-			strs.intern(n.Frame.Name)
-			strs.intern(n.Frame.File)
+			strs.intern(n.Frame().Module)
+			strs.intern(n.Frame().Name)
+			strs.intern(n.Frame().File)
 			return true
 		})
 	}
@@ -151,11 +151,11 @@ func writeTree(w *bufio.Writer, t *cct.Tree, strs *stringTable) (map[*cct.Node]u
 			parent = index[n.Parent()]
 		}
 		writeU32(w, parent)
-		w.WriteByte(byte(n.Frame.Kind))
-		writeUvarint(w, uint64(strs.idx[n.Frame.Module]))
-		writeUvarint(w, uint64(strs.idx[n.Frame.Name]))
-		writeUvarint(w, uint64(strs.idx[n.Frame.File]))
-		writeUvarint(w, uint64(int64(n.Frame.Line)))
+		w.WriteByte(byte(n.Frame().Kind))
+		writeUvarint(w, uint64(strs.idx[n.Frame().Module]))
+		writeUvarint(w, uint64(strs.idx[n.Frame().Name]))
+		writeUvarint(w, uint64(strs.idx[n.Frame().File]))
+		writeUvarint(w, uint64(int64(n.Frame().Line)))
 		// Sparse metrics.
 		nz := 0
 		for _, v := range n.Metrics {
@@ -233,12 +233,12 @@ func writeProfileV3(w *bufio.Writer, p *cct.Profile) error {
 	var frames []cct.Frame
 	for _, tree := range p.Trees {
 		tree.Walk(func(n *cct.Node, _ int) bool {
-			strs.intern(n.Frame.Module)
-			strs.intern(n.Frame.Name)
-			strs.intern(n.Frame.File)
+			strs.intern(n.Frame().Module)
+			strs.intern(n.Frame().Name)
+			strs.intern(n.Frame().File)
 			if _, ok := frameIdx[n.ID()]; !ok {
 				frameIdx[n.ID()] = uint32(len(frames))
-				frames = append(frames, n.Frame)
+				frames = append(frames, n.Frame())
 			}
 			return true
 		})

@@ -128,9 +128,10 @@ func (ix *Index) AddSeries(p *cct.Profile) error {
 }
 
 // idPath collects n's root-to-node frame IDs into buf (reused) by climbing
-// parents and reversing — the inverse of InsertPathIDs.
+// parents up to the parentless root and reversing — the inverse of
+// InsertPathIDs.
 func idPath(n *cct.Node, buf []cct.FrameID) []cct.FrameID {
-	for cur := n; cur != nil && cur.Frame.Kind != cct.KindRoot; cur = cur.Parent() {
+	for cur := n; cur.Parent() != nil; cur = cur.Parent() {
 		buf = append(buf, cur.ID())
 	}
 	for i, j := 0, len(buf)-1; i < j; i, j = i+1, j-1 {

@@ -195,7 +195,7 @@ func indexDump(ix *Index) string {
 		s += fmt.Sprintf("window %d r%d t%d %q total=%s\n", w, p.Rank, p.Thread, p.Event, tot.String())
 		for c, tr := range p.Trees {
 			tr.Walk(func(n *cct.Node, depth int) bool {
-				s += fmt.Sprintf("  %d %*s%s %s\n", c, 2*depth, "", n.Frame, n.Metrics.String())
+				s += fmt.Sprintf("  %d %*s%s %s\n", c, 2*depth, "", n.Frame(), n.Metrics.String())
 				return true
 			})
 		}

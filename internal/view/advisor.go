@@ -74,8 +74,10 @@ const (
 // Advise inspects every variable in the profile and returns suggestions for
 // the ones whose samples exhibit a recognizable pathology, ordered by
 // latency share.
-func Advise(p *cct.Profile) []Advice {
-	s := Freeze(p)
+func Advise(p *cct.Profile) []Advice { return Freeze(p).Advise() }
+
+// Advise is Advise of the frozen profile.
+func (s *Snapshot) Advise() []Advice {
 	grandLatency := s.MetricTotal(metric.Latency)
 	var out []Advice
 	for _, v := range s.RankVariables(metric.Latency) {
@@ -119,10 +121,13 @@ func Advise(p *cct.Profile) []Advice {
 }
 
 // RenderAdvice formats the advisor's output.
-func RenderAdvice(p *cct.Profile, maxRows int) string {
+func RenderAdvice(p *cct.Profile, maxRows int) string { return Freeze(p).RenderAdvice(maxRows) }
+
+// RenderAdvice is RenderAdvice of the frozen profile.
+func (s *Snapshot) RenderAdvice(maxRows int) string {
 	var b strings.Builder
 	b.WriteString("optimization guidance (per-variable diagnosis)\n")
-	advice := Advise(p)
+	advice := s.Advise()
 	if len(advice) == 0 {
 		b.WriteString("  (no variable exceeds the reporting threshold)\n")
 		return b.String()

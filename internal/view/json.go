@@ -98,7 +98,7 @@ func (t *topDown) children(i int32, depth int) []*TopDownNode {
 	run := t.push(i, depth)
 	out := make([]*TopDownNode, 0, len(run))
 	for _, j := range run {
-		f := &t.nodes[j].Frame
+		f := t.nodes[j].Frame()
 		out = append(out, &TopDownNode{
 			Kind:     f.Kind.String(),
 			Name:     f.Name,

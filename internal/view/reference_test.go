@@ -31,12 +31,12 @@ func refRankVariables(p *cct.Profile, m metric.ID) []VarStat {
 	grand := refMetricTotal(p, m)
 	var out []VarStat
 	p.Trees[cct.ClassHeap].Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind != cct.KindHeapData {
+		if n.Frame().Kind != cct.KindHeapData {
 			return true
 		}
 		inc := n.Inclusive()
 		st := VarStat{
-			Name:      n.Frame.Name,
+			Name:      n.Frame().Name,
 			Class:     cct.ClassHeap,
 			AllocSite: allocSiteOf(n),
 			Value:     inc[m],
@@ -49,19 +49,19 @@ func refRankVariables(p *cct.Profile, m metric.ID) []VarStat {
 		return false // don't descend into access paths
 	})
 	p.Trees[cct.ClassStatic].Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind != cct.KindStaticVar {
+		if n.Frame().Kind != cct.KindStaticVar {
 			return true
 		}
 		inc := n.Inclusive()
-		out = append(out, VarStat{Name: n.Frame.Name, Class: cct.ClassStatic, Value: inc[m], Node: n})
+		out = append(out, VarStat{Name: n.Frame().Name, Class: cct.ClassStatic, Value: inc[m], Node: n})
 		return false
 	})
 	p.Trees[cct.ClassUnknown].Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind != cct.KindStackVar {
+		if n.Frame().Kind != cct.KindStackVar {
 			return true
 		}
 		inc := n.Inclusive()
-		out = append(out, VarStat{Name: n.Frame.Name, Class: cct.ClassUnknown, Value: inc[m], Node: n})
+		out = append(out, VarStat{Name: n.Frame().Name, Class: cct.ClassUnknown, Value: inc[m], Node: n})
 		return false
 	})
 	if grand > 0 {
@@ -82,7 +82,7 @@ func refTopAccesses(anchor *cct.Node, m metric.ID, grand uint64) []AccessStat {
 	agg := map[cct.FrameID]uint64{}
 	var walk func(n *cct.Node)
 	walk = func(n *cct.Node) {
-		if n.Frame.Kind == cct.KindStmt && n.Metrics[m] > 0 {
+		if n.Frame().Kind == cct.KindStmt && n.Metrics[m] > 0 {
 			agg[n.ID()] += n.Metrics[m]
 		}
 		for _, c := range n.Children() {
@@ -122,14 +122,14 @@ func refBottomUp(p *cct.Profile, m metric.ID) []AllocSiteStat {
 	}
 	agg := map[key]*AllocSiteStat{}
 	p.Trees[cct.ClassHeap].Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame.Kind != cct.KindHeapData {
+		if n.Frame().Kind != cct.KindHeapData {
 			return true
 		}
 		alloc := n.Parent()
 		stmt := alloc.Parent()
-		k := key{allocator: alloc.Frame.Name}
-		if stmt != nil && stmt.Frame.Kind == cct.KindStmt {
-			k.fn, k.file, k.line = stmt.Frame.Name, stmt.Frame.File, stmt.Frame.Line
+		k := key{allocator: alloc.Frame().Name}
+		if stmt != nil && stmt.Frame().Kind == cct.KindStmt {
+			k.fn, k.file, k.line = stmt.Frame().Name, stmt.Frame().File, stmt.Frame().Line
 		}
 		st := agg[k]
 		if st == nil {
@@ -249,11 +249,11 @@ func refTopDownChildren(n *cct.Node, depth int, grand uint64, o Options) []*TopD
 			continue
 		}
 		out = append(out, &TopDownNode{
-			Kind:     c.Frame.Kind.String(),
-			Name:     c.Frame.Name,
-			Module:   c.Frame.Module,
-			File:     c.Frame.File,
-			Line:     c.Frame.Line,
+			Kind:     c.Frame().Kind.String(),
+			Name:     c.Frame().Name,
+			Module:   c.Frame().Module,
+			File:     c.Frame().File,
+			Line:     c.Frame().Line,
 			Value:    inc,
 			Share:    share,
 			Children: refTopDownChildren(c, depth+1, grand, o),
@@ -335,7 +335,7 @@ func refRenderNode(b *strings.Builder, n *cct.Node, depth int, grand uint64, o O
 		if share < o.MinShare {
 			continue
 		}
-		fmt.Fprintf(b, "%6.1f%%  %s%s\n", 100*share, strings.Repeat("  ", depth), c.Frame)
+		fmt.Fprintf(b, "%6.1f%%  %s%s\n", 100*share, strings.Repeat("  ", depth), c.Frame())
 		refRenderNode(b, c, depth+1, grand, o)
 	}
 }
@@ -354,7 +354,7 @@ func refRenderVariables(p *cct.Profile, o Options) string {
 		}
 		loc := v.AllocSite
 		if v.Class == cct.ClassStatic {
-			loc = "static [" + v.Node.Frame.Module + "]"
+			loc = "static [" + v.Node.Frame().Module + "]"
 		}
 		fmt.Fprintf(&b, "%6.1f%%  %-24s %s\n", 100*v.Share, v.Name, loc)
 		rows++

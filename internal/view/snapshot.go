@@ -71,7 +71,7 @@ func Freeze(p *cct.Profile) *Snapshot {
 func (s *Snapshot) anchors(c cct.Class, kind cct.Kind) []int32 {
 	each := func(fn func(int32)) {
 		for i, hi := s.root[c]+1, s.end[s.root[c]]; i < hi; {
-			if s.nodes[i].Frame.Kind == kind {
+			if s.nodes[i].Frame().Kind == kind {
 				fn(i)
 				i = s.end[i] // access paths below a mark are not variables
 			} else {
@@ -137,7 +137,7 @@ func (t *topDown) push(i int32, depth int) []int32 {
 		t.stack = append(t.stack, j)
 	}
 	run := t.stack[start:]
-	slices.SortFunc(run, func(a, b int32) int { return cct.CompareFrames(t.nodes[a].Frame, t.nodes[b].Frame) })
+	slices.SortFunc(run, func(a, b int32) int { return cct.CompareFrameIDs(t.nodes[a].ID(), t.nodes[b].ID()) })
 	return run
 }
 

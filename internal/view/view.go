@@ -74,7 +74,7 @@ func (s *Snapshot) RankVariables(m metric.ID) []VarStat {
 		out = slices.Grow(out, len(s.vars[c]))
 		for _, i := range s.vars[c] {
 			n := s.nodes[i]
-			st := VarStat{Name: n.Frame.Name, Class: c, Value: col.inc(i), Node: n}
+			st := VarStat{Name: n.Frame().Name, Class: c, Value: col.inc(i), Node: n}
 			if c == cct.ClassHeap {
 				st.AllocSite = allocSiteOf(n)
 				if st.Name == "" {
@@ -101,10 +101,11 @@ func allocSiteOf(mark *cct.Node) string {
 		return "?"
 	}
 	stmt := alloc.Parent()
-	if stmt == nil || stmt.Frame.Kind != cct.KindStmt {
-		return alloc.Frame.Name
+	if stmt == nil || stmt.Frame().Kind != cct.KindStmt {
+		return alloc.Frame().Name
 	}
-	return fmt.Sprintf("%s@%s:%d (%s)", stmt.Frame.Name, stmt.Frame.File, stmt.Frame.Line, alloc.Frame.Name)
+	sf := stmt.Frame()
+	return fmt.Sprintf("%s@%s:%d (%s)", sf.Name, sf.File, sf.Line, alloc.Frame().Name)
 }
 
 // AccessStat is one statement accessing a variable.
@@ -127,7 +128,7 @@ func TopAccesses(anchor *cct.Node, m metric.ID, grand uint64) []AccessStat {
 	agg := map[cct.FrameID]uint64{}
 	var walk func(n *cct.Node)
 	walk = func(n *cct.Node) {
-		if n.Frame.Kind == cct.KindStmt && n.Metrics[m] > 0 {
+		if n.Frame().Kind == cct.KindStmt && n.Metrics[m] > 0 {
 			agg[n.ID()] += n.Metrics[m]
 		}
 		n.EachChild(walk)
@@ -195,9 +196,10 @@ func (s *Snapshot) BottomUp(m metric.ID) []AllocSiteStat {
 	for _, i := range s.vars[cct.ClassHeap] {
 		alloc := s.nodes[i].Parent()
 		stmt := alloc.Parent()
-		k := key{allocator: alloc.Frame.Name}
-		if stmt != nil && stmt.Frame.Kind == cct.KindStmt {
-			k.fn, k.file, k.line = stmt.Frame.Name, stmt.Frame.File, stmt.Frame.Line
+		k := key{allocator: alloc.Frame().Name}
+		if stmt != nil && stmt.Frame().Kind == cct.KindStmt {
+			sf := stmt.Frame()
+			k.fn, k.file, k.line = sf.Name, sf.File, sf.Line
 		}
 		st := agg[k]
 		if st == nil {
@@ -259,17 +261,17 @@ func BottomUpCallers(p *cct.Profile, m metric.ID) []CallerSiteStat {
 		alloc := n.Parent() // malloc/calloc frame
 		stmt := alloc.Parent()
 		var k key
-		if stmt != nil && stmt.Frame.Kind == cct.KindStmt {
-			k.wrapper = stmt.Frame.Name
-			if wrapCall := stmt.Parent(); wrapCall != nil && wrapCall.Frame.Kind == cct.KindCall {
-				k.line = wrapCall.Frame.Line
-				if callerFrame := wrapCall.Parent(); callerFrame != nil && callerFrame.Frame.Kind == cct.KindCall {
-					k.caller = callerFrame.Frame.Name
-					k.file = callerFrame.Frame.File
+		if stmt != nil && stmt.Frame().Kind == cct.KindStmt {
+			k.wrapper = stmt.Frame().Name
+			if wrapCall := stmt.Parent(); wrapCall != nil && wrapCall.Frame().Kind == cct.KindCall {
+				k.line = wrapCall.Frame().Line
+				if callerFrame := wrapCall.Parent(); callerFrame != nil && callerFrame.Frame().Kind == cct.KindCall {
+					k.caller = callerFrame.Frame().Name
+					k.file = callerFrame.Frame().File
 				}
 			}
 		} else {
-			k.wrapper = alloc.Frame.Name
+			k.wrapper = alloc.Frame().Name
 		}
 		st := agg[k]
 		if st == nil {
@@ -278,8 +280,8 @@ func BottomUpCallers(p *cct.Profile, m metric.ID) []CallerSiteStat {
 		}
 		st.Variables++
 		st.Value += col.inc(i)
-		if n.Frame.Name != "" {
-			st.Names = append(st.Names, n.Frame.Name)
+		if name := n.Frame().Name; name != "" {
+			st.Names = append(st.Names, name)
 		}
 	}
 	out := make([]CallerSiteStat, 0, len(agg))
@@ -342,7 +344,7 @@ func (s *Snapshot) RenderTopDown(o Options) string {
 func (t *topDown) render(b *strings.Builder, i int32, depth int) {
 	run := t.push(i, depth)
 	for _, j := range run {
-		fmt.Fprintf(b, "%6.1f%%  %s%s\n", 100*t.share(j), strings.Repeat("  ", depth), t.nodes[j].Frame)
+		fmt.Fprintf(b, "%6.1f%%  %s%s\n", 100*t.share(j), strings.Repeat("  ", depth), t.nodes[j].Frame())
 		t.render(b, j, depth+1)
 	}
 	t.pop(run)
@@ -366,7 +368,7 @@ func (s *Snapshot) RenderVariables(o Options) string {
 		}
 		loc := v.AllocSite
 		if v.Class == cct.ClassStatic {
-			loc = "static [" + v.Node.Frame.Module + "]"
+			loc = "static [" + v.Node.Frame().Module + "]"
 		}
 		fmt.Fprintf(&b, "%6.1f%%  %-24s %s\n", 100*v.Share, v.Name, loc)
 		rows++
