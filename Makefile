@@ -48,11 +48,12 @@ chaos-smoke:
 	$(GO) test -race -run='^TestChaosPushSmoke$$' -count=1 ./internal/push
 
 # Short fuzz of the reader, the salvage path, the sidecar decoder and its
-# round trip, the encoder against its reference, a load continued from an
-# earlier load against a full one, the in-memory merges against a file
-# load, the daemon's upload ingest, and the heap interval map against its
-# model (the fuzz engine accepts one target per run), on top of the
-# always-run corpus regression pass.
+# round trip, the encoder against its reference, the v1/v2 staging against
+# the row reader it replaced, a load continued from an earlier load
+# against a full one, the in-memory merges against a file load, the
+# daemon's upload ingest, and the heap interval map against its model (the
+# fuzz engine accepts one target per run), on top of the always-run corpus
+# regression pass.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadProfile -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzSalvageProfile -fuzztime=10s ./internal/profio
@@ -60,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSidecarRoundTrip -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzReadV3Profile -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeMatchesReference -fuzztime=10s ./internal/profio
+	$(GO) test -run='^$$' -fuzz=FuzzRowStageMatchesReference -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzLoadContinuesFromBase -fuzztime=10s ./internal/analysis
 	$(GO) test -run='^$$' -fuzz=FuzzMergeMatchesLoad -fuzztime=10s ./internal/analysis
 	$(GO) test -run='^$$' -fuzz=FuzzHandleUpload -fuzztime=10s ./internal/server

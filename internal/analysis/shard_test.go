@@ -179,9 +179,7 @@ type scaleReport struct {
 	Speedup10k8v1    float64      `json:"speedup_10k_8v1"`
 	SpeedupEnforced  bool         `json:"speedup_enforced"`
 	ConstrainedByCPU bool         `json:"constrained_by_cpus"`
-	V2Bytes          int64        `json:"v2_bytes"`
 	V3Bytes          int64        `json:"v3_bytes"`
-	V3Ratio          float64      `json:"v3_ratio"`
 	BestOf           int          `json:"best_of"`
 	Timestamp        string       `json:"timestamp"`
 }
@@ -196,7 +194,6 @@ type scaleReport struct {
 //     more than 40% slower than 1" (bounding what the extra accumulators
 //     and goroutines cost an oversubscribed host), with
 //     constrained_by_cpus recorded so readers know why.
-//   - >= 2x v3-vs-v2 size reduction on the sweep corpus, always.
 //   - <= 20% regression of 8-worker 1k-profile throughput against the
 //     committed BENCH_merge_scale.json, when one exists for the same CPU
 //     count.
@@ -250,21 +247,15 @@ func TestMergeScaleGate(t *testing.T) {
 		}
 	}
 
-	// v3 size win over the same corpus.
-	var v2B, v3B int64
+	// Encoded size of the same corpus.
+	var v3B int64
 	for th := 0; th < 64; th++ {
-		p := scaleProfile(int64(th), 120)
-		var b2, b3 bytes.Buffer
-		if err := profio.WriteProfileV2(&b2, p); err != nil {
+		n, err := profio.EncodedSize(scaleProfile(int64(th), 120))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := profio.WriteProfile(&b3, p); err != nil {
-			t.Fatal(err)
-		}
-		v2B += int64(b2.Len())
-		v3B += int64(b3.Len())
+		v3B += n
 	}
-	v3Ratio := float64(v2B) / float64(v3B)
 
 	speedup := float64(wall[[2]int{10000, 1}]) / float64(wall[[2]int{10000, 8}])
 	enforce := runtime.NumCPU() >= 8
@@ -273,8 +264,7 @@ func TestMergeScaleGate(t *testing.T) {
 		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Points: points, Speedup10k8v1: speedup,
 		SpeedupEnforced: enforce, ConstrainedByCPU: !enforce,
-		V2Bytes: v2B, V3Bytes: v3B, V3Ratio: v3Ratio,
-		BestOf: rounds, Timestamp: time.Now().UTC().Format(time.RFC3339),
+		V3Bytes: v3B, BestOf: rounds, Timestamp: time.Now().UTC().Format(time.RFC3339),
 	}
 
 	// Regression check against the committed report, apples-to-apples only.
@@ -305,12 +295,9 @@ func TestMergeScaleGate(t *testing.T) {
 	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("10k-profile speedup 8v1: %.2fx (enforced: %v, %d CPUs); v3 %.2fx smaller than v2; report %s",
-		speedup, enforce, rep.NumCPU, v3Ratio, out)
+	t.Logf("10k-profile speedup 8v1: %.2fx (enforced: %v, %d CPUs); report %s",
+		speedup, enforce, rep.NumCPU, out)
 
-	if v3Ratio < 2.0 {
-		t.Errorf("v3 only %.2fx smaller than v2 on the sweep corpus, want >= 2x", v3Ratio)
-	}
 	if enforce {
 		if speedup < 3.0 {
 			t.Errorf("10k-profile 8-vs-1 worker speedup %.2fx, want >= 3x", speedup)

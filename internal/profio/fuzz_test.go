@@ -3,6 +3,7 @@ package profio
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"dcprof/internal/cct"
@@ -19,7 +20,7 @@ func fuzzSeeds(f *testing.F) {
 		f.Fatal(err)
 	}
 	var fullV2 bytes.Buffer
-	if err := WriteProfileV2(&fullV2, sampleProfile(3, 17)); err != nil {
+	if err := referenceWriteProfileV2(&fullV2, sampleProfile(3, 17)); err != nil {
 		f.Fatal(err)
 	}
 	var empty bytes.Buffer
@@ -132,8 +133,10 @@ func FuzzReadV3Profile(f *testing.F) {
 		p, err := ReadProfile(bytes.NewReader(data))
 		// Staging alone and staging plus materialising must agree on every
 		// input: a stream ValidateProfile accepts always loads, and one it
-		// rejects never does.
-		if info, verr := ValidateProfile(bytes.NewReader(data)); (verr == nil) != (err == nil) {
+		// rejects never does — unless it is v1, which loads but never
+		// validates.
+		v1 := len(data) >= 8 && binary.LittleEndian.Uint32(data) == Magic && binary.LittleEndian.Uint32(data[4:]) == Version1
+		if info, verr := ValidateProfile(bytes.NewReader(data)); (verr == nil) != (err == nil && !v1) {
 			t.Fatalf("validate says %v, read says %v", verr, err)
 		} else if err == nil && info.Nodes != p.NumNodes() {
 			t.Fatalf("validate counted %d nodes, read built %d", info.Nodes, p.NumNodes())
@@ -182,6 +185,68 @@ func FuzzSalvageProfile(f *testing.F) {
 		var out bytes.Buffer
 		if err := WriteProfile(&out, s.Profile); err != nil {
 			t.Fatalf("salvaged profile failed to re-encode: %v", err)
+		}
+	})
+}
+
+// FuzzRowStageMatchesReference holds the staged v1/v2 path to the row
+// reader it replaced (reference_rowreader_test.go): on every input that is
+// not v3 the two must agree on whether the header reads, on the verdict —
+// version, trees recovered and lost, nodes read, intact, sidecar-only —
+// and on what was recovered: the same re-encoded profile and the same
+// sidecar. Error texts may differ.
+func FuzzRowStageMatchesReference(f *testing.F) {
+	fuzzSeeds(f)
+	v2 := func(b *bytes.Buffer, p *cct.Profile) error { return referenceWriteProfileV2(b, p) }
+	tp := temporalProfile(2, 5)
+	rows := encode(f, v2, tp)
+	// The same trees with the deflated sidecar a v3 writer appends: the
+	// trailers are version-independent, so a v2 image may carry either.
+	bare := *tp
+	bare.Temporal = nil
+	cols := encode(f, v2, &bare)
+	v3 := encodeV3(f, tp)
+	end, err := beforeTrailers(v3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cols = append(cols, v3[end:]...)
+	for _, img := range [][]byte{rows, cols} {
+		f.Add(img)
+		addFramingSeeds(f, img)
+		f.Add(img[:len(img)-3]) // cut inside the sidecar
+	}
+	v1 := encodeV1(f, sampleProfile(3, 17))
+	f.Add(v1)
+	f.Add(v1[:len(v1)/2])
+	f.Add(append(append([]byte{}, v1...), 0xaa)) // v1 has no footer: trailing bytes go unread
+	flipped := append([]byte{}, v1...)
+	flipped[len(v1)/3] ^= 0x40 // damages the tree it lands in and every one after
+	f.Add(flipped)
+	f.Add(imageWithSecondRoot())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 8 && binary.LittleEndian.Uint32(data[4:]) == Version {
+			return // the reference reads rows only
+		}
+		want, werr := referenceSalvage(bytes.NewReader(data), nil)
+		got, gerr := SalvageProfile(bytes.NewReader(data), nil)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("header: staged says %v, reference says %v", gerr, werr)
+		}
+		if werr != nil {
+			return
+		}
+		if got.Version != want.Version || got.Trees != want.Trees || got.Lost != want.Lost ||
+			got.NodesRead != want.NodesRead || got.Intact() != want.Intact() || got.SidecarOnly != want.SidecarOnly {
+			t.Fatalf("verdicts differ:\n staged    %+v\n reference %+v", got.Staged, want.Staged)
+		}
+		var gb, wb bytes.Buffer
+		gerr, werr = WriteProfile(&gb, got.Profile), WriteProfile(&wb, want.Profile)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+			t.Fatalf("recovered profiles differ (re-encode errors %v, %v)", gerr, werr)
+		}
+		if err := sameSeries(got.Profile, want.Profile); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

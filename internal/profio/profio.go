@@ -1,5 +1,7 @@
 // Package profio implements the compact binary profile format the profiler
-// writes per thread and the post-mortem analyzer reads back.
+// writes per thread and the post-mortem analyzer reads back. Only format
+// v3 is written; v1 and v2 files are still read, by the same decoder
+// (stage.go).
 //
 // Compactness is a scalability requirement (§2.2): with millions of threads,
 // per-thread measurement data must stay in megabytes. The format therefore
@@ -9,19 +11,18 @@
 //
 // Integrity is a scalability requirement too: at Sequoia-class scale (one
 // file per thread per rank) killed ranks, full filesystems, and torn writes
-// are routine, so format version 2 carries per-section CRC32 checksums and
-// a record-counting footer. Every section — the header (identification +
-// string table) and each storage-class tree — is length-prefixed and
-// checksummed independently, which lets the reader detect corruption at
-// section granularity and salvage the intact trees of a damaged file (see
-// SalvageProfile in salvage.go). Version 1 files (no checksums, no
-// sections) remain readable.
+// are routine, so since version 2 the format carries per-section CRC32
+// checksums and a record-counting footer. Every section — the header
+// (identification + string table) and each storage-class tree — is
+// length-prefixed and checksummed independently, which lets the reader
+// detect corruption at section granularity and salvage the intact trees of
+// a damaged file (see SalvageProfile in salvage.go).
 //
-// Format v2 layout:
+// Format v3 (see v3.go for the payloads) is framed as:
 //
-//	u32 magic "DCPF"            u32 version (2)
-//	section: header             — rank, thread, string table, event index
-//	section: tree ×NumClasses   — pre-order node records
+//	u32 magic "DCPF"            u32 version
+//	section: header             — rank, thread, string table, event index, frame table
+//	section: tree ×NumClasses   — pre-order columns
 //	u32 footer magic "DCPE"     uvarint total node records   u32 CRC32(count)
 //	trailer ×N (optional)       — u32 section magic · section
 //
@@ -32,16 +33,14 @@
 // checksum-verified and skipped, so older data survives newer writers and
 // vice versa.
 //
-// Format v3 (the current write format, see v3.go) keeps v2's framing —
-// magic, section/checksum layout, footer, trailers — but deduplicates
-// frames into a header-resident frame table and encodes each tree section
-// columnar (delta-varint parent gaps and frame references, sparse columnar
-// metrics), which shrinks files 2–4x and makes tree decode table-driven.
-// v1 and v2 files remain readable.
+// The formats it replaced are read only. v2 has the same framing, footer
+// and trailers, no frame table, and a self-contained record per node in
+// each tree section (stageRows in stage.go). v1 is v2's header fields and
+// tree records back to back, with no sections, checksums, footer or
+// trailers.
 package profio
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -51,7 +50,6 @@ import (
 	"sync/atomic"
 
 	"dcprof/internal/cct"
-	"dcprof/internal/metric"
 )
 
 // Magic identifies profile files ("DCPF" = data-centric profile).
@@ -66,11 +64,10 @@ const Version = 3
 
 // Version2 is the row-oriented checksummed format: same section framing,
 // footer, and trailers as v3, with self-contained per-node records. Still
-// readable (and writable through WriteProfileV2, for fixtures and the
-// compatibility surface); new files are written as v3.
+// readable, never written.
 const Version2 = 2
 
-// Version1 is the legacy format: same record encoding as v2, but no
+// Version1 is the original format: same record encoding as v2, but no
 // section framing, checksums, or footer. Still readable, never written.
 const Version1 = 1
 
@@ -89,52 +86,13 @@ const maxSection = 1 << 30
 // WriteProfile encodes one thread profile in the current format (v3) and
 // hands it to w in a single Write.
 func WriteProfile(w io.Writer, p *cct.Profile) error {
-	_, err := writeProfile(w, p, Version)
-	return err
-}
-
-// WriteProfileV2 encodes one thread profile in format v2 — the
-// compatibility writer behind version-migration tests and v2 fixtures.
-// New files should use WriteProfile.
-func WriteProfileV2(w io.Writer, p *cct.Profile) error {
-	_, err := writeProfile(w, p, Version2)
+	_, err := writeProfile(w, p)
 	return err
 }
 
 // EncodedSize returns the number of bytes WriteProfile would produce.
 func EncodedSize(p *cct.Profile) (int64, error) {
-	return writeProfile(nil, p, Version)
-}
-
-// treeRows appends nodes[lo:hi] as one v2 tree payload: a self-contained
-// record per node (see v3.go for the encoder and its columnar twin).
-func (e *encoder) treeRows(lo, hi int) {
-	out := binary.AppendUvarint(e.out, uint64(hi-lo))
-	for i := lo; i < hi; i++ {
-		parent := noParent
-		if i > lo {
-			parent = e.parent[i] - uint32(lo)
-		}
-		out = binary.LittleEndian.AppendUint32(out, parent)
-		out = e.frames[e.frame[i]].append(out)
-		out = appendSparse(out, &e.nodes[i].Metrics)
-	}
-	e.out = out
-}
-
-// appendSparse encodes a metric vector as `byte nnz · {byte id · uvarint
-// value}×nnz`, the metric form of a v2 node row.
-func appendSparse(out []byte, v *metric.Vector) []byte {
-	nz := len(out)
-	out = append(out, 0)
-	for m, x := range v {
-		if x != 0 {
-			out[nz]++
-			out = append(out, byte(m))
-			out = binary.AppendUvarint(out, x)
-		}
-	}
-	return out
+	return writeProfile(nil, p)
 }
 
 // FileName returns the canonical per-thread profile file name.
@@ -298,7 +256,7 @@ func writeTemp(fsys FS, dir string, e *encoder, p *cct.Profile) tempFile {
 		t.err = err
 		return t
 	}
-	n, err := e.write(f, p, Version)
+	n, err := e.write(f, p)
 	if err != nil {
 		f.Close()
 		fsys.Remove(tmp)

@@ -132,9 +132,19 @@ func imageWithForwardParent() []byte {
 	return buf.Bytes()
 }
 
+// imageWithSecondRoot encodes a non-first node that claims to be a root.
+func imageWithSecondRoot() []byte {
+	buf, w := imageHeader()
+	writeUvarint(w, 2)
+	writeNode(w, noParent, 0)
+	writeNode(w, noParent, 0)
+	w.Flush()
+	return buf.Bytes()
+}
+
 // encodeV1 hand-encodes a profile in the legacy v1 layout (no sections,
 // checksums, or footer) — the compatibility surface v2 must keep reading.
-func encodeV1(t *testing.T, p *cct.Profile) []byte {
+func encodeV1(t testing.TB, p *cct.Profile) []byte {
 	t.Helper()
 	strs := newStringTable()
 	for _, tree := range p.Trees {
@@ -175,17 +185,18 @@ func encodeV1(t *testing.T, p *cct.Profile) []byte {
 func TestV1CompatRoundTrip(t *testing.T) {
 	p := sampleProfile(3, 17)
 	img := encodeV1(t, p)
-	d, err := NewReader(bytes.NewReader(img))
+	dec := new(Decoder)
+	st, err := dec.Stage(bytes.NewReader(img))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Version() != Version1 {
-		t.Errorf("version = %d, want %d", d.Version(), Version1)
+	if st.Version != Version1 {
+		t.Errorf("version = %d, want %d", st.Version, Version1)
 	}
-	got, err := d.ReadRest()
-	if err != nil {
-		t.Fatal(err)
+	if !st.Intact() {
+		t.Fatal(st.Errs[0])
 	}
+	got := dec.materialize()
 	profilesEqual(t, p, got)
 }
 

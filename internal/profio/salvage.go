@@ -36,51 +36,10 @@ type Salvage struct {
 // are recovered and the rest counted lost; v1 trees carry no checksums, so
 // "recovered" there means "decoded cleanly", a weaker guarantee.
 func SalvageProfile(r io.Reader, in *Intern) (*Salvage, error) {
-	d, err := NewReaderInterned(r, in)
+	d := &Decoder{in: in} // one image: no cross-file caches
+	st, err := d.Stage(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Salvage{Profile: d.dec.materialize(), Staged: *d.st}, nil
-}
-
-// salvage drains the row reader's trees in best-effort mode.
-func (d *rowReader) salvage() *Salvage {
-	s := &Salvage{
-		Profile: cct.NewProfile(d.rank, d.thread, d.event),
-		Staged:  Staged{Rank: d.rank, Thread: d.thread, Event: d.event, Version: d.version},
-	}
-	for {
-		before := d.next
-		c, t, err := d.readTree()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			s.Errs = append(s.Errs, err)
-			if d.terminal != nil {
-				// The stream is unframed or cut: d.next still names the
-				// tree the failure surfaced on, and every class from it
-				// onward is gone.
-				s.Lost += cct.NumClasses - d.next
-				break
-			}
-			if d.next > before {
-				// A tree section was present but damaged; the reader
-				// resynced past it, so only that class is lost.
-				s.Lost++
-			}
-			// Otherwise the error was footer validation — trees already
-			// accounted for; the next call returns io.EOF.
-			continue
-		}
-		s.Profile.Trees[c] = t
-		s.Trees++
-	}
-	s.NodesRead = d.nodes
-	// A salvaged profile keeps its sidecar only if the trailer decoded
-	// cleanly; a damaged sidecar is already in Errs and the profile loads
-	// windowless.
-	s.Profile.Temporal = d.temporal
-	s.SidecarOnly = s.Lost == 0 && len(s.Errs) > 0 && d.trailerDamaged
-	return s
+	return &Salvage{Profile: d.materialize(), Staged: *st}, nil
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"dcprof/internal/cct"
 )
@@ -199,39 +198,4 @@ func IndexSections(r io.ReaderAt, size int64) (*SectionIndex, error) {
 		ix.Sections = append(ix.Sections, info)
 	}
 	return ix, nil
-}
-
-// ReadProfileAt decodes one profile from a random-access image, strictly:
-// any damage fails the read. Strings are canonicalized through in (nil
-// skips canonicalization). It returns the profile and the number of node
-// records decoded.
-//
-// It is the staged decoder over the image's byte range. The last argument
-// was the per-file section fan-out; a staged file decodes faster than the
-// goroutines it took to fan its sections out, so it is ignored.
-func ReadProfileAt(r io.ReaderAt, size int64, in *Intern, _ int) (*cct.Profile, int, error) {
-	return readCounted(io.NewSectionReader(r, 0, size), in)
-}
-
-// ReadFileParallel is ReadProfileAt over a file path.
-func ReadFileParallel(path string, in *Intern, _ int) (*cct.Profile, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	return readCounted(f, in)
-}
-
-// readCounted is ReadProfileInterned returning the node-record count too.
-func readCounted(r io.Reader, in *Intern) (*cct.Profile, int, error) {
-	d, err := NewReaderInterned(r, in)
-	if err != nil {
-		return nil, 0, err
-	}
-	p, err := d.ReadRest()
-	if err != nil {
-		return nil, 0, err
-	}
-	return p, d.NodesRead(), nil
 }

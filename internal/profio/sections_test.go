@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/crc32"
 	"io"
+	"os"
 	"testing"
 
 	"dcprof/internal/cct"
@@ -15,7 +16,7 @@ import (
 // with offsets/lengths that slice the image at the right bytes.
 func TestIndexSectionsLayout(t *testing.T) {
 	for name, enc := range map[string]func(io.Writer, *cct.Profile) error{
-		"v2": WriteProfileV2,
+		"v2": referenceWriteProfileV2,
 		"v3": WriteProfile,
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -111,9 +112,9 @@ func TestIndexSectionsRejects(t *testing.T) {
 }
 
 // TestReadProfileAtParity: for both format versions, with and without a
-// temporal sidecar, the parallel reader must produce a profile whose v3
-// re-encode is byte-identical to the sequential reader's — same trees,
-// same node order, same sidecar.
+// temporal sidecar, the file reader must produce a profile whose v3
+// re-encode is byte-identical to the stream reader's — same trees, same
+// node order, same sidecar.
 func TestReadProfileAtParity(t *testing.T) {
 	base := sampleProfile(5, 9)
 	var d cct.TimeDelta
@@ -132,7 +133,7 @@ func TestReadProfileAtParity(t *testing.T) {
 	cases := map[string]*cct.Profile{"plain": base, "temporal": withTS}
 	for name, p := range cases {
 		for ver, enc := range map[string]func(io.Writer, *cct.Profile) error{
-			"v2": WriteProfileV2,
+			"v2": referenceWriteProfileV2,
 			"v3": WriteProfile,
 		} {
 			t.Run(name+"/"+ver, func(t *testing.T) {
@@ -145,8 +146,9 @@ func TestReadProfileAtParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				path := writeTempImage(t, img)
 				for _, workers := range []int{1, 2, 4} {
-					par, n, err := ReadProfileAt(bytes.NewReader(img), int64(len(img)), nil, workers)
+					par, n, err := ReadFileParallel(path, nil, workers)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
@@ -173,10 +175,8 @@ func TestReadProfileAtParity(t *testing.T) {
 	}
 }
 
-// TestReadProfileAtErrors: every corruption the sequential strict reader
-// rejects must also fail the parallel path (so the fall-back to the
-// sequential reader, not the parallel decode, decides degraded-mode
-// behavior).
+// TestReadProfileAtErrors: every corruption the stream reader rejects
+// must also fail the file reader.
 func TestReadProfileAtErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteProfile(&buf, sampleProfile(3, 17)); err != nil {
@@ -190,15 +190,30 @@ func TestReadProfileAtErrors(t *testing.T) {
 		if seqErr == nil {
 			continue // flip the strict reader tolerates (none today)
 		}
-		if _, _, err := ReadProfileAt(bytes.NewReader(dmg), int64(len(dmg)), nil, 4); err == nil {
+		if _, _, err := ReadFileParallel(writeTempImage(t, dmg), nil, 4); err == nil {
 			t.Fatalf("bit flip at byte %d: sequential rejects (%v), parallel accepted", i, seqErr)
 		}
 	}
 	for cut := 0; cut < len(img); cut += 5 {
-		if _, _, err := ReadProfileAt(bytes.NewReader(img[:cut]), int64(cut), nil, 4); err == nil {
+		if _, _, err := ReadFileParallel(writeTempImage(t, img[:cut]), nil, 4); err == nil {
 			t.Fatalf("truncation at %d accepted by parallel reader", cut)
 		}
 	}
+}
+
+// writeTempImage writes img to a file of its own under the test's
+// temporary directory and returns its path.
+func writeTempImage(t *testing.T, img []byte) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "*.dcprof")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(img); err != nil {
+		t.Fatal(err)
+	}
+	return f.Name()
 }
 
 // TestReadFileParallel smoke-tests the path-based convenience wrapper.

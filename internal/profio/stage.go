@@ -1,6 +1,6 @@
 package profio
 
-// Stage, then apply: the one v3 decoder.
+// Stage, then apply: the one decoder, for every format version.
 //
 // A Decoder reads a profile image whole into a reusable buffer and
 // *stages* it: the header (strings resolved through a decoder-local cache
@@ -18,12 +18,15 @@ package profio
 // node only when a calling context is new to that accumulator, and a file
 // it decides to reject has contributed nothing.
 //
-// v1/v2 images keep the row decoder (reader.go): Stage salvages them into
-// a private profile and Apply absorbs that profile, so callers see one
-// interface for every version.
+// v1 and v2 images (read, never written) stage into the same columns. Their
+// trees are rows, one self-contained record per node; each distinct row
+// frame is written, as a v3 frame-table entry, into decoder scratch that
+// stands in for the header's frame table, so Apply, the footer and the
+// sidecar serve every version alike. A v2 tree is framed like a v3 one, so
+// a damaged section loses only its class; v1 has no framing, so its first
+// failure loses every class from there on.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -101,9 +104,8 @@ type Decoder struct {
 	// Decoder-local caches. Thread files of one execution repeat the same
 	// strings and frames, so after the first few files every header
 	// resolves here without touching the shared, synchronized interners.
-	// Both maps are nil in a decoder that will stage a single image (a
-	// Reader's): a header never repeats itself, so there is nothing to
-	// remember.
+	// Both maps are nil in a decoder that will stage a single image: a
+	// header never repeats itself, so there is nothing to remember.
 	strIDs map[string]uint32
 	strTab []string
 	frames map[frameKey]cct.FrameID
@@ -111,12 +113,11 @@ type Decoder struct {
 	buf     []byte
 	readErr error // non-EOF error that ended the read of buf
 
-	st     Staged
-	legacy *Salvage // the staged v1/v2 image, nil for v3
+	st Staged
 
 	strs     []uint32      // file string index → strTab index
 	frameTab []cct.FrameID // file frame index → interned frame (misses: filled by Apply)
-	frameSrc []byte        // the staged header's frame-table entries, for Apply
+	frameSrc []byte        // the staged frame-table entries, for Apply
 	missed   int           // frame-table entries the memo did not know
 	parent   []uint32
 	frame    []uint32 // file frame index per node
@@ -126,6 +127,10 @@ type Decoder struct {
 	series   seriesStage
 	haveTS   bool
 	damaged  bool // trailer-region damage was format-level, not I/O
+	// A row image's frame table: its distinct row frames as v3 entries,
+	// and each one's index, by frame.
+	rowTab []byte
+	rowIdx map[frameKey]uint32
 }
 
 // NewDecoder creates a decoder whose strings are canonicalized through in
@@ -152,7 +157,6 @@ func (d *Decoder) Stage(r io.Reader) (*Staged, error) {
 	d.buf = d.buf[:0]
 	d.readErr = d.fill(r, 8)
 	d.st = Staged{Errs: d.st.Errs[:0]}
-	d.legacy = nil
 	d.haveTS, d.damaged = false, false
 	d.span = [cct.NumClasses]treeSpan{}
 
@@ -174,24 +178,26 @@ func (d *Decoder) Stage(r io.Reader) (*Staged, error) {
 		d.readErr = d.fill(r, -1)
 	}
 	img := d.buf
-	d.st.Bytes = int64(len(img))
-	if v == Version {
-		d.st.Version = v
-		if err := d.stageV3(img); err != nil {
-			return nil, err
-		}
+	d.st.Bytes, d.st.Version = int64(len(img)), v
+	d.parent, d.frame, d.ents = d.parent[:0], d.frame[:0], d.ents[:0]
+	d.rowTab = d.rowTab[:0]
+	clear(d.rowIdx)
+	var err error
+	if v == Version1 {
+		err = d.stageV1(img)
 	} else {
-		src := io.Reader(bytes.NewReader(img))
-		if d.readErr != nil {
-			src = io.MultiReader(src, errReader{d.readErr})
-		}
-		rr, err := newRowReader(src, d.in)
-		if err != nil {
-			return nil, err
-		}
-		d.legacy = rr.salvage()
-		d.st = d.legacy.Staged
-		d.st.Bytes = int64(len(img))
+		err = d.stageFramed(img)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if v != Version {
+		// The row trees declared their frames as they went; resolve the
+		// table they built, as the header's is resolved for v3. Its
+		// entries were validated as they were added, so the parse cannot
+		// fail.
+		d.frameSrc = d.rowTab
+		_, _ = d.parseFrames(d.rowTab, 0, uint64(len(d.rowIdx)), false)
 	}
 	if !d.st.Intact() {
 		telSalvageFiles.Inc()
@@ -324,11 +330,11 @@ func (d *Decoder) section(img []byte, off *int, what string) (payload []byte, re
 	return payload, false, nil
 }
 
-// stageV3 stages a v3 image. Its bookkeeping is the salvage contract:
-// a tree section that is present but damaged loses only its own class, a
-// truncation or framing failure loses every class from there on, and the
-// footer and trailers are only reachable when the framing held.
-func (d *Decoder) stageV3(img []byte) error {
+// stageFramed stages a v2 or v3 image. Its bookkeeping is the salvage
+// contract: a tree section that is present but damaged loses only its own
+// class, a truncation or framing failure loses every class from there on,
+// and the footer and trailers are only reachable when the framing held.
+func (d *Decoder) stageFramed(img []byte) error {
 	st := &d.st
 	off := 8
 	payload, _, err := d.section(img, &off, "header")
@@ -339,7 +345,6 @@ func (d *Decoder) stageV3(img []byte) error {
 		return err
 	}
 
-	d.parent, d.frame, d.ents = d.parent[:0], d.frame[:0], d.ents[:0]
 	framed := true
 	for c := 0; c < cct.NumClasses; c++ {
 		payload, resync, err := d.section(img, &off, treeNames[c])
@@ -353,7 +358,12 @@ func (d *Decoder) stageV3(img []byte) error {
 			framed = false
 			break
 		}
-		if err := d.stageTree(c, payload); err != nil {
+		if st.Version == Version {
+			err = d.stageTree(c, payload)
+		} else {
+			_, err = d.stageRows(c, payload, 0, true)
+		}
+		if err != nil {
 			st.Errs = append(st.Errs, fmt.Errorf("profio: tree %d: %w", c, err))
 			st.Lost++
 			continue
@@ -376,32 +386,78 @@ func (d *Decoder) stageV3(img []byte) error {
 	return nil
 }
 
-// stageHeader decodes rank, thread, string table, event and frame table.
-// Strings resolve through the decoder-local cache (a hit allocates
-// nothing), frame-table entries through the decoder-local memo; an entry
-// the memo does not know waits for Apply, which interns it.
+// stageV1 stages a v1 image: the header fields and then the row trees back
+// to back, with no framing, checksums, footer or trailers. The offset of a
+// tree is known only once the tree before it has parsed, so the first
+// failure loses every class from there on. Bytes after the last tree are
+// not read.
+func (d *Decoder) stageV1(img []byte) error {
+	st := &d.st
+	off, err := d.parseIdent(img, 8)
+	if err != nil {
+		return fmt.Errorf("profio: header: %w", d.cut(err))
+	}
+	for c := 0; c < cct.NumClasses; c++ {
+		end, err := d.stageRows(c, img, off, false)
+		if err != nil {
+			st.Errs = append(st.Errs, fmt.Errorf("profio: tree %d: %w", c, d.cut(err)))
+			st.Lost += cct.NumClasses - c
+			break
+		}
+		off = end
+		sp := &d.span[c]
+		st.Trees++
+		st.NodesRead += sp.nodeN - sp.node0
+	}
+	telReadNodes.Add(uint64(st.NodesRead))
+	return nil
+}
+
+// cut classifies an unframed record that ran into the end of the image as
+// the image having been cut short.
+func (d *Decoder) cut(err error) error {
+	if err == errShort {
+		return d.short()
+	}
+	return err
+}
+
+// stageHeader decodes the header section: rank, thread, string table and
+// event, then (v3) the frame table. Strings resolve through the
+// decoder-local cache (a hit allocates nothing), frame-table entries
+// through the decoder-local memo; an entry the memo does not know waits
+// for Apply, which interns it.
 func (d *Decoder) stageHeader(b []byte) error {
-	if err := d.parseHeader(b); err != nil {
+	off, err := d.parseIdent(b, 0)
+	if err == nil && d.st.Version == Version {
+		off, err = d.parseFrameTable(b, off)
+	}
+	if err == nil && off != len(b) {
+		err = fmt.Errorf("trailing bytes in section")
+	}
+	if err != nil {
 		return fmt.Errorf("profio: header: %w", asTruncated(err))
 	}
 	return nil
 }
 
-func (d *Decoder) parseHeader(b []byte) error {
-	rank, off, err := uvarint(b, 0)
+// parseIdent decodes rank, thread, string table and event index at b[off:]
+// and returns the offset past them.
+func (d *Decoder) parseIdent(b []byte, off int) (int, error) {
+	rank, off, err := uvarint(b, off)
 	if err != nil {
-		return err
+		return off, err
 	}
 	thread, off, err := uvarint(b, off)
 	if err != nil {
-		return err
+		return off, err
 	}
 	nStrs, off, err := uvarint(b, off)
 	if err != nil {
-		return err
+		return off, err
 	}
 	if nStrs > 1<<24 {
-		return fmt.Errorf("unreasonable string table size %d", nStrs)
+		return off, fmt.Errorf("unreasonable string table size %d", nStrs)
 	}
 	// Scratch grows with the entries actually present, never with the
 	// claimed count: every entry consumes at least one payload byte.
@@ -409,13 +465,13 @@ func (d *Decoder) parseHeader(b []byte) error {
 	for i := uint64(0); i < nStrs; i++ {
 		var n uint64
 		if n, off, err = uvarint(b, off); err != nil {
-			return err
+			return off, err
 		}
 		if n > 1<<16 {
-			return fmt.Errorf("unreasonable string length %d", n)
+			return off, fmt.Errorf("unreasonable string length %d", n)
 		}
 		if uint64(len(b)-off) < n {
-			return errShort
+			return off, errShort
 		}
 		raw := b[off : off+int(n)]
 		off += int(n)
@@ -435,29 +491,27 @@ func (d *Decoder) parseHeader(b []byte) error {
 	}
 	eventIdx, off, err := uvarint(b, off)
 	if err != nil {
-		return err
+		return off, err
 	}
 	if eventIdx >= uint64(len(d.strs)) {
-		return fmt.Errorf("string index %d out of range", eventIdx)
+		return off, fmt.Errorf("string index %d out of range", eventIdx)
 	}
 	d.st.Rank, d.st.Thread = int(rank), int(thread)
 	d.st.Event = d.strTab[d.strs[eventIdx]]
+	return off, nil
+}
 
+// parseFrameTable decodes the v3 header's frame table at b[off:].
+func (d *Decoder) parseFrameTable(b []byte, off int) (int, error) {
 	nFrames, off, err := uvarint(b, off)
 	if err != nil {
-		return fmt.Errorf("frame table: %w", err)
+		return off, fmt.Errorf("frame table: %w", err)
 	}
 	if nFrames > 1<<24 {
-		return fmt.Errorf("unreasonable frame table size %d", nFrames)
+		return off, fmt.Errorf("unreasonable frame table size %d", nFrames)
 	}
 	d.frameSrc = b[off:]
-	if off, err = d.parseFrames(b, off, nFrames, false); err != nil {
-		return err
-	}
-	if off != len(b) {
-		return fmt.Errorf("trailing bytes in section")
-	}
-	return nil
+	return d.parseFrames(b, off, nFrames, false)
 }
 
 // parseFrames decodes the n frame-table entries at b[off:] into frameTab
@@ -626,6 +680,121 @@ func (d *Decoder) stageTree(c int, b []byte) (err error) {
 	return nil
 }
 
+// stageRows stages the row-encoded (v1/v2) tree at b[off:] into the same
+// columns stageTree fills, and returns the offset past it; whole requires
+// the tree to end the payload. Each row is
+//
+//	u32 parent (^0 for the root) · byte kind · uvarint module · uvarint
+//	name · uvarint file · uvarint line · byte nnz · (byte metricID ·
+//	uvarint value)×nnz
+//
+// with string-table indices; a row frame not seen before in this image
+// joins the row frame table. On failure the columns and the frame table
+// are rolled back, so a damaged tree leaves nothing staged.
+func (d *Decoder) stageRows(c int, b []byte, off int, whole bool) (_ int, err error) {
+	sp := treeSpan{node0: len(d.parent), ent0: len(d.ents)}
+	tab0, idx0 := len(d.rowTab), uint32(len(d.rowIdx))
+	defer func() {
+		if err != nil {
+			d.parent, d.frame, d.ents = d.parent[:sp.node0], d.frame[:sp.node0], d.ents[:sp.ent0]
+			d.rowTab = d.rowTab[:tab0]
+			for k, i := range d.rowIdx {
+				if i >= idx0 {
+					delete(d.rowIdx, k)
+				}
+			}
+		}
+	}()
+	if d.rowIdx == nil {
+		d.rowIdx = make(map[frameKey]uint32)
+	}
+	count, off, err := uvarint(b, off)
+	if err != nil {
+		return off, err
+	}
+	if count == 0 {
+		return off, fmt.Errorf("empty node array (even the root must be present)")
+	}
+	if count > 1<<28 {
+		return off, fmt.Errorf("unreasonable node count %d", count)
+	}
+	// Every row takes at least ten bytes, so a count the bytes left cannot
+	// hold is damage — and a count they can hold is safe to reserve.
+	if count > uint64(len(b)-off) {
+		return off, errShort
+	}
+	d.parent = slices.Grow(d.parent, int(count))
+	d.frame = slices.Grow(d.frame, int(count))
+	for i := uint64(0); i < count; i++ {
+		if len(b)-off < 5 {
+			return off, errShort
+		}
+		parent := binary.LittleEndian.Uint32(b[off:])
+		key := frameKey{kind: b[off+4]}
+		off += 5
+		switch {
+		case parent == noParent:
+			if i != 0 {
+				return off, fmt.Errorf("non-first node %d has no parent", i)
+			}
+			parent = 0
+		case uint64(parent) >= i:
+			return off, fmt.Errorf("node %d references later/self parent %d", i, parent)
+		}
+		// Module, name and file string indices, then the line.
+		var ref [4]uint64
+		for k := range ref {
+			if ref[k], off, err = uvarint(b, off); err != nil {
+				return off, err
+			}
+		}
+		for _, r := range ref[:3] {
+			if r >= uint64(len(d.strs)) {
+				return off, fmt.Errorf("string index %d out of range", r)
+			}
+		}
+		key.mod, key.name, key.file, key.line = d.strs[ref[0]], d.strs[ref[1]], d.strs[ref[2]], ref[3]
+		fi, ok := d.rowIdx[key]
+		if !ok {
+			fi = uint32(len(d.rowIdx))
+			d.rowIdx[key] = fi
+			d.rowTab = append(d.rowTab, key.kind)
+			for _, r := range ref {
+				d.rowTab = binary.AppendUvarint(d.rowTab, r)
+			}
+		}
+		d.parent = append(d.parent, parent)
+		d.frame = append(d.frame, fi)
+
+		if off >= len(b) {
+			return off, errShort
+		}
+		nz := int(b[off])
+		off++
+		for k := 0; k < nz; k++ {
+			if off >= len(b) {
+				return off, errShort
+			}
+			id := b[off]
+			off++
+			if int(id) >= int(metric.NumMetrics) {
+				return off, fmt.Errorf("metric id %d out of range", id)
+			}
+			var v uint64
+			if v, off, err = uvarint(b, off); err != nil {
+				return off, err
+			}
+			d.ents = append(d.ents, metricEnt{v: v, node: uint32(i), id: id})
+		}
+	}
+	if whole && off != len(b) {
+		return off, fmt.Errorf("trailing bytes in tree section")
+	}
+	sp.nodeN, sp.entN = len(d.parent), len(d.ents)
+	d.span[c] = sp
+	return off, nil
+}
+
 // stageFooter validates the end-of-file footer: magic and checksummed
 // total node count. The count is only compared to the staged total when
 // every tree section staged clean — a salvaged file legitimately holds
@@ -662,11 +831,13 @@ func (d *Decoder) stageFooter(img []byte, off *int) error {
 	return nil
 }
 
-// stageTrailers scans the tagged sections after the footer (see
-// rowReader.readTrailers for the contract): known magics stage, unknown
-// ones are checksum-verified and skipped, the end of the image is the
-// normal way out. The trees are already staged, so a damaged trailer
-// costs only the sidecar.
+// stageTrailers scans the tagged sections after the footer:
+// `u32 magic · uvarint len · payload · u32 CRC`. Known magics stage;
+// unknown ones are checksum-verified and skipped, which is how older
+// readers of future formats (and this one, for sidecars it does not know)
+// coexist with newer writers. The end of the image is the normal way out.
+// The trees are already staged, so a damaged trailer costs only the
+// sidecar.
 func (d *Decoder) stageTrailers(img []byte, off int) error {
 	var counts [cct.NumClasses]int
 	for c, sp := range d.span {
@@ -714,15 +885,6 @@ func (d *Decoder) stageTrailers(img []byte, off int) error {
 // had none, or lost it). It cannot fail. The returned series is backed by
 // the decoder's scratch: it is valid until the next Stage.
 func (d *Decoder) Apply(p *cct.Profile) *cct.TimeSeries {
-	if d.legacy != nil {
-		// Row-decoded images arrive as a private profile; fold it in. The
-		// sidecar's nodes keep their frame IDs and parent chains through
-		// the absorb, which is all the temporal index reads.
-		for c, t := range d.legacy.Profile.Trees {
-			p.Trees[c].Absorb(t)
-		}
-		return d.legacy.Profile.Temporal
-	}
 	if cap(d.nodes) < len(d.parent) {
 		d.nodes = make([]*cct.Node, len(d.parent))
 	}
@@ -764,9 +926,6 @@ func (d *Decoder) resolveFrames() {
 
 // materialize applies the staged image into a profile of its own.
 func (d *Decoder) materialize() *cct.Profile {
-	if d.legacy != nil {
-		return d.legacy.Profile
-	}
 	p := cct.NewProfile(d.st.Rank, d.st.Thread, d.st.Event)
 	p.Temporal = d.Apply(p)
 	return p

@@ -86,7 +86,7 @@ func TestDecoderReuseIsHistoryFree(t *testing.T) {
 	a := encodeV3(t, denseProfile(1, 64))
 	b := encodeV3(t, sampleProfile(3, 17))
 	c := encodeV3(t, temporalProfile(2, 5))
-	v2 := encode(t, func(buf *bytes.Buffer, p *cct.Profile) error { return WriteProfileV2(buf, p) }, temporalProfile(4, 1))
+	v2 := encode(t, func(buf *bytes.Buffer, p *cct.Profile) error { return referenceWriteProfileV2(buf, p) }, temporalProfile(4, 1))
 	flip := func(img []byte, at int) []byte {
 		out := append([]byte{}, img...)
 		out[at] ^= 0x20

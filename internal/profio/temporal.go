@@ -805,17 +805,3 @@ func (s *seriesStage) resolve(nodes *[cct.NumClasses][]*cct.Node) *cct.TimeSerie
 	}
 	return s.out
 }
-
-// decodeTimeSeries is stage and resolve in one step, for the row reader,
-// which has already built the trees the sidecar refers to.
-func decodeTimeSeries(magic uint32, payload []byte, classNodes *[cct.NumClasses][]*cct.Node) (*cct.TimeSeries, error) {
-	var counts [cct.NumClasses]int
-	for c, nodes := range classNodes {
-		counts[c] = len(nodes)
-	}
-	var s seriesStage
-	if err := s.stage(magic, payload, &counts); err != nil {
-		return nil, err
-	}
-	return s.resolve(classNodes), nil
-}

@@ -193,7 +193,7 @@ func TestUnknownTrailerSkipped(t *testing.T) {
 	}
 	profilesEqual(t, p, got)
 	seriesEqual(t, p.Temporal, got.Temporal)
-	if _, err := ValidateV2Profile(bytes.NewReader(img)); err != nil {
+	if _, err := ValidateProfile(bytes.NewReader(img)); err != nil {
 		t.Fatalf("validate rejected unknown trailer: %v", err)
 	}
 }

@@ -99,18 +99,18 @@ type frameRec struct {
 
 var encoderPool = sync.Pool{New: func() any { return &encoder{strs: make(map[string]uint32)} }}
 
-// writeProfile encodes p as the given format version and hands the image
-// to w in one Write (none when w is nil). It returns the image's length.
-func writeProfile(w io.Writer, p *cct.Profile, version uint32) (int64, error) {
+// writeProfile encodes p and hands the image to w in one Write (none when
+// w is nil). It returns the image's length.
+func writeProfile(w io.Writer, p *cct.Profile) (int64, error) {
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
-	return e.write(w, p, version)
+	return e.write(w, p)
 }
 
 // write is writeProfile on this encoder, which it leaves reset.
-func (e *encoder) write(w io.Writer, p *cct.Profile, version uint32) (int64, error) {
+func (e *encoder) write(w io.Writer, p *cct.Profile) (int64, error) {
 	defer e.reset()
-	if err := e.encode(p, version); err != nil {
+	if err := e.encode(p); err != nil {
 		return 0, err
 	}
 	if w != nil {
@@ -138,7 +138,7 @@ func (e *encoder) reset() {
 	e.frames, e.strList, e.table, e.wins = e.frames[:0], e.strList[:0], e.table[:0], e.wins[:0]
 }
 
-func (e *encoder) encode(p *cct.Profile, version uint32) error {
+func (e *encoder) encode(p *cct.Profile) error {
 	for c, t := range p.Trees {
 		if t == nil || t.Root == nil {
 			return fmt.Errorf("profio: profile has no %v tree", cct.Class(c))
@@ -163,9 +163,9 @@ func (e *encoder) encode(p *cct.Profile, version uint32) error {
 	event := e.intern(p.Event)
 
 	e.out = binary.LittleEndian.AppendUint32(e.out[:0], Magic)
-	e.out = binary.LittleEndian.AppendUint32(e.out, version)
+	e.out = binary.LittleEndian.AppendUint32(e.out, Version)
 
-	// Header section: identification + string table + event (+ frame table).
+	// Header section: identification, string table, event, frame table.
 	start := e.beginSection()
 	out := binary.AppendUvarint(e.out, uint64(p.Rank))
 	out = binary.AppendUvarint(out, uint64(p.Thread))
@@ -175,22 +175,16 @@ func (e *encoder) encode(p *cct.Profile, version uint32) error {
 		out = append(out, s...)
 	}
 	out = binary.AppendUvarint(out, uint64(event))
-	if version == Version {
-		out = binary.AppendUvarint(out, uint64(len(e.frames)))
-		for i := range e.frames {
-			out = e.frames[i].append(out)
-		}
+	out = binary.AppendUvarint(out, uint64(len(e.frames)))
+	for i := range e.frames {
+		out = e.frames[i].append(out)
 	}
 	e.out = out
 	e.endSection(start)
 
 	for c := 0; c < cct.NumClasses; c++ {
 		start := e.beginSection()
-		if version == Version {
-			e.treeColumns(e.off[c], e.off[c+1])
-		} else {
-			e.treeRows(e.off[c], e.off[c+1])
-		}
+		e.treeColumns(e.off[c], e.off[c+1])
 		e.endSection(start)
 	}
 
@@ -249,8 +243,7 @@ func (e *encoder) intern(s string) uint32 {
 	return i
 }
 
-// append encodes the frame record shared by the v3 frame table and a v2
-// node row.
+// append encodes one frame-table entry.
 func (f *frameRec) append(out []byte) []byte {
 	out = append(out, byte(f.kind))
 	out = binary.AppendUvarint(out, uint64(f.module))

@@ -45,35 +45,36 @@ func denseProfile(seed int64, contexts int) *cct.Profile {
 	return p
 }
 
-// encodedSizeV2 is EncodedSize for the compatibility writer.
+// encodedSizeV2 is EncodedSize for the reference v2 writer.
 func encodedSizeV2(t *testing.T, p *cct.Profile) int64 {
 	t.Helper()
 	var cw countWriter
-	if err := WriteProfileV2(&cw, p); err != nil {
+	if err := referenceWriteProfileV2(&cw, p); err != nil {
 		t.Fatal(err)
 	}
 	return cw.n
 }
 
-// TestV2CompatRoundTrip: v2 files written by previous releases (and the
-// retained WriteProfileV2) must keep decoding bit-exact.
+// TestV2CompatRoundTrip: v2 files written by previous releases (here by
+// the reference v2 writer) must keep decoding bit-exact.
 func TestV2CompatRoundTrip(t *testing.T) {
 	p := sampleProfile(3, 17)
 	var buf bytes.Buffer
-	if err := WriteProfileV2(&buf, p); err != nil {
+	if err := referenceWriteProfileV2(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewReader(bytes.NewReader(buf.Bytes()))
+	dec := new(Decoder)
+	st, err := dec.Stage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Version() != Version2 {
-		t.Errorf("version = %d, want %d", d.Version(), Version2)
+	if st.Version != Version2 {
+		t.Errorf("version = %d, want %d", st.Version, Version2)
 	}
-	got, err := d.ReadRest()
-	if err != nil {
-		t.Fatal(err)
+	if !st.Intact() {
+		t.Fatal(st.Errs[0])
 	}
+	got := dec.materialize()
 	profilesEqual(t, p, got)
 }
 
@@ -83,12 +84,12 @@ func TestV3WritesCurrentVersion(t *testing.T) {
 	if err := WriteProfile(&buf, sampleProfile(0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewReader(bytes.NewReader(buf.Bytes()))
+	st, err := new(Decoder).Stage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Version() != Version {
-		t.Errorf("version = %d, want %d", d.Version(), Version)
+	if st.Version != Version {
+		t.Errorf("version = %d, want %d", st.Version, Version)
 	}
 }
 
@@ -99,7 +100,7 @@ func TestV3V2Equivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		p := randomProfile(seed)
 		var b2, b3 bytes.Buffer
-		if err := WriteProfileV2(&b2, p); err != nil {
+		if err := referenceWriteProfileV2(&b2, p); err != nil {
 			t.Fatal(err)
 		}
 		if err := WriteProfile(&b3, p); err != nil {
@@ -171,7 +172,7 @@ func TestV3TemporalSidecarParity(t *testing.T) {
 	p.Temporal = ts
 
 	for name, write := range map[string]func(*bytes.Buffer) error{
-		"v2": func(b *bytes.Buffer) error { return WriteProfileV2(b, p) },
+		"v2": func(b *bytes.Buffer) error { return referenceWriteProfileV2(b, p) },
 		"v3": func(b *bytes.Buffer) error { return WriteProfile(b, p) },
 	} {
 		var buf bytes.Buffer
@@ -211,7 +212,7 @@ func TestMixedVersionDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	writeRaw(p2, func(b *bytes.Buffer) error { return WriteProfileV2(b, p2) })
+	writeRaw(p2, func(b *bytes.Buffer) error { return referenceWriteProfileV2(b, p2) })
 	writeRaw(p3, func(b *bytes.Buffer) error { return WriteProfile(b, p3) })
 
 	got, err := ReadDir(dir)
@@ -256,7 +257,7 @@ func TestV3FrameTableValidation(t *testing.T) {
 	writeU32(w, crc32.ChecksumIEEE(payload.Bytes()))
 	w.Flush()
 
-	if _, err := NewReader(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := new(Decoder).Stage(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("out-of-range frame-table string index accepted")
 	}
 }

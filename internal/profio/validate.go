@@ -9,6 +9,8 @@ package profio
 // touches it.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -18,7 +20,7 @@ type ValidateInfo struct {
 	// Rank, Thread, and Event identify the producer, from the header.
 	Rank, Thread int
 	Event        string
-	// Version is the format version (Version1, Version2, or Version).
+	// Version is the format version (Version2 or Version).
 	Version uint32
 	// Nodes counts the CCT node records decoded across all class trees.
 	Nodes int
@@ -31,13 +33,25 @@ type ValidateInfo struct {
 // anything the strict reader would fail on: bad magic or version, framing
 // damage, checksum mismatches, truncation, record-level corruption, or
 // trailing bytes — the exported seam the upload path of the profiling
-// service rejects payloads through.
+// service rejects payloads through. It also fails a v1 stream, from its
+// 8-byte preamble and before buffering the rest: without per-section CRCs
+// the service could not tell at-rest damage from writer output later.
 //
 // Validation is the reader's own staging step rather than a cheaper frame
 // walk: a stream that validates is guaranteed mergeable, so an accepted
 // upload can never later poison a collection's queries.
 func ValidateProfile(r io.Reader) (ValidateInfo, error) {
-	st, err := new(Decoder).Stage(r) // one image: no cross-file caches
+	var pre [8]byte
+	n, err := io.ReadFull(r, pre[:])
+	switch {
+	case err == io.ErrUnexpectedEOF:
+		r = errReader{io.EOF} // the stream ended inside the preamble
+	case err != nil:
+		r = errReader{err}
+	case binary.LittleEndian.Uint32(pre[:]) == Magic && binary.LittleEndian.Uint32(pre[4:]) == Version1:
+		return ValidateInfo{Version: Version1}, fmt.Errorf("profio: version %d uploads not accepted (no integrity checksums); re-encode as v%d", Version1, Version)
+	}
+	st, err := new(Decoder).Stage(io.MultiReader(bytes.NewReader(pre[:n]), r)) // one image: no cross-file caches
 	if err != nil {
 		return ValidateInfo{}, err
 	}
@@ -46,21 +60,5 @@ func ValidateProfile(r io.Reader) (ValidateInfo, error) {
 		return info, st.Errs[0]
 	}
 	info.Nodes, info.Bytes = st.NodesRead, st.Bytes
-	return info, nil
-}
-
-// ValidateV2Profile is ValidateProfile restricted to the checksummed
-// formats (v2 and v3): a structurally valid v1 stream is rejected, because
-// without per-section CRCs the service could not distinguish at-rest
-// damage from writer output later. This is the validator network ingest
-// uses; the name predates v3, which it accepts on the same grounds.
-func ValidateV2Profile(r io.Reader) (ValidateInfo, error) {
-	info, err := ValidateProfile(r)
-	if err != nil {
-		return info, err
-	}
-	if info.Version == Version1 {
-		return info, fmt.Errorf("profio: version %d uploads not accepted (no integrity checksums); re-encode as v%d", info.Version, Version)
-	}
 	return info, nil
 }

@@ -33,7 +33,7 @@ func TestValidateProfileIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := buf.Bytes()
-	info, err := ValidateV2Profile(bytes.NewReader(enc))
+	info, err := ValidateProfile(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatalf("intact profile rejected: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestValidateProfileRejectsEveryBitFlip(t *testing.T) {
 		for bit := uint(0); bit < 8; bit++ {
 			damaged := append([]byte(nil), enc...)
 			damaged[off] ^= 1 << bit
-			if _, err := ValidateV2Profile(bytes.NewReader(damaged)); err == nil {
+			if _, err := ValidateProfile(bytes.NewReader(damaged)); err == nil {
 				t.Fatalf("flip of byte %d bit %d accepted", off, bit)
 			}
 		}
@@ -77,12 +77,12 @@ func TestValidateProfileRejectsTruncation(t *testing.T) {
 	}
 	enc := buf.Bytes()
 	for _, cut := range []int{0, 1, 4, len(enc) / 2, len(enc) - 1} {
-		if _, err := ValidateV2Profile(bytes.NewReader(enc[:cut])); err == nil {
+		if _, err := ValidateProfile(bytes.NewReader(enc[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 	// Trailing garbage after a complete profile is equally invalid.
-	if _, err := ValidateV2Profile(bytes.NewReader(append(append([]byte(nil), enc...), 0xAB))); err == nil {
+	if _, err := ValidateProfile(bytes.NewReader(append(append([]byte(nil), enc...), 0xAB))); err == nil {
 		t.Error("trailing byte accepted")
 	}
 }
@@ -95,20 +95,20 @@ func TestValidateProfileRejectsGarbage(t *testing.T) {
 	}
 }
 
-// A valid v1 stream passes generic validation but not the v2-only gate:
-// without per-section CRCs the service could never distinguish at-rest
-// damage from writer output.
+// A valid v1 stream reads but does not validate: without per-section
+// CRCs the service could never distinguish at-rest damage from writer
+// output.
 func TestValidateV2RejectsVersion1(t *testing.T) {
 	enc := encodeV1(t, validateTestProfile())
+	if _, err := ReadProfile(bytes.NewReader(enc)); err != nil {
+		t.Fatalf("valid v1 stream failed to read: %v", err)
+	}
 	info, err := ValidateProfile(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatalf("valid v1 stream failed generic validation: %v", err)
+	if err == nil {
+		t.Error("v1 stream accepted by the validator")
 	}
 	if info.Version != Version1 {
 		t.Errorf("version = %d, want %d", info.Version, Version1)
-	}
-	if _, err := ValidateV2Profile(bytes.NewReader(enc)); err == nil {
-		t.Error("v1 stream accepted by v2-only validator")
 	}
 }
 
@@ -143,7 +143,7 @@ func TestValidateRejectsHostileHeaderEarly(t *testing.T) {
 		body := &zeroReader{n: 64 << 20}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := ValidateV2Profile(io.MultiReader(bytes.NewReader(c.hdr), body))
+		_, err := ValidateProfile(io.MultiReader(bytes.NewReader(c.hdr), body))
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
@@ -162,7 +162,7 @@ func TestValidateRejectsHostileHeaderEarly(t *testing.T) {
 		{[]byte{1, 2, 3}, "profio: reading magic: "},
 		{v99[:6], "profio: reading version: "},
 	} {
-		if _, err := ValidateV2Profile(bytes.NewReader(c.in)); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+		if _, err := ValidateProfile(bytes.NewReader(c.in)); err == nil || !strings.HasPrefix(err.Error(), c.want) {
 			t.Errorf("%d-byte input: err = %v, want prefix %q", len(c.in), err, c.want)
 		}
 	}

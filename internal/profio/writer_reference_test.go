@@ -34,7 +34,8 @@ func referenceWriteProfile(w io.Writer, p *cct.Profile) error {
 	return bw.Flush()
 }
 
-// referenceWriteProfileV2 is the old WriteProfileV2.
+// referenceWriteProfileV2 is the old WriteProfileV2, and the only v2
+// writer left: the tests that need v2 images call it.
 func referenceWriteProfileV2(w io.Writer, p *cct.Profile) error {
 	bw := bufio.NewWriter(w)
 	if err := writeProfileV2(bw, p); err != nil {

@@ -61,24 +61,12 @@ func randomSeries(rng *rand.Rand, p *cct.Profile, windows int, tidy bool) *cct.T
 }
 
 // requireReferenceBytes fails unless the encoder and the reference encoder
-// agree on p, in both formats (see sameImage), and EncodedSize on the
-// length.
+// agree on p (see sameImage), and EncodedSize on the length.
 func requireReferenceBytes(t testing.TB, name string, p *cct.Profile) {
 	t.Helper()
-	for _, f := range []struct {
-		version  string
-		got, ref func(*bytes.Buffer, *cct.Profile) error
-	}{
-		{"v3",
-			func(b *bytes.Buffer, p *cct.Profile) error { return WriteProfile(b, p) },
-			func(b *bytes.Buffer, p *cct.Profile) error { return referenceWriteProfile(b, p) }},
-		{"v2",
-			func(b *bytes.Buffer, p *cct.Profile) error { return WriteProfileV2(b, p) },
-			func(b *bytes.Buffer, p *cct.Profile) error { return referenceWriteProfileV2(b, p) }},
-	} {
-		if err := sameImage(encode(t, f.got, p), encode(t, f.ref, p)); err != nil {
-			t.Fatalf("%s %s: %v", name, f.version, err)
-		}
+	ref := func(b *bytes.Buffer, p *cct.Profile) error { return referenceWriteProfile(b, p) }
+	if err := sameImage(encodeV3(t, p), encode(t, ref, p)); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 	n, err := EncodedSize(p)
 	if err != nil {
@@ -302,20 +290,15 @@ func TestEncoderRejects(t *testing.T) {
 		"nil node": {func(p *cct.Profile) { p.Temporal.Windows[0].Deltas[0].Node = nil },
 			"profio: temporal delta references a node outside the static data tree"},
 	} {
-		for version, write := range map[string]func(*bytes.Buffer, *cct.Profile) error{
-			"v3": func(b *bytes.Buffer, p *cct.Profile) error { return WriteProfile(b, p) },
-			"v2": func(b *bytes.Buffer, p *cct.Profile) error { return WriteProfileV2(b, p) },
-		} {
-			p := temporalProfile(0, 0)
-			tc.mutate(p)
-			var buf bytes.Buffer
-			err := write(&buf, p)
-			if err == nil || err.Error() != tc.want {
-				t.Errorf("%s %s: error %v, want %q", name, version, err, tc.want)
-			}
-			if buf.Len() != 0 {
-				t.Errorf("%s %s: %d bytes written before the error", name, version, buf.Len())
-			}
+		p := temporalProfile(0, 0)
+		tc.mutate(p)
+		var buf bytes.Buffer
+		err := WriteProfile(&buf, p)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", name, err, tc.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: %d bytes written before the error", name, buf.Len())
 		}
 	}
 	if _, err := EncodedSize(temporalProfile(0, 0)); err != nil {
@@ -400,7 +383,7 @@ func TestWarmEncodeAllocs(t *testing.T) {
 	requireReferenceBytes(t, "gate profile", p)
 	e := &encoder{strs: make(map[string]uint32)}
 	run := func() {
-		if err := e.encode(p, Version); err != nil {
+		if err := e.encode(p); err != nil {
 			t.Fatal(err)
 		}
 		e.reset()

@@ -1,12 +1,13 @@
 package server
 
 // Collection storage: the durable side of the continuous-profiling
-// service. A collection is a directory of validated v2 profile files plus
-// a small metadata document; every mutation goes through the profio FS
-// seam with the same temp+fsync+rename discipline the profiler's own
-// writer uses, so a service killed at any point — including mid-upload —
-// never leaves a partial profile under a final name, and a restart serves
-// exactly the intact subset.
+// service. A collection is a directory of validated profile files (v2 or
+// v3, the checksummed formats) plus a small metadata document; every
+// mutation goes through the profio FS seam with the same
+// temp+fsync+rename discipline the profiler's own writer uses, so a
+// service killed at any point — including mid-upload — never leaves a
+// partial profile under a final name, and a restart serves exactly the
+// intact subset.
 
 import (
 	"crypto/sha256"
@@ -393,7 +394,7 @@ func (q *quotaReader) Read(p []byte) (int, error) {
 }
 
 // errReject marks upload failures that are the client's fault (damaged or
-// non-v2 payload) — the HTTP layer maps them to 400, everything else
+// v1 payload) — the HTTP layer maps them to 400, everything else
 // to 500.
 type errReject struct{ err error }
 
@@ -419,7 +420,7 @@ func (t *trackingFile) Write(p []byte) (int, error) {
 }
 
 // upload streams one profile payload into the collection. The body is
-// validated (full v2 decode, every CRC checked) while it streams into a
+// validated (fully staged, every CRC checked) while it streams into a
 // temp file and a SHA-256; only a payload that validates end-to-end is
 // fsynced and renamed to a final .dcprof name, and only then does the
 // collection's generation advance. A payload whose digest the collection
@@ -443,7 +444,7 @@ func (c *collection) upload(fsys profio.FS, body io.Reader, quotaRemaining int64
 	qr := &quotaReader{r: body, remaining: quotaRemaining}
 	tf := &trackingFile{f: f}
 	hash := sha256.New()
-	info, verr := profio.ValidateV2Profile(io.TeeReader(qr, io.MultiWriter(tf, hash)))
+	info, verr := profio.ValidateProfile(io.TeeReader(qr, io.MultiWriter(tf, hash)))
 	if verr != nil || tf.err != nil {
 		f.Close()
 		fsys.Remove(tmp)

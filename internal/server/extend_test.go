@@ -28,6 +28,7 @@ import (
 	"dcprof/internal/cct"
 	"dcprof/internal/faultio"
 	"dcprof/internal/metric"
+	"dcprof/internal/profio"
 	"dcprof/internal/view"
 )
 
@@ -430,21 +431,98 @@ func withFrameToken(t *testing.T, img []byte, token string) []byte {
 	return out
 }
 
+// rowImage encodes p in the row layout of format v1 or v2, which profio
+// reads but no longer writes: the header fields, then per class tree one
+// record per node in pre-order. v2 frames the header and each tree as a
+// checksummed section and ends with the counting footer; v1 has neither.
+func rowImage(p *cct.Profile, version uint32) []byte {
+	var strs []string
+	idx := map[string]uint64{}
+	str := func(s string) uint64 {
+		i, ok := idx[s]
+		if !ok {
+			i = uint64(len(strs))
+			idx[s] = i
+			strs = append(strs, s)
+		}
+		return i
+	}
+	event := str(p.Event)
+	var trees [cct.NumClasses][]byte
+	total := 0
+	for c, tr := range p.Trees {
+		var rows []byte
+		pos := map[*cct.Node]uint32{}
+		tr.Walk(func(n *cct.Node, _ int) bool {
+			parent := ^uint32(0)
+			if n.Parent() != nil {
+				parent = pos[n.Parent()]
+			}
+			pos[n] = uint32(len(pos))
+			f := n.Frame()
+			rows = binary.LittleEndian.AppendUint32(rows, parent)
+			rows = append(rows, byte(f.Kind))
+			for _, u := range []uint64{str(f.Module), str(f.Name), str(f.File), uint64(f.Line)} {
+				rows = binary.AppendUvarint(rows, u)
+			}
+			nz := len(rows)
+			rows = append(rows, 0)
+			for m, v := range n.Metrics {
+				if v != 0 {
+					rows[nz]++
+					rows = binary.AppendUvarint(append(rows, byte(m)), v)
+				}
+			}
+			return true
+		})
+		trees[c] = append(binary.AppendUvarint(nil, uint64(len(pos))), rows...)
+		total += len(pos)
+	}
+	hdr := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(p.Rank)), uint64(p.Thread))
+	hdr = binary.AppendUvarint(hdr, uint64(len(strs)))
+	for _, s := range strs {
+		hdr = append(binary.AppendUvarint(hdr, uint64(len(s))), s...)
+	}
+	hdr = binary.AppendUvarint(hdr, event)
+
+	out := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, profio.Magic), version)
+	if version == profio.Version1 {
+		out = append(out, hdr...)
+		for _, tr := range trees {
+			out = append(out, tr...)
+		}
+		return out
+	}
+	for _, sec := range append([][]byte{hdr}, trees[:]...) {
+		out = append(binary.AppendUvarint(out, uint64(len(sec))), sec...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(sec))
+	}
+	out = binary.LittleEndian.AppendUint32(out, profio.FooterMagic)
+	count := binary.AppendUvarint(nil, uint64(total))
+	return binary.LittleEndian.AppendUint32(append(out, count...), crc32.ChecksumIEEE(count))
+}
+
 // TestUploadsInternNothing: validating an upload interns none of its
-// frames, whether the upload is rejected or accepted and never queried. An
-// upload may declare millions of frame names, and the interner is process-
-// wide and append-only, so a validator that interned would let every
-// rejected payload pin its names for the daemon's lifetime.
+// frames, whether the upload is rejected or accepted and never queried,
+// and whatever its version. An upload may declare millions of frame names,
+// and the interner is process-wide and append-only, so a validator that
+// interned would let every rejected payload pin its names for the daemon's
+// lifetime.
 func TestUploadsInternNothing(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	p := cct.NewProfile(0, 0, "IBS@4096")
-	var v metric.Vector
-	v[metric.Samples] = 1
-	p.Trees[cct.ClassHeap].AddSample([]cct.Frame{
-		{Kind: cct.KindCall, Module: "exe", Name: "probe_a_@@@@@@@@", File: "probe_@@@@@@@@.c"},
-		{Kind: cct.KindStmt, Module: "exe", Name: "probe_b_@@@@@@@@", File: "probe_@@@@@@@@.c", Line: 3},
-	}, &v)
-	template := encodeProfile(t, p)
+	probe := func(token string) *cct.Profile {
+		p := cct.NewProfile(0, 0, "IBS@4096")
+		var v metric.Vector
+		v[metric.Samples] = 1
+		p.Trees[cct.ClassHeap].AddSample([]cct.Frame{
+			{Kind: cct.KindCall, Module: "exe", Name: "probe_a_" + token, File: "probe_" + token + ".c"},
+			{Kind: cct.KindStmt, Module: "exe", Name: "probe_b_" + token, File: "probe_" + token + ".c", Line: 3},
+		}, &v)
+		return p
+	}
+	template := encodeProfile(t, probe("@@@@@@@@"))
+	rows := rowImage(probe("@@@@@@@@"), profio.Version2)
+	unframed := rowImage(probe("@@@@@@@@"), profio.Version1)
 
 	const n = 8
 	var accepted, rejected [][]byte
@@ -452,9 +530,13 @@ func TestUploadsInternNothing(t *testing.T) {
 		accepted = append(accepted, withFrameToken(t, template, fmt.Sprintf("a%07d", i)))
 		img := withFrameToken(t, template, fmt.Sprintf("r%07d", i))
 		rejected = append(rejected, img[:len(img)-6]) // cut inside the footer: the header is intact
+		// Fresh frames in the checksummed row format are accepted; in the
+		// unchecksummed one they are refused.
+		accepted = append(accepted, withFrameToken(t, rows, fmt.Sprintf("b%07d", i)))
+		rejected = append(rejected, bytes.ReplaceAll(unframed, []byte("@@@@@@@@"), []byte(fmt.Sprintf("s%07d", i))))
 	}
 	before := cct.DefaultInterner().Len()
-	for i := 0; i < n; i++ {
+	for i := range accepted {
 		mustUpload(t, ts, "probe", accepted[i])
 		resp := post(t, ts, "probe", rejected[i])
 		resp.Body.Close()
@@ -463,6 +545,6 @@ func TestUploadsInternNothing(t *testing.T) {
 		}
 	}
 	if after := cct.DefaultInterner().Len(); after != before {
-		t.Errorf("%d accepted and %d rejected uploads interned %d frames; validation must intern none", n, n, after-before)
+		t.Errorf("%d accepted and %d rejected uploads interned %d frames; validation must intern none", len(accepted), len(rejected), after-before)
 	}
 }

@@ -490,29 +490,39 @@ func (z *hostileBody) Read(p []byte) (int, error) {
 	return int(k), nil
 }
 
-// TestUploadRejectsHostileBodyEarly posts 64 MiB of zeros straight into
-// the upload handler: the header alone condemns it, so the answer is 400,
-// nothing but the collection's metadata is left in its directory (no
-// profile, no temp file), and the handler allocates far less than the
-// body.
+// TestUploadRejectsHostileBodyEarly posts 64 MiB bodies straight into
+// the upload handler — zeros, and zeros behind a v1 preamble: the 8-byte
+// header alone condemns each, so the answer is 400, nothing but the
+// collection's metadata is left in its directory (no profile, no temp
+// file), and the handler allocates far less than the body.
 func TestUploadRejectsHostileBodyEarly(t *testing.T) {
 	srv, err := New(Config{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	req := httptest.NewRequest(http.MethodPost, "/collections/hostile/profiles", &hostileBody{n: 64 << 20})
-	req.SetPathValue("name", "hostile")
-	rr := httptest.NewRecorder()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	srv.handleUpload(rr, req)
-	runtime.ReadMemStats(&after)
-	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "bad magic") {
-		t.Fatalf("status %d: %s, want 400 naming the bad magic", rr.Code, rr.Body.String())
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
-		t.Errorf("rejecting a 64 MiB body allocated %d B, want <= 1 MiB", alloc)
+	v1 := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, profio.Magic), profio.Version1)
+	for _, c := range []struct {
+		name, want string
+		hdr        []byte
+	}{
+		{"zeros", "bad magic", nil},
+		{"v1", "version 1 uploads not accepted", v1},
+	} {
+		body := io.MultiReader(bytes.NewReader(c.hdr), &hostileBody{n: 64 << 20})
+		req := httptest.NewRequest(http.MethodPost, "/collections/hostile/profiles", body)
+		req.SetPathValue("name", "hostile")
+		rr := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.handleUpload(rr, req)
+		runtime.ReadMemStats(&after)
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), c.want) {
+			t.Fatalf("%s: status %d: %s, want 400 naming %q", c.name, rr.Code, rr.Body.String(), c.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: rejecting a 64 MiB body allocated %d B, want <= 1 MiB", c.name, alloc)
+		}
 	}
 	if col := srv.store.get("hostile"); col != nil {
 		ents, err := os.ReadDir(col.dir)

@@ -15,7 +15,7 @@
 //
 // Endpoints:
 //
-//	POST /collections/{name}/profiles     upload one v2 profile (body = file bytes)
+//	POST /collections/{name}/profiles     upload one v2/v3 profile (body = file bytes)
 //	GET  /collections                     list collections
 //	GET  /collections/{name}              collection metadata (+ last merge's quarantine)
 //	GET  /collections/{name}/topdown      top-down view JSON   (?metric=&depth=&min=&rows=&window=t0:t1)
@@ -275,7 +275,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // 429, and a read-only server (disk full) sheds with 503 — both carry
 // Retry-After so dcpush backs off instead of hammering. The payload is
 // then CRC-validated while it streams to a durable temp file under the
-// remaining disk quota; only a fully valid v2 profile is renamed into
+// remaining disk quota; only a fully valid v2/v3 profile is renamed into
 // the collection (creating it on first upload) and advances its
 // generation. A payload the collection already holds (by content digest)
 // is answered 200 against the existing file — retries are idempotent.
