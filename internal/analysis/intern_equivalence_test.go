@@ -91,10 +91,11 @@ func stringRebuild(p *cct.Profile) *cct.Profile {
 		dst := out.Trees[ci]
 		tree.Walk(func(n *cct.Node, _ int) bool {
 			if n.Frame().Kind == cct.KindRoot {
-				dst.Root.Metrics.Add(&n.Metrics)
+				v := n.Metrics()
+				dst.Add(dst.Root, &v)
 				return true
 			}
-			v := n.Metrics
+			v := n.Metrics()
 			dst.AddSample(n.Path(), &v)
 			return true
 		})

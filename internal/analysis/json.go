@@ -61,7 +61,7 @@ func convertNode(n *cct.Node) *JSONNode {
 		File:   f.File,
 		Line:   f.Line,
 	}
-	for i, v := range n.Metrics {
+	for i, v := range n.Metrics() {
 		if v != 0 {
 			if j.Metrics == nil {
 				j.Metrics = map[string]uint64{}

@@ -47,7 +47,7 @@ func withRandomSidecars(ps []*cct.Profile, seed int64) {
 				var v metric.Vector
 				v[metric.Samples] = uint64(rng.Intn(5) + 1)
 				v[metric.Latency] = uint64(rng.Intn(900))
-				win.Deltas = append(win.Deltas, cct.TimeDelta{Class: r.c, Node: r.n, Metrics: v})
+				win.Add(r.c, r.n, &v)
 			}
 			if len(win.Deltas) > 0 {
 				ts.Windows = append(ts.Windows, win)

@@ -19,7 +19,7 @@ func canonicalProfile(p *cct.Profile) string {
 	var b strings.Builder
 	for c, tree := range p.Trees {
 		tree.Walk(func(n *cct.Node, depth int) bool {
-			fmt.Fprintf(&b, "%d/%d %+v %v\n", c, depth, n.Frame(), n.Metrics)
+			fmt.Fprintf(&b, "%d/%d %+v %v\n", c, depth, n.Frame(), n.Metrics())
 			return true
 		})
 	}

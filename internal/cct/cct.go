@@ -117,19 +117,26 @@ const nodeInline = 4
 // deterministic ordering (Children, Walk, the on-disk encoding) are
 // unchanged by interning.
 //
+// Samples are exclusive, so most nodes — every interior calling context —
+// carry no metric; a node that does points at a row of its tree's slab.
+//
 // Field order is load-bearing: every pointer-bearing field comes first, so
-// the collector scans the 48-byte prefix (6 words) and skips the rest, and
-// the node is 160 bytes, an exact size class (TestNodeSizePinned,
+// the collector scans the 56-byte prefix (7 words) and skips the rest, and
+// the node is 80 bytes, an exact size class (TestNodeSizePinned,
 // TestNodePointersFirst).
 type Node struct {
 	parent *Node
 
-	// First nodeInline children live inline; the rest spill to a map.
+	// First nodeInline children live inline, filling the slots in order
+	// (a nil slot ends them); the rest spill to a map.
 	inline   [nodeInline]*Node
 	children map[FrameID]*Node
 
+	// metrics is the node's exclusive metric row (samples attributed
+	// directly to this node), nil while every metric is zero.
+	metrics *metric.Vector
+
 	id        FrameID
-	nInline   uint8
 	inlineIDs [nodeInline]FrameID
 
 	// scratch is single-owner bookkeeping space for whichever component
@@ -137,11 +144,7 @@ type Node struct {
 	// current-window stamp so the per-sample "already seen this window"
 	// check is one field compare instead of a map lookup. Trees are
 	// per-thread while samples flow, so there is exactly one writer.
-	scratch uint64
-
-	// Metrics holds the node's exclusive metric values (samples attributed
-	// directly to this node; usually only leaves have nonzero metrics).
-	Metrics metric.Vector
+	scratch uint32
 }
 
 // Frame returns the frame identifying the node within its parent, resolved
@@ -152,10 +155,28 @@ func (n *Node) Frame() Frame { return FrameByID(n.id) }
 func (n *Node) Parent() *Node { return n.parent }
 
 // Scratch returns the node's scratch word (see the field doc).
-func (n *Node) Scratch() uint64 { return n.scratch }
+func (n *Node) Scratch() uint32 { return n.scratch }
 
 // SetScratch stores the node's scratch word (see the field doc).
-func (n *Node) SetScratch(s uint64) { n.scratch = s }
+func (n *Node) SetScratch(s uint32) { n.scratch = s }
+
+// Metrics returns the node's exclusive metric values: samples attributed
+// directly to this node (usually only leaves have any). A Tree method —
+// AddSample, Add, Merge — is the only way to change them.
+func (n *Node) Metrics() metric.Vector {
+	if n.metrics == nil {
+		return metric.Vector{}
+	}
+	return *n.metrics
+}
+
+// Metric returns one of the node's exclusive metric values.
+func (n *Node) Metric(m metric.ID) uint64 {
+	if n.metrics == nil {
+		return 0
+	}
+	return n.metrics[m]
+}
 
 // ID returns the node's interned frame ID (in the default interner).
 func (n *Node) ID() FrameID { return n.id }
@@ -168,9 +189,9 @@ func (n *Node) Child(f Frame) *Node {
 // ChildID returns the child with the given interned frame, creating it if
 // absent — the allocation-free hot path of InsertPathIDs.
 func (n *Node) ChildID(id FrameID) *Node {
-	for i := uint8(0); i < n.nInline; i++ {
-		if n.inlineIDs[i] == id {
-			return n.inline[i]
+	for i, c := range &n.inline {
+		if n.inlineIDs[i] == id && c != nil {
+			return c
 		}
 	}
 	if c, ok := n.children[id]; ok {
@@ -184,11 +205,12 @@ func (n *Node) ChildID(id FrameID) *Node {
 // attach links c — whose id must not already key a child of n — into n's
 // child set: inline slots first, map spill after.
 func (n *Node) attach(c *Node) {
-	if n.nInline < nodeInline {
-		n.inlineIDs[n.nInline] = c.id
-		n.inline[n.nInline] = c
-		n.nInline++
-		return
+	for i, s := range &n.inline {
+		if s == nil {
+			n.inlineIDs[i] = c.id
+			n.inline[i] = c
+			return
+		}
 	}
 	if n.children == nil {
 		n.children = make(map[FrameID]*Node)
@@ -198,9 +220,9 @@ func (n *Node) attach(c *Node) {
 
 // lookupID returns the child with the given interned frame if it exists.
 func (n *Node) lookupID(id FrameID) (*Node, bool) {
-	for i := uint8(0); i < n.nInline; i++ {
-		if n.inlineIDs[i] == id {
-			return n.inline[i], true
+	for i, c := range &n.inline {
+		if n.inlineIDs[i] == id && c != nil {
+			return c, true
 		}
 	}
 	c, ok := n.children[id]
@@ -227,9 +249,7 @@ func (n *Node) Children() []*Node {
 // caller that linearises a whole tree into scratch it already holds.
 func (n *Node) AppendChildren(dst []*Node) []*Node {
 	base := len(dst)
-	for i := uint8(0); i < n.nInline; i++ {
-		dst = append(dst, n.inline[i])
-	}
+	dst = append(dst, n.inline[:n.numInline()]...)
 	for _, c := range n.children {
 		dst = append(dst, c)
 	}
@@ -285,13 +305,22 @@ func (n *Node) depth() int {
 }
 
 // NumChildren returns the number of children.
-func (n *Node) NumChildren() int { return int(n.nInline) + len(n.children) }
+func (n *Node) NumChildren() int { return n.numInline() + len(n.children) }
+
+// numInline counts the filled inline child slots.
+func (n *Node) numInline() int {
+	i := 0
+	for i < nodeInline && n.inline[i] != nil {
+		i++
+	}
+	return i
+}
 
 // eachChild calls fn on every child in unspecified order, without the sort
 // (or allocation) Children pays for determinism.
 func (n *Node) eachChild(fn func(*Node)) {
-	for i := uint8(0); i < n.nInline; i++ {
-		fn(n.inline[i])
+	for _, c := range n.inline[:n.numInline()] {
+		fn(c)
 	}
 	for _, c := range n.children {
 		fn(c)
@@ -317,11 +346,57 @@ func (n *Node) Path() []Frame {
 type Tree struct {
 	// Root is the tree root; its frame has KindRoot.
 	Root *Node
+
+	// rows is the current chunk of the metric slab, its length the rows
+	// handed out. Chunks are never moved or reused, so an adopted subtree
+	// (Absorb) keeps its rows, alive while a node points into the chunk.
+	rows []metric.Vector
 }
+
+// The slab's chunks double from minRows rows (640 B, so a tree that
+// records a handful of contexts holds little) up to maxRows (40 KiB),
+// where a chunk costs under one allocation per 500 metric-bearing nodes.
+const (
+	minRows = 8
+	maxRows = 512
+)
 
 // New creates an empty tree.
 func New() *Tree {
 	return &Tree{Root: &Node{id: InternFrame(Frame{Kind: KindRoot})}}
+}
+
+// row hands out a zeroed metric row from the tree's slab.
+func (t *Tree) row() *metric.Vector {
+	if len(t.rows) == cap(t.rows) {
+		t.rows = make([]metric.Vector, 0, min(max(minRows, 2*cap(t.rows)), maxRows))
+	}
+	t.rows = t.rows[:len(t.rows)+1]
+	return &t.rows[len(t.rows)-1]
+}
+
+// Add adds v to node n's exclusive metrics. A node whose metrics were all
+// zero gets its row from t's slab here; an all-zero v gives it none.
+func (t *Tree) Add(n *Node, v *metric.Vector) {
+	if n.metrics == nil {
+		if v.IsZero() {
+			return
+		}
+		n.metrics = t.row()
+	}
+	n.metrics.Add(v)
+}
+
+// AddMetric adds x to one of node n's exclusive metrics: Add for a single
+// value, as the decoder's metric columns deliver them.
+func (t *Tree) AddMetric(n *Node, m metric.ID, x uint64) {
+	if x == 0 {
+		return
+	}
+	if n.metrics == nil {
+		n.metrics = t.row()
+	}
+	n.metrics[m] += x
 }
 
 // InsertPath walks (creating as needed) the path of frames from the root
@@ -348,7 +423,7 @@ func (t *Tree) InsertPathIDs(path []FrameID) *Node {
 // AddSample attributes a metric vector to the node at the given path.
 func (t *Tree) AddSample(path []Frame, v *metric.Vector) *Node {
 	n := t.InsertPath(path)
-	n.Metrics.Add(v)
+	t.Add(n, v)
 	return n
 }
 
@@ -356,37 +431,42 @@ func (t *Tree) AddSample(path []Frame, v *metric.Vector) *Node {
 // pre-interned path.
 func (t *Tree) AddSampleIDs(path []FrameID, v *metric.Vector) *Node {
 	n := t.InsertPathIDs(path)
-	n.Metrics.Add(v)
+	t.Add(n, v)
 	return n
 }
 
 // Merge adds the other tree's structure and metrics into t. The other tree
 // is left untouched.
 func (t *Tree) Merge(o *Tree) {
-	mergeNode(t.Root, o.Root)
+	t.mergeNode(t.Root, o.Root)
 }
 
-func mergeNode(dst, src *Node) {
-	dst.Metrics.Add(&src.Metrics)
+func (t *Tree) mergeNode(dst, src *Node) {
+	if src.metrics != nil {
+		t.Add(dst, src.metrics)
+	}
 	// Integer-keyed descent: both trees share the process-global interner,
 	// so a child's FrameID addresses the same frame in either tree.
-	for i := uint8(0); i < src.nInline; i++ {
-		mergeNode(dst.ChildID(src.inlineIDs[i]), src.inline[i])
+	for i, c := range src.inline[:src.numInline()] {
+		t.mergeNode(dst.ChildID(src.inlineIDs[i]), c)
 	}
 	for id, sc := range src.children {
-		mergeNode(dst.ChildID(id), sc)
+		t.mergeNode(dst.ChildID(id), sc)
 	}
 }
 
 // Absorb moves o's structure and metrics into t, consuming o. A root
 // subtree whose frame t's root already has merges into it recursively; any
-// other is adopted wholesale, re-parented under t's root with no copying.
-// Use Merge when the source must survive.
+// other is adopted wholesale, re-parented under t's root with no copying
+// (its metric rows stay in o's slab chunks, which the adopted nodes keep
+// alive). Use Merge when the source must survive.
 func (t *Tree) Absorb(o *Tree) {
-	t.Root.Metrics.Add(&o.Root.Metrics)
+	if o.Root.metrics != nil {
+		t.Add(t.Root, o.Root.metrics)
+	}
 	o.Root.eachChild(func(c *Node) {
 		if dst, ok := t.Root.lookupID(c.id); ok {
-			mergeNode(dst, c)
+			t.mergeNode(dst, c)
 			return
 		}
 		c.parent = t.Root
@@ -394,23 +474,29 @@ func (t *Tree) Absorb(o *Tree) {
 	})
 }
 
-// Clone returns a deep copy of the tree, sharing no node with it. It is a
-// structural copy — each node's metrics and frame ID copied, children
-// linked in place and spill maps sized exactly — not a merge into an empty
-// tree, so it looks nothing up.
+// Clone returns a deep copy of the tree, sharing no node and no metric row
+// with it. It is a structural copy — each node's frame ID and metrics
+// copied, children linked in place and spill maps sized exactly — not a
+// merge into an empty tree, so it looks nothing up.
 func (t *Tree) Clone() *Tree {
-	return &Tree{Root: cloneNode(t.Root, nil)}
+	c := &Tree{}
+	c.Root = c.cloneNode(t.Root, nil)
+	return c
 }
 
-func cloneNode(src, parent *Node) *Node {
-	n := &Node{Metrics: src.Metrics, parent: parent, id: src.id, nInline: src.nInline, inlineIDs: src.inlineIDs}
-	for i := uint8(0); i < src.nInline; i++ {
-		n.inline[i] = cloneNode(src.inline[i], n)
+func (t *Tree) cloneNode(src, parent *Node) *Node {
+	n := &Node{parent: parent, id: src.id, inlineIDs: src.inlineIDs}
+	if src.metrics != nil {
+		n.metrics = t.row()
+		*n.metrics = *src.metrics
+	}
+	for i, c := range src.inline[:src.numInline()] {
+		n.inline[i] = t.cloneNode(c, n)
 	}
 	if len(src.children) > 0 {
 		n.children = make(map[FrameID]*Node, len(src.children))
 		for id, c := range src.children {
-			n.children[id] = cloneNode(c, n)
+			n.children[id] = t.cloneNode(c, n)
 		}
 	}
 	return n
@@ -453,14 +539,14 @@ func (t *Tree) NumNodes() int {
 // exclusively at their nodes, this is the tree's inclusive total).
 func (t *Tree) Total() metric.Vector {
 	var v metric.Vector
-	t.each(func(n *Node) { v.Add(&n.Metrics) })
+	t.each(func(n *Node) { m := n.Metrics(); v.Add(&m) })
 	return v
 }
 
 // Inclusive computes the inclusive metric vector of a node: its own plus
 // all descendants'.
 func (n *Node) Inclusive() metric.Vector {
-	v := n.Metrics
+	v := n.Metrics()
 	n.eachChild(func(c *Node) {
 		cv := c.Inclusive()
 		v.Add(&cv)

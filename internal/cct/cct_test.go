@@ -59,10 +59,10 @@ func TestInclusiveExclusive(t *testing.T) {
 	if inc[metric.Latency] != 30 || inc[metric.Samples] != 2 {
 		t.Errorf("main inclusive = %v", inc.String())
 	}
-	if mainNode.Metrics[metric.Latency] != 0 {
+	if mainNode.Metric(metric.Latency) != 0 {
 		t.Error("internal node has exclusive metrics")
 	}
-	if leafA.Metrics[metric.Latency] != 10 {
+	if leafA.Metric(metric.Latency) != 10 {
 		t.Error("leaf exclusive wrong")
 	}
 }
@@ -100,7 +100,7 @@ func TestMergePreservesTotals(t *testing.T) {
 	// Shared path merged into one leaf.
 	n, _ := a.Root.Lookup(call("main", 0))
 	leaf, ok := n.Lookup(stmt("main", 3))
-	if !ok || leaf.Metrics[metric.Latency] != 150 {
+	if !ok || leaf.Metric(metric.Latency) != 150 {
 		t.Error("shared leaf not coalesced")
 	}
 	// b is untouched.
@@ -304,7 +304,8 @@ func treeFingerprint(tr *Tree) map[string]metric.Vector {
 	tr.Walk(func(n *Node, _ int) bool {
 		key := fmt.Sprintf("%v", n.Path())
 		v := fp[key]
-		v.Add(&n.Metrics)
+		nv := n.Metrics()
+		v.Add(&nv)
 		fp[key] = v
 		return true
 	})
@@ -395,7 +396,8 @@ func TestCompareWalkOrderMatchesWalk(t *testing.T) {
 	var want metric.Vector
 	tr.Walk(func(n *Node, _ int) bool {
 		order = append(order, n)
-		want.Add(&n.Metrics)
+		nv := n.Metrics()
+		want.Add(&nv)
 		return true
 	})
 	for i, a := range order {
@@ -415,16 +417,17 @@ func TestCompareWalkOrderMatchesWalk(t *testing.T) {
 
 // TestNodeSizePinned: the views' render snapshot indexes the tree from
 // outside, so speeding queries up must not grow the node every sample and
-// every merge allocates. 160 bytes is an exact allocator size class; the
-// node keeps its frame's ID, never a copy of the frame.
+// every merge allocates. 80 bytes is an exact allocator size class; the
+// node keeps its frame's ID, never a copy of the frame, and a pointer to
+// its metric row, never the row.
 func TestNodeSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 160 {
-		t.Errorf("unsafe.Sizeof(Node{}) = %d, pinned at 160", got)
+	if got := unsafe.Sizeof(Node{}); got != 80 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d, pinned at 80", got)
 	}
 }
 
 // TestNodePointersFirst: every pointer-bearing field of Node precedes every
-// pointer-free one, so the collector scans a 48-byte prefix of each node
+// pointer-free one, so the collector scans a 56-byte prefix of each node
 // and stops there.
 func TestNodePointersFirst(t *testing.T) {
 	typ := reflect.TypeOf(Node{})
@@ -442,8 +445,8 @@ func TestNodePointersFirst(t *testing.T) {
 		}
 		prefix = f.Offset + f.Type.Size()
 	}
-	if prefix != 48 {
-		t.Errorf("pointer-bearing prefix is %d bytes, want 48", prefix)
+	if prefix != 56 {
+		t.Errorf("pointer-bearing prefix is %d bytes, want 56", prefix)
 	}
 }
 

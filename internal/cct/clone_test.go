@@ -29,7 +29,8 @@ func randomProfile(seed int64) *cct.Profile {
 		v[metric.Latency] = uint64(rng.Intn(1000))
 		p.Trees[rng.Intn(cct.NumClasses)].AddSample(path, &v)
 	}
-	p.Trees[cct.ClassHeap].Root.Metrics[metric.Samples] = uint64(rng.Intn(3))
+	heap := p.Trees[cct.ClassHeap]
+	heap.AddMetric(heap.Root, metric.Samples, uint64(rng.Intn(3)))
 	return p
 }
 
@@ -75,7 +76,7 @@ func TestCloneIsStructuralCopy(t *testing.T) {
 						t.Fatalf("seed %d class %d: child %v not found by its ID", seed, c, k.Frame())
 					}
 				})
-				n.Metrics[metric.Samples] += 7
+				tr.AddMetric(n, metric.Samples, 7)
 				return true
 			})
 		}

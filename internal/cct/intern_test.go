@@ -169,7 +169,7 @@ func TestFrameReadsWhileInterning(t *testing.T) {
 func walkSeq(tr *Tree) []string {
 	var out []string
 	tr.Walk(func(n *Node, depth int) bool {
-		out = append(out, fmt.Sprintf("%d|%v|%v", depth, n.Frame(), n.Metrics))
+		out = append(out, fmt.Sprintf("%d|%v|%v", depth, n.Frame(), n.Metrics()))
 		return true
 	})
 	return out
@@ -194,8 +194,8 @@ func TestQuickStringAndIDPathsEquivalent(t *testing.T) {
 			for _, f := range n.Path() {
 				ids = append(ids, InternFrame(f))
 			}
-			v := n.Metrics
-			b.InsertPathIDs(ids).Metrics.Add(&v)
+			v := n.Metrics()
+			b.Add(b.InsertPathIDs(ids), &v)
 			return true
 		})
 
@@ -225,7 +225,7 @@ func TestInlineSpill(t *testing.T) {
 	for i := 0; i < fanout; i++ {
 		f := call(fmt.Sprintf("f%02d", i), i)
 		frames = append(frames, f)
-		tr.Root.Child(f).Metrics[metric.Samples] = uint64(i + 1)
+		tr.AddMetric(tr.Root.Child(f), metric.Samples, uint64(i+1))
 	}
 	if got := tr.Root.NumChildren(); got != fanout {
 		t.Fatalf("NumChildren = %d, want %d", got, fanout)
@@ -235,7 +235,7 @@ func TestInlineSpill(t *testing.T) {
 		if !ok {
 			t.Fatalf("Lookup(%v) missed after spill", f)
 		}
-		if n.Metrics[metric.Samples] != uint64(i+1) {
+		if n.Metric(metric.Samples) != uint64(i+1) {
 			t.Fatalf("child %d metrics clobbered", i)
 		}
 		if n2 := tr.Root.ChildID(n.ID()); n2 != n {

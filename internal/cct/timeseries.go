@@ -15,21 +15,33 @@ package cct
 // temporal package (recorder, merge index, phase detection) can import
 // cct without a cycle.
 
-import "dcprof/internal/metric"
+import (
+	"math/bits"
 
-// TimeDelta is one node's metric increment within one time window.
+	"dcprof/internal/metric"
+)
+
+// TimeDelta is one node's metric increment within one time window. It
+// stores which metrics moved, not their values: those are packed into the
+// window's Vals, so a delta is 16 bytes however many metrics it carries —
+// the in-memory twin of the sidecar's mask and value columns.
 type TimeDelta struct {
-	// Class is the storage class of the tree Node belongs to.
-	Class Class
 	// Node is the CCT node the metrics were attributed to. It is a node
 	// of the owning Profile's Trees[Class]; the on-disk encoding refers
 	// to it by its deterministic pre-order position across the profile's
 	// trees, class by class, so the class is implied by the position.
 	Node *Node
-	// Metrics is the increment recorded during the window (not a
-	// cumulative total).
-	Metrics metric.Vector
+	// Off is where the delta's values start in the window's Vals.
+	Off uint32
+	// Mask has bit m set for each metric m the delta carries; the values
+	// follow one another from Vals[Off] in metric order.
+	Mask uint16
+	// Class is the storage class of the tree Node belongs to.
+	Class Class
 }
+
+// A Mask has a bit per metric: this fails to compile once they outgrow it.
+const _ = uint16(1<<metric.NumMetrics - 1)
 
 // TimeWindow is the set of metric deltas recorded during one fixed-width
 // window of sim time.
@@ -40,6 +52,36 @@ type TimeWindow struct {
 	// Deltas holds the per-node increments. Order is unspecified in
 	// memory; the encoder sorts by pre-order position and sums repeats.
 	Deltas []TimeDelta
+	// Vals holds the deltas' metric values, packed as their Off and Mask
+	// say.
+	Vals []uint64
+}
+
+// Metrics expands delta i into its metric vector.
+func (w *TimeWindow) Metrics(i int) metric.Vector {
+	var v metric.Vector
+	d := &w.Deltas[i]
+	vals := w.Vals[d.Off:]
+	for x := d.Mask; x != 0; x &= x - 1 {
+		v[bits.TrailingZeros16(x)] = vals[0]
+		vals = vals[1:]
+	}
+	return v
+}
+
+// Add appends a delta of node n (of class tree c) carrying v's non-zero
+// metrics. Appends go through to the slices' spare capacity, so a caller
+// that leaves enough of it — the recorder, writing into its slab — packs
+// a window without allocating.
+func (w *TimeWindow) Add(c Class, n *Node, v *metric.Vector) {
+	d := TimeDelta{Node: n, Off: uint32(len(w.Vals)), Class: c}
+	for m, x := range v {
+		if x != 0 {
+			d.Mask |= 1 << m
+			w.Vals = append(w.Vals, x)
+		}
+	}
+	w.Deltas = append(w.Deltas, d)
 }
 
 // TimeSeries is one profile's temporal sidecar: fixed-width windows of

@@ -40,7 +40,7 @@ func TestUnloadedModuleSamplesAreDropped(t *testing.T) {
 	// No sample may reference the unloaded module.
 	for _, tree := range prof.Trees {
 		tree.Walk(func(n *cct.Node, _ int) bool {
-			if n.Frame().Kind == cct.KindStmt && n.Frame().Module == "libplugin.so" && !n.Metrics.IsZero() {
+			if n.Frame().Kind == cct.KindStmt && n.Frame().Module == "libplugin.so" && n.Metrics() != (metric.Vector{}) {
 				// Samples taken while loaded are fine; they resolved at
 				// sample time. This is expected — assert only that
 				// post-unload samples exist at main.

@@ -99,9 +99,9 @@ func TestLastNodeCacheCoalescesSteadyState(t *testing.T) {
 	var leaves int
 	var leafSamples uint64
 	heap.Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame().Kind == cct.KindStmt && !n.Metrics.IsZero() {
+		if n.Frame().Kind == cct.KindStmt && n.Metrics() != (metric.Vector{}) {
 			leaves++
-			leafSamples = n.Metrics[metric.Samples]
+			leafSamples = n.Metric(metric.Samples)
 		}
 		return true
 	})
@@ -139,8 +139,8 @@ func TestLastNodeCacheAcrossContextChanges(t *testing.T) {
 	// work:12, each with its own sample count.
 	counts := map[string]uint64{}
 	heap.Walk(func(n *cct.Node, _ int) bool {
-		if n.Frame().Kind == cct.KindStmt && !n.Metrics.IsZero() {
-			counts[n.Frame().Name] += n.Metrics[metric.Samples]
+		if n.Frame().Kind == cct.KindStmt && n.Metrics() != (metric.Vector{}) {
+			counts[n.Frame().Name] += n.Metric(metric.Samples)
 		}
 		return true
 	})
@@ -201,7 +201,7 @@ func moduleStmtSamples(profs []*cct.Profile, module string) uint64 {
 		for _, tree := range p.Trees {
 			tree.Walk(func(n *cct.Node, _ int) bool {
 				if n.Frame().Kind == cct.KindStmt && n.Frame().Module == module {
-					total += n.Metrics[metric.Samples]
+					total += n.Metric(metric.Samples)
 				}
 				return true
 			})

@@ -401,7 +401,7 @@ func (ts *tstate) record(class cct.Class, prefix []cct.FrameID, leaf cct.FrameID
 			// at a node's first touch per window.
 			ts.rec.Record(ts.t.Clock(), class, n)
 		}
-		n.Metrics.Add(v)
+		ts.profile.Trees[class].Add(n, v)
 		return
 	}
 	ts.prof.tel.lastNodeMisses.Inc()
@@ -410,11 +410,12 @@ func (ts *tstate) record(class cct.Class, prefix []cct.FrameID, leaf cct.FrameID
 	buf = append(buf, ts.stackIDs...)
 	buf = append(buf, leaf)
 	ts.pathBuf = buf
-	n := ts.profile.Trees[class].InsertPathIDs(buf)
+	t := ts.profile.Trees[class]
+	n := t.InsertPathIDs(buf)
 	if ts.rec != nil {
 		ts.rec.Record(ts.t.Clock(), class, n)
 	}
-	n.Metrics.Add(v)
+	t.Add(n, v)
 	ts.lastNode, ts.lastClass, ts.lastLeaf = n, class, leaf
 	ts.lastEpoch, ts.lastPrefix = ts.stackEpoch, prefix
 }

@@ -99,8 +99,8 @@ func TestHeapAttributionUnderAllocationPath(t *testing.T) {
 	step(cct.Frame{Kind: cct.KindCall, Module: "exe", Name: "main", File: "main.c", Line: 0})
 	step(cct.Frame{Kind: cct.KindCall, Module: "exe", Name: "work", File: "work.c", Line: 5})
 	step(cct.Frame{Kind: cct.KindStmt, Module: "exe", Name: "work", File: "work.c", Line: 12})
-	if n.Metrics[metric.Samples] < 100 {
-		t.Errorf("leaf samples = %d", n.Metrics[metric.Samples])
+	if n.Metric(metric.Samples) < 100 {
+		t.Errorf("leaf samples = %d", n.Metric(metric.Samples))
 	}
 }
 
@@ -259,9 +259,9 @@ func TestSkidCorrectionAblation(t *testing.T) {
 				if n.Frame().Kind == cct.KindStmt && n.Frame().File == "work.c" {
 					switch n.Frame().Line {
 					case 12:
-						lat12 += n.Metrics[metric.Latency]
+						lat12 += n.Metric(metric.Latency)
 					case 13:
-						lat13 += n.Metrics[metric.Latency]
+						lat13 += n.Metric(metric.Latency)
 					}
 				}
 				return true

@@ -70,7 +70,7 @@ func profilesEqual(t *testing.T, a, b *cct.Profile) {
 		collect := func(tr *cct.Tree) []rec {
 			var out []rec
 			tr.Walk(func(n *cct.Node, d int) bool {
-				out = append(out, rec{n.Frame(), d, n.Metrics})
+				out = append(out, rec{n.Frame(), d, n.Metrics()})
 				return true
 			})
 			return out

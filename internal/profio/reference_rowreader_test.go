@@ -489,7 +489,7 @@ func (d *rowReader) decodeRows(br *bufio.Reader, t *cct.Tree) ([]*cct.Node, erro
 			}
 			var vec metric.Vector
 			vec[id] = v
-			node.Metrics.Add(&vec)
+			t.Add(node, &vec)
 		}
 		nodes = append(nodes, node)
 	}

@@ -61,13 +61,11 @@ func TestIndexSectionsLayout(t *testing.T) {
 // trailer entry.
 func TestIndexSectionsTrailer(t *testing.T) {
 	p := sampleProfile(1, 2)
-	var d cct.TimeDelta
-	d.Class = cct.ClassStatic
-	d.Node = p.Trees[cct.ClassStatic].Root
-	d.Metrics[metric.Samples] = 1
+	var d metric.Vector
+	d[metric.Samples] = 1
 	p.Temporal = &cct.TimeSeries{
 		Width:   1 << 20,
-		Windows: []cct.TimeWindow{{Index: 3, Deltas: []cct.TimeDelta{d}}},
+		Windows: []cct.TimeWindow{window(3, delta{cct.ClassStatic, p.Trees[cct.ClassStatic].Root, d})},
 	}
 	var buf bytes.Buffer
 	if err := WriteProfile(&buf, p); err != nil {
@@ -117,14 +115,12 @@ func TestIndexSectionsRejects(t *testing.T) {
 // node order, same sidecar.
 func TestReadProfileAtParity(t *testing.T) {
 	base := sampleProfile(5, 9)
-	var d cct.TimeDelta
-	d.Class = cct.ClassStatic
-	d.Node = base.Trees[cct.ClassStatic].Root
-	d.Metrics[metric.Samples] = 2
+	var d metric.Vector
+	d[metric.Samples] = 2
 	withTS := sampleProfile(5, 9)
 	withTS.Temporal = &cct.TimeSeries{
 		Width:   1 << 20,
-		Windows: []cct.TimeWindow{{Index: 1, Deltas: []cct.TimeDelta{d}}},
+		Windows: []cct.TimeWindow{window(1, delta{cct.ClassStatic, base.Trees[cct.ClassStatic].Root, d})},
 	}
 	// The sidecar references nodes of its own profile; rebuild the delta
 	// against withTS's tree.

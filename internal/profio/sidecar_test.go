@@ -285,10 +285,10 @@ func TestSidecarStagingBudget(t *testing.T) {
 // stream to the cap instead, and the series comes back exactly.
 func TestSidecarRatioCapRoundTrip(t *testing.T) {
 	p := temporalProfile(1, 2)
-	same := p.Temporal.Windows[0].Deltas
+	same := p.Temporal.Windows[0]
 	p.Temporal.Windows = make([]cct.TimeWindow, 100000)
 	for i := range p.Temporal.Windows {
-		p.Temporal.Windows[i] = cct.TimeWindow{Index: uint64(i), Deltas: same}
+		p.Temporal.Windows[i] = cct.TimeWindow{Index: uint64(i), Deltas: same.Deltas, Vals: same.Vals}
 	}
 	img := encodeV3(t, p)
 
@@ -366,13 +366,13 @@ func seriesFromBytes(p *cct.Profile, data []byte) {
 		w := cct.TimeWindow{Index: index}
 		for d := next() % 9; d > 0; d-- {
 			i := (next()<<8 | next()) % len(nodes)
-			delta := cct.TimeDelta{Class: classes[i], Node: nodes[i]}
+			var v metric.Vector
 			for mask, m := next()|next()<<8, 0; m < int(metric.NumMetrics); m++ {
 				if mask>>m&1 == 1 {
-					delta.Metrics[m] = uint64(next()+1) << uint(next()%56)
+					v[m] = uint64(next()+1) << uint(next()%56)
 				}
 			}
-			w.Deltas = append(w.Deltas, delta)
+			w.Add(classes[i], nodes[i], &v)
 		}
 		ts.Windows = append(ts.Windows, w)
 	}

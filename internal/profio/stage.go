@@ -898,12 +898,13 @@ func (d *Decoder) Apply(p *cct.Profile) *cct.TimeSeries {
 		}
 		nodes := d.nodes[sp.node0:sp.nodeN]
 		parent, frame := d.parent[sp.node0:sp.nodeN], d.frame[sp.node0:sp.nodeN]
-		nodes[0] = p.Trees[c].Root
+		t := p.Trees[c]
+		nodes[0] = t.Root
 		for i := 1; i < len(nodes); i++ {
 			nodes[i] = nodes[parent[i]].ChildID(tab[frame[i]])
 		}
 		for _, e := range d.ents[sp.ent0:sp.entN] {
-			nodes[e.node].Metrics[e.id] += e.v
+			t.AddMetric(nodes[e.node], metric.ID(e.id), e.v)
 		}
 		classNodes[c] = nodes
 	}

@@ -137,12 +137,13 @@ func (e *encoder) indexNodes() {
 	}
 }
 
-// sideEntry is one delta of the window being encoded, keyed by its
-// file-wide pre-order position, so that one integer sort gives the
-// format's entry order.
+// sideEntry is one delta of the window being encoded — delta i of window
+// w — keyed by its file-wide pre-order position, so that one integer sort
+// gives the format's entry order.
 type sideEntry struct {
 	key uint64
-	d   *cct.TimeDelta
+	w   *cct.TimeWindow
+	i   int
 }
 
 // sidecar appends ts as the tagged temporal trailer. Windows are taken in
@@ -203,9 +204,9 @@ func (e *encoder) sidecar(ts *cct.TimeSeries) error {
 		index := e.wins[lo].Index
 		e.ents = e.ents[:0]
 		for ; lo < len(e.wins) && e.wins[lo].Index == index; lo++ {
-			deltas := e.wins[lo].Deltas
-			for di := range deltas {
-				d := &deltas[di]
+			w := e.wins[lo]
+			for di := range w.Deltas {
+				d := &w.Deltas[di]
 				if int(d.Class) >= cct.NumClasses {
 					return fmt.Errorf("profio: temporal delta class %d out of range", d.Class)
 				}
@@ -213,7 +214,7 @@ func (e *encoder) sidecar(ts *cct.TimeSeries) error {
 				if !ok || pos < e.off[d.Class] || pos >= e.off[d.Class+1] {
 					return fmt.Errorf("profio: temporal delta references a node outside the %v tree", d.Class)
 				}
-				e.ents = append(e.ents, sideEntry{uint64(pos), d})
+				e.ents = append(e.ents, sideEntry{uint64(pos), w, di})
 			}
 		}
 		slices.SortFunc(e.ents, func(a, b sideEntry) int { return cmp.Compare(a.key, b.key) })
@@ -231,9 +232,8 @@ func (e *encoder) sidecar(ts *cct.TimeSeries) error {
 			e.cols[m] = grow(e.cols[m], numEntries*binary.MaxVarintLen64)
 		}
 
-		var sum metric.Vector
 		for i := 0; i < len(e.ents); {
-			key, v := e.ents[i].key, &e.ents[i].d.Metrics
+			key, v := e.ents[i].key, e.ents[i].w.Metrics(e.ents[i].i)
 			// The first entry of a window is zig-zagged against the
 			// previous window's first, later ones delta-coded.
 			if i == 0 {
@@ -242,12 +242,9 @@ func (e *encoder) sidecar(ts *cct.TimeSeries) error {
 			} else {
 				refs = binary.AppendUvarint(refs, key-e.ents[i-1].key)
 			}
-			if i++; i < len(e.ents) && e.ents[i].key == key {
-				sum = *v
-				for ; i < len(e.ents) && e.ents[i].key == key; i++ {
-					sum.Add(&e.ents[i].d.Metrics)
-				}
-				v = &sum
+			for i++; i < len(e.ents) && e.ents[i].key == key; i++ {
+				o := e.ents[i].w.Metrics(e.ents[i].i)
+				v.Add(&o)
 			}
 			mask := uint64(0)
 			for m, x := range v {
@@ -348,11 +345,12 @@ type seriesStage struct {
 	// transposed into columns.
 	tmp []uint64
 
-	// The resolved form, reused from file to file. out is its own
-	// allocation so that a profile keeping the series does not keep the
-	// decoder alive.
+	// The resolved form, reused from file to file: the deltas and their
+	// values, entry by entry. out is its own allocation so that a profile
+	// keeping the series does not keep the decoder alive.
 	out *cct.TimeSeries
 	td  []cct.TimeDelta
+	tv  []uint64
 }
 
 // stage parses a sidecar payload tagged magic. counts holds the node
@@ -775,8 +773,9 @@ func (s *seriesStage) parseRows(b []byte, counts *[cct.NumClasses]int) error {
 
 // resolve builds the staged sidecar's cct.TimeSeries against the given
 // per-class pre-order node arrays, reusing the previous result's storage.
-// It is the one place staged entries become TimeDeltas. It returns nil
-// for a sidecar without windows.
+// It is the one place staged entries become TimeDeltas: each keeps its
+// staged mask, and its values are gathered from the metric columns into
+// entry order. It returns nil for a sidecar without windows.
 func (s *seriesStage) resolve(nodes *[cct.NumClasses][]*cct.Node) *cct.TimeSeries {
 	if len(s.wins) == 0 {
 		return nil
@@ -785,22 +784,29 @@ func (s *seriesStage) resolve(nodes *[cct.NumClasses][]*cct.Node) *cct.TimeSerie
 		s.out = new(cct.TimeSeries)
 	}
 	s.td = slices.Grow(s.td[:0], len(s.refs))[:len(s.refs)]
-	cur := s.col
-	for i, pos := range s.refs {
-		c := s.classOf(uint64(pos))
-		d := &s.td[i]
-		*d = cct.TimeDelta{Class: cct.Class(c), Node: nodes[c][uint64(pos)-s.base[c]]}
-		for x := s.masks[i]; x != 0; x &= x - 1 {
-			m := bits.TrailingZeros16(x)
-			d.Metrics[m] = s.vals[cur[m]]
-			cur[m]++
-		}
-	}
+	s.tv = slices.Grow(s.tv[:0], len(s.vals))[:len(s.vals)]
 	s.out.Width = s.width
 	s.out.Windows = s.out.Windows[:0]
-	next := 0
+	cur := s.col
+	next, nv := 0, 0
 	for _, w := range s.wins {
-		s.out.Windows = append(s.out.Windows, cct.TimeWindow{Index: w.index, Deltas: s.td[next : next+w.n : next+w.n]})
+		v0 := nv
+		for i := next; i < next+w.n; i++ {
+			pos := uint64(s.refs[i])
+			c := s.classOf(pos)
+			s.td[i] = cct.TimeDelta{Node: nodes[c][pos-s.base[c]], Off: uint32(nv - v0), Mask: s.masks[i], Class: cct.Class(c)}
+			for x := s.masks[i]; x != 0; x &= x - 1 {
+				m := bits.TrailingZeros16(x)
+				s.tv[nv] = s.vals[cur[m]]
+				cur[m]++
+				nv++
+			}
+		}
+		s.out.Windows = append(s.out.Windows, cct.TimeWindow{
+			Index:  w.index,
+			Deltas: s.td[next : next+w.n : next+w.n],
+			Vals:   s.tv[v0:nv:nv],
+		})
 		next += w.n
 	}
 	return s.out

@@ -38,19 +38,35 @@ func temporalProfile(rank, thread int) *cct.Profile {
 	p.Temporal = &cct.TimeSeries{
 		Width: 4096,
 		Windows: []cct.TimeWindow{
-			{Index: 0, Deltas: []cct.TimeDelta{
-				{Class: cct.ClassStatic, Node: staticLeaf, Metrics: mk(1, 40)},
-				{Class: cct.ClassHeap, Node: heapLeaf, Metrics: mk(2, 600)},
-			}},
-			{Index: 1, Deltas: []cct.TimeDelta{
-				{Class: cct.ClassHeap, Node: heapLeaf, Metrics: mk(1, 300)},
-			}},
-			{Index: 7, Deltas: []cct.TimeDelta{
-				{Class: cct.ClassHeap, Node: heapLeaf.Parent(), Metrics: mk(4, 100)},
-			}},
+			window(0,
+				delta{cct.ClassStatic, staticLeaf, mk(1, 40)},
+				delta{cct.ClassHeap, heapLeaf, mk(2, 600)},
+			),
+			window(1,
+				delta{cct.ClassHeap, heapLeaf, mk(1, 300)},
+			),
+			window(7,
+				delta{cct.ClassHeap, heapLeaf.Parent(), mk(4, 100)},
+			),
 		},
 	}
 	return p
+}
+
+// delta is one node's dense metric increment, for building sidecars.
+type delta struct {
+	class cct.Class
+	node  *cct.Node
+	v     metric.Vector
+}
+
+// window builds sidecar window index from dense deltas.
+func window(index uint64, ds ...delta) cct.TimeWindow {
+	w := cct.TimeWindow{Index: index}
+	for i := range ds {
+		w.Add(ds[i].class, ds[i].node, &ds[i].v)
+	}
+	return w
 }
 
 // seriesEqual compares two sidecars structurally: same windows, and each
@@ -83,15 +99,15 @@ func seriesEqual(t *testing.T, a, b *cct.TimeSeries) {
 		ma := map[string]metric.Vector{}
 		for j := range wa.Deltas {
 			d := &wa.Deltas[j]
-			v := ma[key(d)]
-			v.Add(&d.Metrics)
+			v, dv := ma[key(d)], wa.Metrics(j)
+			v.Add(&dv)
 			ma[key(d)] = v
 		}
 		mb := map[string]metric.Vector{}
 		for j := range wb.Deltas {
 			d := &wb.Deltas[j]
-			v := mb[key(d)]
-			v.Add(&d.Metrics)
+			v, dv := mb[key(d)], wb.Metrics(j)
+			v.Add(&dv)
 			mb[key(d)] = v
 		}
 		if len(ma) != len(mb) {

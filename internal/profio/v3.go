@@ -300,11 +300,12 @@ func (e *encoder) treeColumns(lo, hi int) {
 	cols := 0
 	e.hot = e.hot[:0]
 	for i, n := range e.nodes[lo:hi] {
-		if n.Metrics == (metric.Vector{}) {
+		v := n.Metrics()
+		if v == (metric.Vector{}) {
 			continue
 		}
 		e.hot = append(e.hot, uint32(i))
-		for m, v := range n.Metrics {
+		for m, v := range v {
 			if v != 0 {
 				if counts[m] == 0 {
 					cols++
@@ -322,7 +323,7 @@ func (e *encoder) treeColumns(lo, hi int) {
 		out = binary.AppendUvarint(out, uint64(cnt))
 		prevIdx := uint32(0)
 		for _, i := range e.hot {
-			if v := e.nodes[lo+int(i)].Metrics[m]; v != 0 {
+			if v := e.nodes[lo+int(i)].Metric(metric.ID(m)); v != 0 {
 				out = binary.AppendUvarint(out, uint64(i-prevIdx))
 				out = binary.AppendUvarint(out, v)
 				prevIdx = i

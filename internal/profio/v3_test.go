@@ -156,14 +156,12 @@ func TestV3TemporalSidecarParity(t *testing.T) {
 	p := sampleProfile(2, 4)
 	ts := &cct.TimeSeries{Width: 1 << 20}
 	p.Trees[cct.ClassHeap].Walk(func(n *cct.Node, _ int) bool {
-		if n.Metrics[metric.Samples] == 0 {
+		if n.Metric(metric.Samples) == 0 {
 			return true
 		}
-		var d cct.TimeDelta
-		d.Class = cct.ClassHeap
-		d.Node = n
-		d.Metrics[metric.Samples] = 1
-		ts.Windows = append(ts.Windows, cct.TimeWindow{Index: 7, Deltas: []cct.TimeDelta{d}})
+		var d metric.Vector
+		d[metric.Samples] = 1
+		ts.Windows = append(ts.Windows, window(7, delta{cct.ClassHeap, n, d}))
 		return true
 	})
 	if len(ts.Windows) == 0 {

@@ -159,13 +159,13 @@ func writeTree(w *bufio.Writer, t *cct.Tree, strs *stringTable) (map[*cct.Node]u
 		writeUvarint(w, uint64(int64(n.Frame().Line)))
 		// Sparse metrics.
 		nz := 0
-		for _, v := range n.Metrics {
+		for _, v := range n.Metrics() {
 			if v != 0 {
 				nz++
 			}
 		}
 		w.WriteByte(byte(nz))
-		for i, v := range n.Metrics {
+		for i, v := range n.Metrics() {
 			if v != 0 {
 				w.WriteByte(byte(i))
 				writeUvarint(w, v)
@@ -343,7 +343,7 @@ func writeTreeV3(w *bufio.Writer, t *cct.Tree, frameIdx map[cct.FrameID]uint32) 
 	var colIDs []int
 	for m := 0; m < int(metric.NumMetrics); m++ {
 		for _, n := range nodes {
-			if n.Metrics[m] != 0 {
+			if n.Metric(metric.ID(m)) != 0 {
 				colIDs = append(colIDs, m)
 				break
 			}
@@ -354,14 +354,14 @@ func writeTreeV3(w *bufio.Writer, t *cct.Tree, frameIdx map[cct.FrameID]uint32) 
 		w.WriteByte(byte(m))
 		cnt := 0
 		for _, n := range nodes {
-			if n.Metrics[m] != 0 {
+			if n.Metric(metric.ID(m)) != 0 {
 				cnt++
 			}
 		}
 		writeUvarint(w, uint64(cnt))
 		prevIdx, first := uint64(0), true
 		for i, n := range nodes {
-			v := n.Metrics[m]
+			v := n.Metric(metric.ID(m))
 			if v == 0 {
 				continue
 			}
@@ -413,9 +413,10 @@ func writeTemporalSection(w *bufio.Writer, sw *bufio.Writer, payload *bytes.Buff
 			}
 			k := encKey{class: d.Class, idx: idx}
 			if v := entries[k]; v != nil {
-				v.Add(&d.Metrics)
+				dv := win.Metrics(di)
+				v.Add(&dv)
 			} else {
-				cp := d.Metrics
+				cp := win.Metrics(di)
 				entries[k] = &cp
 			}
 		}

@@ -44,15 +44,15 @@ func randomSeries(rng *rand.Rand, p *cct.Profile, windows int, tidy bool) *cct.T
 			index = uint64(rng.Intn(2 * windows))
 		}
 		for _, i := range rng.Perm(len(nodes))[:rng.Intn(min(len(nodes), 12)+1)] {
-			d := cct.TimeDelta{Class: classes[i], Node: nodes[i]}
-			for m := range d.Metrics {
+			var d metric.Vector
+			for m := range d {
 				if rng.Intn(3) == 0 {
-					d.Metrics[m] = rng.Uint64() >> uint(rng.Intn(64))
+					d[m] = rng.Uint64() >> uint(rng.Intn(64))
 				}
 			}
-			win.Deltas = append(win.Deltas, d)
+			win.Add(classes[i], nodes[i], &d)
 			if !tidy && rng.Intn(4) == 0 {
-				win.Deltas = append(win.Deltas, d)
+				win.Add(classes[i], nodes[i], &d)
 			}
 		}
 		ts.Windows = append(ts.Windows, win)
@@ -165,8 +165,8 @@ func flatSeries(p *cct.Profile) (uint64, []flatDelta) {
 		for i := range w.Deltas {
 			d := &w.Deltas[i]
 			k := key{d.Class, pos[d.Node]}
-			v := m[k]
-			v.Add(&d.Metrics)
+			v, dv := m[k], w.Metrics(i)
+			v.Add(&dv)
 			m[k] = v
 		}
 	}
@@ -235,12 +235,12 @@ func TestEncoderMatchesReference(t *testing.T) {
 	one := func(samples uint64) metric.Vector { return metric.Vector{metric.Samples: samples} }
 	heap, static := w[0].Deltas[1].Node, w[0].Deltas[0].Node
 	p.Temporal.Windows = []cct.TimeWindow{w[0], w[1],
-		{Index: 1, Deltas: []cct.TimeDelta{
-			{Class: cct.ClassHeap, Node: heap, Metrics: one(5)},
-			{Class: cct.ClassHeap, Node: heap.Parent(), Metrics: one(7)},
-			{Class: cct.ClassStatic, Node: static, Metrics: one(1)},
-			{Class: cct.ClassHeap, Node: heap, Metrics: one(2)},
-		}},
+		window(1,
+			delta{cct.ClassHeap, heap, one(5)},
+			delta{cct.ClassHeap, heap.Parent(), one(7)},
+			delta{cct.ClassStatic, static, one(1)},
+			delta{cct.ClassHeap, heap, one(2)},
+		),
 		{Index: 1}, w[2], {Index: 9}}
 	requireReferenceBytes(t, "re-opened window", p)
 	got, err := ReadProfile(bytes.NewReader(encodeV3(t, p)))
@@ -250,9 +250,9 @@ func TestEncoderMatchesReference(t *testing.T) {
 	if n := len(got.Temporal.Windows); n != 4 {
 		t.Fatalf("re-opened window: decoded %d windows, want 4 (0, 1, 7, 9)", n)
 	}
-	for _, d := range got.Temporal.Windows[1].Deltas {
-		if d.Class == cct.ClassHeap && d.Node.NumChildren() == 0 && d.Metrics[metric.Samples] != 1+5+2 {
-			t.Errorf("re-opened window: heap leaf has %d samples, want 8", d.Metrics[metric.Samples])
+	for i, d := range got.Temporal.Windows[1].Deltas {
+		if d.Class == cct.ClassHeap && d.Node.NumChildren() == 0 && got.Temporal.Windows[1].Metrics(i)[metric.Samples] != 1+5+2 {
+			t.Errorf("re-opened window: heap leaf has %d samples, want 8", got.Temporal.Windows[1].Metrics(i)[metric.Samples])
 		}
 	}
 
@@ -361,8 +361,7 @@ func gateProfile() *cct.Profile {
 		win := cct.TimeWindow{Index: uint64(3 * w)}
 		for k := 0; k < 8; k++ {
 			i := (w*131 + k*977) % len(nodes)
-			win.Deltas = append(win.Deltas, cct.TimeDelta{Class: classes[i], Node: nodes[i],
-				Metrics: metric.Vector{metric.Samples: uint64(k + 1), metric.Latency: uint64(w)}})
+			win.Add(classes[i], nodes[i], &metric.Vector{metric.Samples: uint64(k + 1), metric.Latency: uint64(w)})
 		}
 		ts.Windows = append(ts.Windows, win)
 	}
@@ -453,7 +452,8 @@ func profileFromBytes(data []byte) *cct.Profile {
 		win := cct.TimeWindow{Index: uint64(next() % 8)}
 		for d := next() % 6; d > 0; d-- {
 			i := next() % len(nodes)
-			win.Deltas = append(win.Deltas, cct.TimeDelta{Class: classes[i], Node: nodes[i], Metrics: vector()})
+			v := vector()
+			win.Add(classes[i], nodes[i], &v)
 		}
 		p.Temporal.Windows = append(p.Temporal.Windows, win)
 	}
@@ -492,7 +492,8 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 			for _, w := range ts.Windows {
 				v := sums[w.Index]
 				for i := range w.Deltas {
-					v.Add(&w.Deltas[i].Metrics)
+					dv := w.Metrics(i)
+					v.Add(&dv)
 				}
 				sums[w.Index] = v
 			}

@@ -76,10 +76,10 @@ func attachSidecar(p *cct.Profile) {
 	var v metric.Vector
 	v[metric.Samples] = 1
 	v[metric.Latency] = 50
-	p.Temporal = &cct.TimeSeries{Width: 4096, Windows: []cct.TimeWindow{
-		{Index: 0, Deltas: []cct.TimeDelta{{Class: cct.ClassHeap, Node: leaf, Metrics: v}}},
-		{Index: 2, Deltas: []cct.TimeDelta{{Class: cct.ClassHeap, Node: leaf, Metrics: v}}},
-	}}
+	w0, w2 := cct.TimeWindow{Index: 0}, cct.TimeWindow{Index: 2}
+	w0.Add(cct.ClassHeap, leaf, &v)
+	w2.Add(cct.ClassHeap, leaf, &v)
+	p.Temporal = &cct.TimeSeries{Width: 4096, Windows: []cct.TimeWindow{w0, w2}}
 }
 
 // newDcprofd starts a real server over a temp data dir.

@@ -52,7 +52,9 @@ func variedProfile(rng *rand.Rand, i int, sidecars bool) *cct.Profile {
 			var d metric.Vector
 			d[metric.Samples] = 1
 			d[metric.Latency] = uint64(1 + rng.Intn(90))
-			ts.Windows = append(ts.Windows, cct.TimeWindow{Index: w, Deltas: []cct.TimeDelta{{Class: cct.ClassUnknown, Node: leaf, Metrics: d}}})
+			win := cct.TimeWindow{Index: w}
+			win.Add(cct.ClassUnknown, leaf, &d)
+			ts.Windows = append(ts.Windows, win)
 			w += uint64(1 + rng.Intn(4))
 		}
 		p.Temporal = ts
@@ -467,7 +469,7 @@ func rowImage(p *cct.Profile, version uint32) []byte {
 			}
 			nz := len(rows)
 			rows = append(rows, 0)
-			for m, v := range n.Metrics {
+			for m, v := range n.Metrics() {
 				if v != 0 {
 					rows[nz]++
 					rows = binary.AppendUvarint(append(rows, byte(m)), v)

@@ -49,16 +49,13 @@ func synthTemporalProfile(rank, thread int) *cct.Profile {
 		v[metric.FromRMEM] = rmem
 		return v
 	}
+	w0, w5 := cct.TimeWindow{Index: 0}, cct.TimeWindow{Index: 5}
+	d0, d5 := mk(1, 60, 1), mk(1, 40, 0)
+	w0.Add(cct.ClassHeap, heapLeaf, &d0)
+	w5.Add(cct.ClassStatic, staticLeaf, &d5)
 	p.Temporal = &cct.TimeSeries{
-		Width: testWindowWidth,
-		Windows: []cct.TimeWindow{
-			{Index: 0, Deltas: []cct.TimeDelta{
-				{Class: cct.ClassHeap, Node: heapLeaf, Metrics: mk(1, 60, 1)},
-			}},
-			{Index: 5, Deltas: []cct.TimeDelta{
-				{Class: cct.ClassStatic, Node: staticLeaf, Metrics: mk(1, 40, 0)},
-			}},
-		},
+		Width:   testWindowWidth,
+		Windows: []cct.TimeWindow{w0, w5},
 	}
 	return p
 }

@@ -119,8 +119,9 @@ func (ix *Index) AddSeries(p *cct.Profile) error {
 				continue // defensive; the decoder validates these
 			}
 			path = idPath(d.Node, path[:0])
-			wa.profile.Trees[d.Class].AddSampleIDs(path, &d.Metrics)
-			wa.total.Add(&d.Metrics)
+			v := w.Metrics(di)
+			wa.profile.Trees[d.Class].AddSampleIDs(path, &v)
+			wa.total.Add(&v)
 		}
 	}
 	ix.Series++

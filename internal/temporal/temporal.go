@@ -7,11 +7,11 @@
 //
 //   - Recorder buckets each sample's metric vector into fixed-width
 //     windows of the sampled thread's sim clock, on the profiler hot
-//     path, and copies each closed window's deltas into a chunked slab,
-//     so neither a sample nor a window flush allocates in steady state.
-//     The result rides on the profile as cct.TimeSeries and is persisted
-//     by profio as an optional trailer of a v2 or v3 file that older
-//     readers skip.
+//     path, and packs each closed window's deltas — which metrics moved,
+//     and by how much — into chunked slabs, so neither a sample nor a
+//     window flush allocates in steady state. The result rides on the
+//     profile as cct.TimeSeries and is persisted by profio as an optional
+//     trailer of the v3 file, which older readers skip.
 //   - Index merges the per-thread series of a measurement into
 //     per-window partial profiles (window-restricted CCTs rebuilt from
 //     each delta's calling context), the substrate for analysis.Clip
@@ -58,35 +58,43 @@ type slot struct {
 // compares and a return: no division, no map, no vector copy, and the
 // whole path inlines into the profiler's record loop.
 //
-// A window flush allocates nothing either: the closed window's deltas are
-// appended to the current chunk of a slab ([]cct.TimeDelta chunks; a
-// window never straddles two) and the window keeps a capped sub-slice of
-// it — the shape profio's decoder hands back. Only a new chunk and the
-// growth of the window list allocate, a few dozen times per ten thousand
-// windows, and nothing recorded is ever copied again.
+// A window flush allocates nothing either: the closed window's deltas and
+// their non-zero values are packed into the current chunks of two slabs
+// ([]cct.TimeDelta and []uint64 chunks; a window never straddles two) and
+// the window keeps capped sub-slices of them — the shape profio's decoder
+// hands back. Only a new chunk and the growth of the window list allocate,
+// a few dozen times per ten thousand windows, and nothing recorded is ever
+// copied again.
 type Recorder struct {
 	width   uint64
 	windows []cct.TimeWindow
-	chunk   []cct.TimeDelta // the slab's current chunk; len is what windows hold
+	// The slabs' current chunks; their lengths are what windows hold.
+	chunk []cct.TimeDelta
+	vals  []uint64
 
 	// Current-window accumulation state. curStart is curIdx*width, kept
 	// so the fast path tests window membership without dividing. stamp
 	// identifies the current window in node scratch words; flush bumps
-	// it, instantly invalidating every stamped node. Starts above zero so
+	// it, instantly invalidating every stamped node. It is never zero, so
 	// fresh nodes (scratch 0) never read as stamped.
 	cur      []slot
 	curIdx   uint64
 	curStart uint64
 	open     bool
-	stamp    uint64
+	stamp    uint32
 }
 
-// The slab's chunks double from minChunk deltas (6 KiB), so that a thread
-// recording a handful of windows holds little, up to maxChunk (384 KiB),
-// where chunk allocations vanish beside the windows they hold.
+// The delta slab's chunks double from minChunk deltas (1 KiB), so that a
+// thread recording a handful of windows holds little, up to maxChunk
+// (64 KiB), where chunk allocations vanish beside the windows they hold.
+// The value slab's chunks do the same in values, from 2 KiB to 256 KiB:
+// one delta carries up to metric.NumMetrics values, about three in
+// practice.
 const (
 	minChunk = 64
 	maxChunk = 4096
+	minVals  = 4 * minChunk
+	maxVals  = 8 * maxChunk
 )
 
 // NewRecorder creates a recorder with the given window width in sim
@@ -102,9 +110,9 @@ func NewRecorder(width uint64) *Recorder {
 func (r *Recorder) Width() uint64 { return r.width }
 
 // Record marks node n of class tree `class` as sampled at sim time now.
-// It MUST be called before the sample's metric vector is added to
-// n.Metrics — the recorder snapshots cumulative metrics at first touch
-// per window and recovers the window delta by subtraction at flush.
+// It MUST be called before the sample's metric vector is added to n — the
+// recorder snapshots cumulative metrics at first touch per window and
+// recovers the window delta by subtraction at flush.
 //
 // The recorder must be the sole scratch-word user of the profile's trees
 // while recording (true for per-thread profiles under the profiler).
@@ -129,7 +137,7 @@ func (r *Recorder) record(now uint64, class cct.Class, n *cct.Node) {
 	}
 	if n.Scratch() != r.stamp {
 		n.SetScratch(r.stamp)
-		r.cur = append(r.cur, slot{node: n, class: class, base: n.Metrics})
+		r.cur = append(r.cur, slot{node: n, class: class, base: n.Metrics()})
 	}
 }
 
@@ -141,27 +149,34 @@ func (r *Recorder) flush() {
 		if cap(r.chunk)-len(r.chunk) < len(r.cur) {
 			r.chunk = make([]cct.TimeDelta, 0, max(minChunk, min(2*cap(r.chunk), maxChunk), len(r.cur)))
 		}
-		start := len(r.chunk)
+		if most := len(r.cur) * int(metric.NumMetrics); cap(r.vals)-len(r.vals) < most {
+			r.vals = make([]uint64, 0, max(minVals, min(2*cap(r.vals), maxVals), most))
+		}
+		// The window's slices start empty at the chunks' free tails, so
+		// its appends land in the slabs.
+		w := cct.TimeWindow{Index: r.curIdx, Deltas: r.chunk[len(r.chunk):], Vals: r.vals[len(r.vals):]}
 		for i := range r.cur {
 			s := &r.cur[i]
-			d := cct.TimeDelta{Class: s.class, Node: s.node}
-			nonzero := false
-			for j := range d.Metrics {
-				d.Metrics[j] = s.node.Metrics[j] - s.base[j]
-				if d.Metrics[j] != 0 {
-					nonzero = true
-				}
+			d := s.node.Metrics()
+			for j := range d {
+				d[j] -= s.base[j]
 			}
-			if nonzero {
-				r.chunk = append(r.chunk, d)
+			if !d.IsZero() {
+				w.Add(s.class, s.node, &d)
 			}
 		}
-		if end := len(r.chunk); end > start {
-			r.windows = append(r.windows, cct.TimeWindow{Index: r.curIdx, Deltas: r.chunk[start:end:end]})
+		if n, k := len(w.Deltas), len(w.Vals); n > 0 {
+			r.chunk, r.vals = r.chunk[:len(r.chunk)+n], r.vals[:len(r.vals)+k]
+			w.Deltas, w.Vals = w.Deltas[:n:n], w.Vals[:k:k]
+			r.windows = append(r.windows, w)
 		}
 		r.cur = r.cur[:0]
 	}
-	r.stamp++ // invalidate every node stamped in the closed window
+	// Invalidate every node stamped in the closed window, skipping the
+	// stamp fresh nodes carry when the counter wraps.
+	if r.stamp++; r.stamp == 0 {
+		r.stamp = 1
+	}
 }
 
 // Series returns the recorded sidecar, flushing the in-progress window,

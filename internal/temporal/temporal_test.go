@@ -3,6 +3,9 @@ package temporal
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"dcprof/internal/cct"
@@ -36,7 +39,18 @@ func buildProfile(rank, thread int, width uint64, names ...string) (*cct.Profile
 // recorder first, then add the vector to the node's cumulative metrics.
 func addSample(r *Recorder, now uint64, class cct.Class, n *cct.Node, v metric.Vector) {
 	r.Record(now, class, n)
-	n.Metrics.Add(&v)
+	rowLender.Add(n, &v)
+}
+
+// rowLender's slab backs the metric row of a node addSample adds to first.
+// A row may come from any tree's slab; buildProfile's nodes have theirs.
+var rowLender = cct.New()
+
+// window builds a window holding one delta.
+func window(index uint64, class cct.Class, n *cct.Node, v metric.Vector) cct.TimeWindow {
+	w := cct.TimeWindow{Index: index}
+	w.Add(class, n, &v)
+	return w
 }
 
 func TestRecorderWindowsAndFastPath(t *testing.T) {
@@ -62,7 +76,7 @@ func TestRecorderWindowsAndFastPath(t *testing.T) {
 	if len(w0.Deltas) != 2 {
 		t.Fatalf("window 0 has %d deltas, want 2 (a coalesced)", len(w0.Deltas))
 	}
-	if got := w0.Deltas[0].Metrics[metric.Samples]; got != 2 {
+	if got := w0.Metrics(0)[metric.Samples]; got != 2 {
 		t.Fatalf("node a window-0 samples = %d, want 2", got)
 	}
 	if w0.Deltas[0].Node != nodes[0] || w0.Deltas[1].Node != nodes[1] {
@@ -104,8 +118,8 @@ func TestRecorderContinuesAfterSeries(t *testing.T) {
 		if w.Index != 0 {
 			t.Fatalf("unexpected window index %d", w.Index)
 		}
-		for _, d := range w.Deltas {
-			total += d.Metrics[metric.Samples]
+		for i := range w.Deltas {
+			total += w.Metrics(i)[metric.Samples]
 		}
 	}
 	if total != 2 {
@@ -152,7 +166,7 @@ func TestIndexFoldClip(t *testing.T) {
 		t.Fatalf("window 0 total = %v", tot.String())
 	}
 	a, ok := w0.Trees[cct.ClassStatic].Root.Lookup(frame("a"))
-	if !ok || a.Metrics[metric.Samples] != 2 {
+	if !ok || a.Metric(metric.Samples) != 2 {
 		t.Fatalf("window 0 node a missing or wrong: %v, %v", ok, a)
 	}
 	if _, ok := w0.Trees[cct.ClassStatic].Root.Lookup(frame("b")); ok {
@@ -179,7 +193,7 @@ func TestIndexFoldClip(t *testing.T) {
 
 	// Clipped profiles alias nothing: mutating the clip leaves the index
 	// unchanged.
-	a.Metrics[metric.Samples] = 999
+	w0.Trees[cct.ClassStatic].AddMetric(a, metric.Samples, 999)
 	if got := ix.WindowProfile(0).Total()[metric.Samples]; got != 2 {
 		t.Fatalf("index mutated through clip: samples = %d", got)
 	}
@@ -195,7 +209,8 @@ func indexDump(ix *Index) string {
 		s += fmt.Sprintf("window %d r%d t%d %q total=%s\n", w, p.Rank, p.Thread, p.Event, tot.String())
 		for c, tr := range p.Trees {
 			tr.Walk(func(n *cct.Node, depth int) bool {
-				s += fmt.Sprintf("  %d %*s%s %s\n", c, 2*depth, "", n.Frame(), n.Metrics.String())
+				v := n.Metrics()
+				s += fmt.Sprintf("  %d %*s%s %s\n", c, 2*depth, "", n.Frame(), v.String())
 				return true
 			})
 		}
@@ -416,14 +431,10 @@ func TestPhasesSparseSpanIsCheap(t *testing.T) {
 	const far = uint64(1) << 45
 	ts := &cct.TimeSeries{Width: 100}
 	for w := uint64(0); w < 8; w++ {
-		ts.Windows = append(ts.Windows, cct.TimeWindow{Index: w, Deltas: []cct.TimeDelta{
-			{Class: cct.ClassStatic, Node: nodes[0], Metrics: remoteVec(100, 0)},
-		}})
+		ts.Windows = append(ts.Windows, window(w, cct.ClassStatic, nodes[0], remoteVec(100, 0)))
 	}
 	for w := far; w < far+8; w++ {
-		ts.Windows = append(ts.Windows, cct.TimeWindow{Index: w, Deltas: []cct.TimeDelta{
-			{Class: cct.ClassStatic, Node: nodes[0], Metrics: remoteVec(100, 80)},
-		}})
+		ts.Windows = append(ts.Windows, window(w, cct.ClassStatic, nodes[0], remoteVec(100, 80)))
 	}
 	p.Temporal = ts
 	ix := NewIndex()
@@ -456,9 +467,7 @@ func TestAddSeriesRejectsSimClockOverflow(t *testing.T) {
 	// Clip, and Phases computation; AddSeries must drop the series whole.
 	p, nodes := buildProfile(0, 0, 0, "a")
 	p.Temporal = &cct.TimeSeries{Width: 100, Windows: []cct.TimeWindow{
-		{Index: ^uint64(0) / 100, Deltas: []cct.TimeDelta{
-			{Class: cct.ClassStatic, Node: nodes[0], Metrics: sampleVec(1, 10)},
-		}},
+		window(^uint64(0)/100, cct.ClassStatic, nodes[0], sampleVec(1, 10)),
 	}}
 	ix := NewIndex()
 	if err := ix.AddSeries(p); err == nil {
@@ -532,7 +541,7 @@ func TestRecorderFlushAllocs(t *testing.T) {
 			t.Fatalf("window %d: index %d, %d deltas (cap %d)", i, w.Index, len(w.Deltas), cap(w.Deltas))
 		}
 		for j, d := range w.Deltas {
-			if d.Node != nodes[j] || d.Metrics != sampleVec(2, 14) {
+			if d.Node != nodes[j] || w.Metrics(j) != sampleVec(2, 14) {
 				t.Fatalf("window %d delta %d = %+v", i, j, d)
 			}
 		}
@@ -563,7 +572,7 @@ func TestSeriesIsStableAcrossRecording(t *testing.T) {
 	}
 	snapshot := func(ts *cct.TimeSeries) (out []cct.TimeWindow) {
 		for _, w := range ts.Windows {
-			out = append(out, cct.TimeWindow{Index: w.Index, Deltas: append([]cct.TimeDelta(nil), w.Deltas...)})
+			out = append(out, cct.TimeWindow{Index: w.Index, Deltas: append([]cct.TimeDelta(nil), w.Deltas...), Vals: append([]uint64(nil), w.Vals...)})
 		}
 		return out
 	}
@@ -576,7 +585,7 @@ func TestSeriesIsStableAcrossRecording(t *testing.T) {
 				return false
 			}
 			for j := range a[i].Deltas {
-				if a[i].Deltas[j] != b[i].Deltas[j] {
+				if a[i].Deltas[j] != b[i].Deltas[j] || a[i].Metrics(j) != b[i].Metrics(j) {
 					return false
 				}
 			}
@@ -602,6 +611,217 @@ func TestSeriesIsStableAcrossRecording(t *testing.T) {
 	for i, w := range second.Windows[500:] {
 		if w.Index != uint64(499+i) || len(w.Deltas) != len(nodes) {
 			t.Fatalf("extension window %d: index %d with %d deltas", i, w.Index, len(w.Deltas))
+		}
+	}
+}
+
+// TestIndexCloneSharesNoRows: the window trees of an index clone hold
+// metric rows of their own, so adding to every node of every window of the
+// clone leaves the source's windows reading what they read before.
+func TestIndexCloneSharesNoRows(t *testing.T) {
+	p, nodes := buildProfile(0, 0, 0, "a", "b")
+	r := NewRecorder(100)
+	for now := uint64(0); now < 500; now += 30 {
+		addSample(r, now, cct.ClassStatic, nodes[now%2], sampleVec(1, now))
+	}
+	p.Temporal = r.Series()
+	ix := NewIndex()
+	if err := ix.AddSeries(p); err != nil {
+		t.Fatal(err)
+	}
+	before := indexDump(ix)
+	c := ix.Clone()
+	for _, wa := range c.windows {
+		for _, tr := range wa.profile.Trees {
+			tr.Walk(func(n *cct.Node, _ int) bool {
+				tr.AddMetric(n, metric.Samples, 1)
+				return true
+			})
+		}
+	}
+	if got := indexDump(ix); got != before {
+		t.Fatalf("writing to the clone's window trees changed the source:\n got %s\nwant %s", got, before)
+	}
+}
+
+// TestHeldBytes pins what a held profile costs, measured as live heap
+// after a collection: a 100k-node tree whose metric-bearing leaves are 15%
+// of its nodes holds at most 96 bytes a node (an 80-byte node plus its
+// share of the rows), and 100k recorded deltas carrying three non-zero
+// metrics each hold at most 48 bytes a delta (16 bytes of delta, 24 of
+// values and their share of the window list, at 20 deltas a window).
+func TestHeldBytes(t *testing.T) {
+	held := func(build func() any) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		keep := build()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(keep)
+		return float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	}
+
+	// A complete 4-ary tree of 100k nodes (the children fit the inline
+	// slots), every fifth leaf sampled: 15% of the nodes carry metrics.
+	const treeNodes = 100_000
+	var ids [4]cct.FrameID
+	for i := range ids {
+		ids[i] = cct.InternFrame(frame(fmt.Sprint("held", i)))
+	}
+	var tr *cct.Tree
+	perNode := held(func() any {
+		tr = cct.New()
+		nodes := []*cct.Node{tr.Root}
+		for i := 1; i < treeNodes; i++ {
+			nodes = append(nodes, nodes[(i-1)/4].ChildID(ids[(i-1)%4]))
+		}
+		v := sampleVec(1, 10)
+		for i, n := range nodes {
+			if n.NumChildren() == 0 && i%5 == 0 {
+				tr.Add(n, &v)
+			}
+		}
+		return tr
+	}) / treeNodes
+	withMetrics := 0
+	tr.Walk(func(n *cct.Node, _ int) bool {
+		if n.Metrics() != (metric.Vector{}) {
+			withMetrics++
+		}
+		return true
+	})
+	if share := float64(withMetrics) / treeNodes; share < 0.149 || share > 0.151 {
+		t.Fatalf("%.1f%% of the nodes carry metrics, want 15%%", 100*share)
+	}
+	if perNode > 96 {
+		t.Errorf("the tree holds %.1f B a node, want <= 96", perNode)
+	}
+
+	// 5,000 windows of 20 touched nodes, three metrics moving on each.
+	const windows, touched = 5_000, 20
+	names := make([]string, touched)
+	for i := range names {
+		names[i] = fmt.Sprint("delta", i)
+	}
+	_, nodes := buildProfile(0, 0, 100, names...)
+	var v metric.Vector
+	v[metric.Samples], v[metric.Latency], v[metric.FromL1] = 1, 7, 1
+	var ts *cct.TimeSeries
+	perDelta := held(func() any {
+		r := NewRecorder(100)
+		for w := uint64(0); w < windows; w++ {
+			for _, n := range nodes {
+				addSample(r, w*100, cct.ClassStatic, n, v)
+			}
+		}
+		ts = r.Series()
+		return ts
+	}) / (windows * touched)
+	if ts.NumDeltas() != windows*touched || ts.Windows[0].Deltas[0].Mask != 0b111 {
+		t.Fatalf("recorded %d deltas, first mask %#b", ts.NumDeltas(), ts.Windows[0].Deltas[0].Mask)
+	}
+	if perDelta > 48 {
+		t.Errorf("the series holds %.1f B a delta, want <= 48", perDelta)
+	}
+	t.Logf("%.1f B a node, %.1f B a delta", perNode, perDelta)
+}
+
+// FuzzRecorderMatchesReference drives one sample stream through the
+// recorder and through the dense reference recorder, each animating its
+// own copy of the trees, and requires the same series from both whenever
+// the stream asks for one: window indices, delta order, each delta's
+// calling context and class, and its metric vector. The stream picks the
+// nodes, moves the clock forwards, a little or a lot, and backwards, takes
+// a series mid-window (so later samples re-open it) and adds vectors with
+// zero entries, or only zeros.
+func FuzzRecorderMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 40, 1, 0xff, 0x03, 9, 2, 40, 2, 0x01, 0x00, 0, 5, 0, 130, 3, 0x21, 0x02, 7, 7, 7})
+	f.Add([]byte{1, 200, 4, 0x00, 0x00, 220, 2, 50, 1, 0x05, 0x00, 3, 4, 0, 60, 2, 0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 4; i++ {
+		seed := make([]byte, 400)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	var ids [6]cct.FrameID
+	for i := range ids {
+		ids[i] = cct.InternFrame(frame(fmt.Sprint("fz", i)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		width := uint64(next()%32) + 1
+		pa, pb := cct.NewProfile(0, 0, ""), cct.NewProfile(0, 0, "")
+		ra, rb := NewRecorder(width), newReferenceRecorder(width)
+		now := uint64(0)
+		for len(data) > 0 {
+			switch op := next(); {
+			case op < 16:
+				requireSameSeries(t, ra.Series(), rb.Series())
+			case op < 24:
+				now += uint64(next()) * width // far ahead
+			case op < 32:
+				now -= min(now, uint64(next())) // back in time
+			default:
+				class := cct.Class(op % byte(cct.NumClasses))
+				path := make([]cct.FrameID, 1+next()%3)
+				for i := range path {
+					path[i] = ids[next()%byte(len(ids))]
+				}
+				var v metric.Vector
+				for mask, m := uint16(next())|uint16(next())<<8, 0; m < int(metric.NumMetrics); m++ {
+					if mask>>m&1 == 1 {
+						v[m] = uint64(next() % 4) // zero a quarter of the time
+					}
+				}
+				now += uint64(next() % 8)
+				ta, tb := pa.Trees[class], pb.Trees[class]
+				na, nb := ta.InsertPathIDs(path), tb.InsertPathIDs(path)
+				ra.Record(now, class, na)
+				ta.Add(na, &v)
+				rb.Record(now, class, nb)
+				tb.Add(nb, &v)
+			}
+		}
+		requireSameSeries(t, ra.Series(), rb.Series())
+	})
+}
+
+// requireSameSeries compares a series with the reference recorder's.
+// Nodes of the two are compared by calling context and class, since each
+// recorder animated its own trees.
+func requireSameSeries(t *testing.T, got *cct.TimeSeries, want *refSeries) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("series present %v, reference %v", got != nil, want != nil)
+	}
+	if got == nil {
+		return
+	}
+	if got.Width != want.Width || len(got.Windows) != len(want.Windows) {
+		t.Fatalf("width %d with %d windows, reference %d with %d", got.Width, len(got.Windows), want.Width, len(want.Windows))
+	}
+	for i := range got.Windows {
+		g, w := &got.Windows[i], &want.Windows[i]
+		if g.Index != w.Index || len(g.Deltas) != len(w.Deltas) {
+			t.Fatalf("window %d: index %d with %d deltas, reference %d with %d", i, g.Index, len(g.Deltas), w.Index, len(w.Deltas))
+		}
+		for j, d := range g.Deltas {
+			rd := &w.Deltas[j]
+			gp, wp := idPath(d.Node, nil), idPath(rd.Node, nil)
+			if d.Class != rd.Class || !slices.Equal(gp, wp) || g.Metrics(j) != rd.Metrics {
+				gv := g.Metrics(j)
+				t.Fatalf("window %d delta %d: class %v path %v %v, reference class %v path %v %v",
+					i, j, d.Class, gp, gv.String(), rd.Class, wp, rd.Metrics.String())
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 func refMetricTotal(p *cct.Profile, m metric.ID) uint64 {
 	var grand uint64
 	for _, t := range p.Trees {
-		t.Walk(func(n *cct.Node, _ int) bool { grand += n.Metrics[m]; return true })
+		t.Walk(func(n *cct.Node, _ int) bool { grand += n.Metric(m); return true })
 	}
 	return grand
 }
@@ -82,8 +82,8 @@ func refTopAccesses(anchor *cct.Node, m metric.ID, grand uint64) []AccessStat {
 	agg := map[cct.FrameID]uint64{}
 	var walk func(n *cct.Node)
 	walk = func(n *cct.Node) {
-		if n.Frame().Kind == cct.KindStmt && n.Metrics[m] > 0 {
-			agg[n.ID()] += n.Metrics[m]
+		if n.Frame().Kind == cct.KindStmt && n.Metric(m) > 0 {
+			agg[n.ID()] += n.Metric(m)
 		}
 		for _, c := range n.Children() {
 			walk(c)

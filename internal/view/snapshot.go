@@ -99,7 +99,7 @@ func (s *Snapshot) column(m metric.ID) column {
 	c.once.Do(func() {
 		c.pre = make([]uint64, len(s.nodes)+1)
 		for i, n := range s.nodes {
-			c.pre[i+1] = c.pre[i] + n.Metrics[m]
+			c.pre[i+1] = c.pre[i] + n.Metric(m)
 		}
 	})
 	return column{s, c.pre}

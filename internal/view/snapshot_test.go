@@ -98,15 +98,19 @@ func randomProfile(rng *rand.Rand) *cct.Profile {
 		nonmem.AddSample(access(nil), vec())
 	}
 	if rng.Intn(3) == 0 { // a class with nodes but no value
-		nonmem.Root.EachChild(func(n *cct.Node) { zero(n) })
-		nonmem.Root.Metrics = metric.Vector{}
+		p.Trees[cct.ClassNonMem] = bare(nonmem)
 	}
 	return p
 }
 
-func zero(n *cct.Node) {
-	n.Metrics = metric.Vector{}
-	n.EachChild(zero)
+// bare returns a copy of t's structure without its metrics.
+func bare(t *cct.Tree) *cct.Tree {
+	out := cct.New()
+	t.Walk(func(n *cct.Node, _ int) bool {
+		out.InsertPath(n.Path())
+		return true
+	})
+	return out
 }
 
 func jsonBytes(t *testing.T, v any) []byte {

@@ -128,8 +128,8 @@ func TopAccesses(anchor *cct.Node, m metric.ID, grand uint64) []AccessStat {
 	agg := map[cct.FrameID]uint64{}
 	var walk func(n *cct.Node)
 	walk = func(n *cct.Node) {
-		if n.Frame().Kind == cct.KindStmt && n.Metrics[m] > 0 {
-			agg[n.ID()] += n.Metrics[m]
+		if v := n.Metric(m); v > 0 && n.Frame().Kind == cct.KindStmt {
+			agg[n.ID()] += v
 		}
 		n.EachChild(walk)
 	}
