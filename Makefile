@@ -51,10 +51,10 @@ chaos-smoke:
 # round trip, the encoder against its reference, the v1/v2 staging against
 # the row reader it replaced, a load continued from an earlier load
 # against a full one, the in-memory merges against a file load, the
-# daemon's upload ingest, the heap interval map against its model, and the
-# temporal recorder against the dense one it replaced (the fuzz engine
-# accepts one target per run), on top of the always-run corpus regression
-# pass.
+# daemon's upload ingest, the heap interval map against its model, the
+# temporal recorder against the dense one it replaced, and the CCT child
+# lists against a map-of-maps tree (the fuzz engine accepts one target per
+# run), on top of the always-run corpus regression pass.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadProfile -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzSalvageProfile -fuzztime=10s ./internal/profio
@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzUploadIdempotency -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzMapMatchesModel -fuzztime=10s ./internal/heapmap
 	$(GO) test -run='^$$' -fuzz=FuzzRecorderMatchesReference -fuzztime=10s ./internal/temporal
+	$(GO) test -run='^$$' -fuzz=FuzzChildListMatchesReference -fuzztime=10s ./internal/cct
 
 # One-iteration merge benchmarks, then the three opt-in wall-clock gates:
 # merge throughput with instruments and spans attached within 5% of

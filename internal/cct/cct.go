@@ -105,11 +105,11 @@ func (f Frame) String() string {
 	}
 }
 
-// nodeInline is the fanout kept in the node itself before falling back to
-// a map. Most CCT interior nodes have a handful of children (call sites of
-// one function), so child lookup on the sample hot path is usually a short
-// integer scan with no hashing at all.
-const nodeInline = 4
+// nodeInline is the longest child list a lookup scans before the node
+// indexes it with a map. Most CCT nodes have one child or a handful (call
+// sites of one function), so child lookup on the sample hot path is
+// usually a short integer scan with no hashing (BenchmarkChildLookup).
+const nodeInline = 8
 
 // Node is one CCT node. Children are keyed by interned FrameID — path
 // insertion and merge compare integers, never strings. The node keeps only
@@ -121,23 +121,22 @@ const nodeInline = 4
 // carry no metric; a node that does points at a row of its tree's slab.
 //
 // Field order is load-bearing: every pointer-bearing field comes first, so
-// the collector scans the 56-byte prefix (7 words) and skips the rest, and
-// the node is 80 bytes, an exact size class (TestNodeSizePinned,
+// the collector scans the 40-byte prefix (5 words) and skips the rest, and
+// the node is 48 bytes, an exact size class (TestNodeSizePinned,
 // TestNodePointersFirst).
 type Node struct {
 	parent *Node
 
-	// First nodeInline children live inline, filling the slots in order
-	// (a nil slot ends them); the rest spill to a map.
-	inline   [nodeInline]*Node
-	children map[FrameID]*Node
+	// Children form a list, newest first, from child through each one's
+	// next; children indexes it once it outgrows nodeInline (else nil).
+	child, next *Node
+	children    map[FrameID]*Node
 
 	// metrics is the node's exclusive metric row (samples attributed
 	// directly to this node), nil while every metric is zero.
 	metrics *metric.Vector
 
-	id        FrameID
-	inlineIDs [nodeInline]FrameID
+	id FrameID
 
 	// scratch is single-owner bookkeeping space for whichever component
 	// animates the node's tree; the temporal recorder uses it as a
@@ -189,12 +188,15 @@ func (n *Node) Child(f Frame) *Node {
 // ChildID returns the child with the given interned frame, creating it if
 // absent — the allocation-free hot path of InsertPathIDs.
 func (n *Node) ChildID(id FrameID) *Node {
-	for i, c := range &n.inline {
-		if n.inlineIDs[i] == id && c != nil {
-			return c
-		}
+	if c := n.child; c != nil && c.id == id {
+		return c
 	}
-	if c, ok := n.children[id]; ok {
+	return n.childID(id)
+}
+
+// childID is ChildID's out-of-line rest, so a first-child hit inlines.
+func (n *Node) childID(id FrameID) *Node {
+	if c, ok := n.lookupID(id); ok {
 		return c
 	}
 	c := &Node{parent: n, id: id}
@@ -202,31 +204,32 @@ func (n *Node) ChildID(id FrameID) *Node {
 	return c
 }
 
-// attach links c — whose id must not already key a child of n — into n's
-// child set: inline slots first, map spill after.
+// attach links c — whose id must not already key a child of n — at the
+// head of n's child list, indexing the list once it outgrows nodeInline.
 func (n *Node) attach(c *Node) {
-	for i, s := range &n.inline {
-		if s == nil {
-			n.inlineIDs[i] = c.id
-			n.inline[i] = c
-			return
+	c.next, n.child = n.child, c
+	if n.children != nil {
+		n.children[c.id] = c
+	} else if k := n.NumChildren(); k > nodeInline {
+		n.children = make(map[FrameID]*Node, k)
+		for s := n.child; s != nil; s = s.next {
+			n.children[s.id] = s
 		}
 	}
-	if n.children == nil {
-		n.children = make(map[FrameID]*Node)
-	}
-	n.children[c.id] = c
 }
 
 // lookupID returns the child with the given interned frame if it exists.
 func (n *Node) lookupID(id FrameID) (*Node, bool) {
-	for i, c := range &n.inline {
-		if n.inlineIDs[i] == id && c != nil {
+	if n.children != nil {
+		c, ok := n.children[id]
+		return c, ok
+	}
+	for c := n.child; c != nil; c = c.next {
+		if c.id == id {
 			return c, true
 		}
 	}
-	c, ok := n.children[id]
-	return c, ok
+	return nil, false
 }
 
 // Lookup returns the child with the given frame if it exists.
@@ -249,8 +252,7 @@ func (n *Node) Children() []*Node {
 // caller that linearises a whole tree into scratch it already holds.
 func (n *Node) AppendChildren(dst []*Node) []*Node {
 	base := len(dst)
-	dst = append(dst, n.inline[:n.numInline()]...)
-	for _, c := range n.children {
+	for c := n.child; c != nil; c = c.next {
 		dst = append(dst, c)
 	}
 	slices.SortFunc(dst[base:], func(a, b *Node) int { return CompareFrameIDs(a.id, b.id) })
@@ -305,24 +307,23 @@ func (n *Node) depth() int {
 }
 
 // NumChildren returns the number of children.
-func (n *Node) NumChildren() int { return n.numInline() + len(n.children) }
-
-// numInline counts the filled inline child slots.
-func (n *Node) numInline() int {
-	i := 0
-	for i < nodeInline && n.inline[i] != nil {
-		i++
+func (n *Node) NumChildren() int {
+	if n.children != nil {
+		return len(n.children)
 	}
-	return i
+	k := 0
+	for c := n.child; c != nil; c = c.next {
+		k++
+	}
+	return k
 }
 
-// eachChild calls fn on every child in unspecified order, without the sort
-// (or allocation) Children pays for determinism.
+// eachChild calls fn on every child in list order, without the sort (or
+// allocation) Children pays for determinism. It reads a child's sibling
+// link before calling fn, so fn may relink the child (Absorb does).
 func (n *Node) eachChild(fn func(*Node)) {
-	for _, c := range n.inline[:n.numInline()] {
-		fn(c)
-	}
-	for _, c := range n.children {
+	for c, next := n.child, (*Node)(nil); c != nil; c = next {
+		next = c.next
 		fn(c)
 	}
 }
@@ -447,11 +448,8 @@ func (t *Tree) mergeNode(dst, src *Node) {
 	}
 	// Integer-keyed descent: both trees share the process-global interner,
 	// so a child's FrameID addresses the same frame in either tree.
-	for i, c := range src.inline[:src.numInline()] {
-		t.mergeNode(dst.ChildID(src.inlineIDs[i]), c)
-	}
-	for id, sc := range src.children {
-		t.mergeNode(dst.ChildID(id), sc)
+	for c := src.child; c != nil; c = c.next {
+		t.mergeNode(dst.ChildID(c.id), c)
 	}
 }
 
@@ -476,7 +474,7 @@ func (t *Tree) Absorb(o *Tree) {
 
 // Clone returns a deep copy of the tree, sharing no node and no metric row
 // with it. It is a structural copy — each node's frame ID and metrics
-// copied, children linked in place and spill maps sized exactly — not a
+// copied, children linked in list order and indexes sized exactly — not a
 // merge into an empty tree, so it looks nothing up.
 func (t *Tree) Clone() *Tree {
 	c := &Tree{}
@@ -485,18 +483,20 @@ func (t *Tree) Clone() *Tree {
 }
 
 func (t *Tree) cloneNode(src, parent *Node) *Node {
-	n := &Node{parent: parent, id: src.id, inlineIDs: src.inlineIDs}
+	n := &Node{parent: parent, id: src.id}
 	if src.metrics != nil {
 		n.metrics = t.row()
 		*n.metrics = *src.metrics
 	}
-	for i, c := range src.inline[:src.numInline()] {
-		n.inline[i] = t.cloneNode(c, n)
+	tail := &n.child
+	for c := src.child; c != nil; c = c.next {
+		*tail = t.cloneNode(c, n)
+		tail = &(*tail).next
 	}
-	if len(src.children) > 0 {
+	if src.children != nil {
 		n.children = make(map[FrameID]*Node, len(src.children))
-		for id, c := range src.children {
-			n.children[id] = t.cloneNode(c, n)
+		for c := n.child; c != nil; c = c.next {
+			n.children[c.id] = c
 		}
 	}
 	return n

@@ -369,8 +369,8 @@ func TestMergeChildOverlap(t *testing.T) {
 }
 
 // TestAttachSpillsToMap: adoption through Absorb must follow the same
-// inline-then-map layout as ChildID so lookups keep working past the
-// inline fanout.
+// list-then-index layout as ChildID so lookups keep working once the list
+// is indexed.
 func TestAttachSpillsToMap(t *testing.T) {
 	a, b := New(), New()
 	for i := 0; i < nodeInline+3; i++ {
@@ -417,17 +417,18 @@ func TestCompareWalkOrderMatchesWalk(t *testing.T) {
 
 // TestNodeSizePinned: the views' render snapshot indexes the tree from
 // outside, so speeding queries up must not grow the node every sample and
-// every merge allocates. 80 bytes is an exact allocator size class; the
-// node keeps its frame's ID, never a copy of the frame, and a pointer to
-// its metric row, never the row.
+// every merge allocates. 48 bytes is an exact allocator size class; the
+// node keeps its frame's ID, never a copy of the frame, a pointer to its
+// metric row, never the row, and links to one child and one sibling, never
+// an array of children.
 func TestNodeSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 80 {
-		t.Errorf("unsafe.Sizeof(Node{}) = %d, pinned at 80", got)
+	if got := unsafe.Sizeof(Node{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d, pinned at 48", got)
 	}
 }
 
 // TestNodePointersFirst: every pointer-bearing field of Node precedes every
-// pointer-free one, so the collector scans a 56-byte prefix of each node
+// pointer-free one, so the collector scans a 40-byte prefix of each node
 // and stops there.
 func TestNodePointersFirst(t *testing.T) {
 	typ := reflect.TypeOf(Node{})
@@ -445,8 +446,8 @@ func TestNodePointersFirst(t *testing.T) {
 		}
 		prefix = f.Offset + f.Type.Size()
 	}
-	if prefix != 56 {
-		t.Errorf("pointer-bearing prefix is %d bytes, want 56", prefix)
+	if prefix != 40 {
+		t.Errorf("pointer-bearing prefix is %d bytes, want 40", prefix)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 )
 
 // randomProfile builds a profile whose trees mix narrow chains with fanouts
-// past the inline child slots, so Clone copies both child layouts.
+// past the scanned child list, so Clone copies lists with and without
+// their map index.
 func randomProfile(seed int64) *cct.Profile {
 	rng := rand.New(rand.NewSource(seed))
 	p := cct.NewProfile(int(seed%3), int(seed%5), "IBS@4096")

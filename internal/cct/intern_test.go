@@ -215,9 +215,9 @@ func TestQuickStringAndIDPathsEquivalent(t *testing.T) {
 	}
 }
 
-// TestInlineSpill exercises fanouts past the inline array: children must
-// spill to the map, stay findable through both key forms, and keep the
-// deterministic Children ordering.
+// TestInlineSpill exercises fanouts past the scanned child list: the list
+// must get its map index, children stay findable through both key forms,
+// and Children keeps its deterministic ordering.
 func TestInlineSpill(t *testing.T) {
 	tr := New()
 	const fanout = nodeInline*3 + 1
@@ -280,5 +280,28 @@ func BenchmarkAddSampleHotPathIDs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.AddSampleIDs(ids, v)
+	}
+}
+
+var sinkNode *Node
+
+// BenchmarkChildLookup times ChildID hits on a node of each fan-out,
+// cycling through its children: 1, 2 and 7 stay in the scanned list, 20
+// is past nodeInline and goes through the map index.
+func BenchmarkChildLookup(b *testing.B) {
+	for _, fanout := range []int{1, 2, 7, 20} {
+		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
+			n := New().Root
+			ids := make([]FrameID, fanout)
+			for i := range ids {
+				ids[i] = InternFrame(call(fmt.Sprint("lookup", i), i))
+				n.ChildID(ids[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkNode = n.ChildID(ids[i%fanout])
+			}
+		})
 	}
 }

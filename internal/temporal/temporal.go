@@ -63,8 +63,9 @@ type slot struct {
 // ([]cct.TimeDelta and []uint64 chunks; a window never straddles two) and
 // the window keeps capped sub-slices of them — the shape profio's decoder
 // hands back. Only a new chunk and the growth of the window list allocate,
-// a few dozen times per ten thousand windows, and nothing recorded is ever
-// copied again.
+// a few dozen times per ten thousand windows. The list doubles, so its
+// copies on the way up total about its final size, and Series trims it to
+// its length; deltas and values are never copied again.
 type Recorder struct {
 	width   uint64
 	windows []cct.TimeWindow
@@ -95,6 +96,10 @@ const (
 	maxChunk = 4096
 	minVals  = 4 * minChunk
 	maxVals  = 8 * maxChunk
+
+	// minWindows is the window list's first capacity; it doubles from
+	// there.
+	minWindows = 16
 )
 
 // NewRecorder creates a recorder with the given window width in sim
@@ -168,6 +173,9 @@ func (r *Recorder) flush() {
 		if n, k := len(w.Deltas), len(w.Vals); n > 0 {
 			r.chunk, r.vals = r.chunk[:len(r.chunk)+n], r.vals[:len(r.vals)+k]
 			w.Deltas, w.Vals = w.Deltas[:n:n], w.Vals[:k:k]
+			if len(r.windows) == cap(r.windows) {
+				r.windows = append(make([]cct.TimeWindow, 0, max(minWindows, 2*cap(r.windows))), r.windows...)
+			}
 			r.windows = append(r.windows, w)
 		}
 		r.cur = r.cur[:0]
@@ -180,15 +188,19 @@ func (r *Recorder) flush() {
 }
 
 // Series returns the recorded sidecar, flushing the in-progress window,
-// or nil when nothing was recorded. Recording may continue afterwards; a
-// later Series call returns the extended history (a re-opened window
-// appears as a second entry with the same index, which the profio
-// encoder coalesces).
+// or nil when nothing was recorded. The window list it hands out has no
+// spare capacity, so a held series holds no growth room. Recording may
+// continue afterwards; a later Series call returns the extended history
+// (a re-opened window appears as a second entry with the same index, which
+// the profio encoder coalesces).
 func (r *Recorder) Series() *cct.TimeSeries {
 	r.flush()
 	r.open = false
 	if len(r.windows) == 0 {
 		return nil
+	}
+	if len(r.windows) < cap(r.windows) {
+		r.windows = append(make([]cct.TimeWindow, 0, len(r.windows)), r.windows...)
 	}
 	return &cct.TimeSeries{Width: r.width, Windows: r.windows}
 }

@@ -646,7 +646,7 @@ func TestIndexCloneSharesNoRows(t *testing.T) {
 
 // TestHeldBytes pins what a held profile costs, measured as live heap
 // after a collection: a 100k-node tree whose metric-bearing leaves are 15%
-// of its nodes holds at most 96 bytes a node (an 80-byte node plus its
+// of its nodes holds at most 64 bytes a node (a 48-byte node plus its
 // share of the rows), and 100k recorded deltas carrying three non-zero
 // metrics each hold at most 48 bytes a delta (16 bytes of delta, 24 of
 // values and their share of the window list, at 20 deltas a window).
@@ -662,8 +662,8 @@ func TestHeldBytes(t *testing.T) {
 		return float64(after.HeapAlloc) - float64(before.HeapAlloc)
 	}
 
-	// A complete 4-ary tree of 100k nodes (the children fit the inline
-	// slots), every fifth leaf sampled: 15% of the nodes carry metrics.
+	// A complete 4-ary tree of 100k nodes (no child list long enough to
+	// index), every fifth leaf sampled: 15% of the nodes carry metrics.
 	const treeNodes = 100_000
 	var ids [4]cct.FrameID
 	for i := range ids {
@@ -694,8 +694,8 @@ func TestHeldBytes(t *testing.T) {
 	if share := float64(withMetrics) / treeNodes; share < 0.149 || share > 0.151 {
 		t.Fatalf("%.1f%% of the nodes carry metrics, want 15%%", 100*share)
 	}
-	if perNode > 96 {
-		t.Errorf("the tree holds %.1f B a node, want <= 96", perNode)
+	if perNode > 64 {
+		t.Errorf("the tree holds %.1f B a node, want <= 64", perNode)
 	}
 
 	// 5,000 windows of 20 touched nodes, three metrics moving on each.

@@ -20,7 +20,7 @@ import (
 // root, a mark nested below another (not a variable of its own), the same
 // label at several allocation sites, statics that share a name across
 // modules, stack variables, samples outside every variable, zero-valued
-// nodes, and fan-out past the inline child slots. Values come from a small
+// nodes, and nodes with up to about ten children. Values come from a small
 // range so that ties on value — and on (value, name) — are the rule.
 func randomProfile(rng *rand.Rand) *cct.Profile {
 	p := cct.NewProfile(0, 0, "IBS@4096")
