@@ -52,9 +52,10 @@ chaos-smoke:
 # the row reader it replaced, a load continued from an earlier load
 # against a full one, the in-memory merges against a file load, the
 # daemon's upload ingest, the heap interval map against its model, the
-# temporal recorder against the dense one it replaced, and the CCT child
-# lists against a map-of-maps tree (the fuzz engine accepts one target per
-# run), on top of the always-run corpus regression pass.
+# temporal recorder against the dense one it replaced, the CCT child lists
+# against a map-of-maps tree, and the view JSON writers against
+# encoding/json (the fuzz engine accepts one target per run), on top of the
+# always-run corpus regression pass.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadProfile -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzSalvageProfile -fuzztime=10s ./internal/profio
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMapMatchesModel -fuzztime=10s ./internal/heapmap
 	$(GO) test -run='^$$' -fuzz=FuzzRecorderMatchesReference -fuzztime=10s ./internal/temporal
 	$(GO) test -run='^$$' -fuzz=FuzzChildListMatchesReference -fuzztime=10s ./internal/cct
+	$(GO) test -run='^$$' -fuzz=FuzzJSONWriterMatchesEncodingJSON -fuzztime=10s ./internal/view
 
 # One-iteration merge benchmarks, then the three opt-in wall-clock gates:
 # merge throughput with instruments and spans attached within 5% of

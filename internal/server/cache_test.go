@@ -8,15 +8,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"dcprof/internal/view"
 )
 
 // topDownTotal fetches /topdown and returns the report's metric total —
 // the cheap fingerprint the cache tests use to tell merged contents apart.
 func topDownTotal(t testing.TB, ts *httptest.Server, name string) uint64 {
 	t.Helper()
-	var rep view.TopDownReport
+	var rep struct {
+		Total uint64 `json:"total"`
+	}
 	if err := json.Unmarshal(mustGet(t, ts, "/collections/"+name+"/topdown"), &rep); err != nil {
 		t.Fatal(err)
 	}

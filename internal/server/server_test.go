@@ -258,7 +258,9 @@ func TestQueryParameters(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	mustUpload(t, ts, "run", encodeProfile(t, synthProfile(0, 0, 100)))
 
-	var rep view.TopDownReport
+	var rep struct {
+		Metric string `json:"metric"`
+	}
 	if err := json.Unmarshal(mustGet(t, ts, "/collections/run/topdown?metric=SAMPLES"), &rep); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"dcprof/internal/cct"
 	"dcprof/internal/metric"
 	"dcprof/internal/profio"
+	"dcprof/internal/temporal"
 	"dcprof/internal/view"
 )
 
@@ -172,7 +173,10 @@ func TestPhasesEndpoint(t *testing.T) {
 	mustUpload(t, ts, "tph", encodeProfile(t, synthTemporalProfile(0, 0)))
 	got := mustGet(t, ts, "/collections/tph/phases")
 
-	var rep view.PhasesReport
+	var rep struct {
+		Width  uint64           `json:"window_width"`
+		Phases []temporal.Phase `json:"phases"`
+	}
 	if err := json.Unmarshal(got, &rep); err != nil {
 		t.Fatalf("phases response: %v\n%s", err, got)
 	}

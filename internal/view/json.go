@@ -1,16 +1,23 @@
 package view
 
-// Machine-readable report forms of the data-centric views. These are the
-// single JSON serialization for each view: `dcview -json -view topdown`
-// and the profiling service's GET /collections/{name}/topdown both render
-// through WriteTopDownJSON (likewise bottomup and diff), so the offline
-// and served surfaces are byte-identical by construction and cannot
-// drift. Field names are stable snake_case; values that are durations or
-// counts stay integers so consumers never parse formatted strings.
+// Machine-readable forms of the data-centric views. These are the single
+// JSON serialization for each view: `dcview -json -view topdown` and the
+// profiling service's GET /collections/{name}/topdown both render through
+// WriteTopDownJSON (likewise bottomup, diff and phases), so the offline and
+// served surfaces are byte-identical by construction and cannot drift.
+// Field names are stable snake_case; values that are durations or counts
+// stay integers so consumers never parse formatted strings.
+//
+// The writers stream a body straight from the Snapshot: no report tree is
+// built and nothing goes through reflection. The bytes are exactly what
+// encoding/json's Encoder with SetIndent("", "  ") writes for the report
+// structs the tests keep (reference_test.go), which stay the oracle.
 
 import (
 	"encoding/json"
 	"io"
+	"math"
+	"strconv"
 
 	"dcprof/internal/cct"
 	"dcprof/internal/metric"
@@ -25,228 +32,297 @@ const (
 	DefaultMinShare = 0.005
 )
 
-// TopDownReport is the JSON form of the top-down contextual view.
-type TopDownReport struct {
-	Event  string `json:"event"`
-	Metric string `json:"metric"`
-	// Total is the metric's profile-wide total across all storage classes.
-	Total uint64 `json:"total"`
-	// Classes lists each storage class with a non-zero total, in class
-	// order, with its pruned context tree beneath.
-	Classes []TopDownClass `json:"classes"`
-}
-
-// TopDownClass is one storage class's subtree in the report.
-type TopDownClass struct {
-	Class string  `json:"class"`
-	Value uint64  `json:"value"`
-	Share float64 `json:"share"`
-	// Children is the pruned context tree under the class root; always an
-	// array (possibly empty), never null.
-	Children []*TopDownNode `json:"children"`
-}
-
-// TopDownNode is one CCT node in the report.
-type TopDownNode struct {
-	Kind   string `json:"kind"`
-	Name   string `json:"name,omitempty"`
-	Module string `json:"module,omitempty"`
-	File   string `json:"file,omitempty"`
-	Line   int    `json:"line,omitempty"`
-	// Value is the node's inclusive metric value; Share is Value over the
-	// profile-wide total.
-	Value    uint64         `json:"value"`
-	Share    float64        `json:"share"`
-	Children []*TopDownNode `json:"children,omitempty"`
-}
-
-// TopDownJSON builds the top-down report, pruned by the same MaxDepth and
-// MinShare rules RenderTopDown applies. Node order is the deterministic
-// frame order of cct.Children, so two merges of the same inputs — in any
-// arrival order — serialize identically.
-func TopDownJSON(p *cct.Profile, o Options) *TopDownReport { return Freeze(p).TopDownJSON(o) }
-
-// TopDownJSON is TopDownJSON of the frozen profile.
-func (s *Snapshot) TopDownJSON(o Options) *TopDownReport {
-	t := topDown{column: s.column(o.Metric), o: o}
-	grand := t.total()
-	rep := &TopDownReport{
-		Event:   s.event,
-		Metric:  o.Metric.Name(),
-		Total:   grand,
-		Classes: []TopDownClass{},
-	}
-	if grand == 0 {
-		return rep
-	}
-	for c, root := range s.root {
-		classTotal := t.inc(root)
-		if classTotal == 0 {
-			continue
-		}
-		rep.Classes = append(rep.Classes, TopDownClass{
-			Class:    cct.Class(c).String(),
-			Value:    classTotal,
-			Share:    t.share(root),
-			Children: t.children(root, 1),
-		})
-	}
-	return rep
-}
-
-func (t *topDown) children(i int32, depth int) []*TopDownNode {
-	run := t.push(i, depth)
-	out := make([]*TopDownNode, 0, len(run))
-	for _, j := range run {
-		f := t.nodes[j].Frame()
-		out = append(out, &TopDownNode{
-			Kind:     f.Kind.String(),
-			Name:     f.Name,
-			Module:   f.Module,
-			File:     f.File,
-			Line:     f.Line,
-			Value:    t.inc(j),
-			Share:    t.share(j),
-			Children: t.children(j, depth+1),
-		})
-	}
-	t.pop(run)
-	return out
-}
-
-// BottomUpReport is the JSON form of the bottom-up (allocation-site) view.
-type BottomUpReport struct {
-	Event  string `json:"event"`
-	Metric string `json:"metric"`
-	Total  uint64 `json:"total"`
-	// Sites lists allocation call sites by descending value, bounded by
-	// Options.MaxRows; always an array, never null.
-	Sites []BottomUpSite `json:"sites"`
-}
-
-// BottomUpSite is one allocation call site in the report.
-type BottomUpSite struct {
-	Func      string  `json:"func,omitempty"`
-	File      string  `json:"file,omitempty"`
-	Line      int     `json:"line,omitempty"`
-	Allocator string  `json:"allocator"`
-	Variables int     `json:"variables"`
-	Value     uint64  `json:"value"`
-	Share     float64 `json:"share"`
-}
-
-// BottomUpJSON builds the bottom-up report over the same aggregation
-// BottomUp computes, bounded by Options.MaxRows (0 = unlimited) and
-// skipping zero-valued sites like the text renderer does.
-func BottomUpJSON(p *cct.Profile, o Options) *BottomUpReport { return Freeze(p).BottomUpJSON(o) }
-
-// BottomUpJSON is BottomUpJSON of the frozen profile.
-func (s *Snapshot) BottomUpJSON(o Options) *BottomUpReport {
-	rep := &BottomUpReport{
-		Event:  s.event,
-		Metric: o.Metric.Name(),
-		Total:  s.MetricTotal(o.Metric),
-		Sites:  []BottomUpSite{},
-	}
-	for _, site := range s.BottomUp(o.Metric) {
-		if site.Value == 0 {
-			continue
-		}
-		if o.MaxRows > 0 && len(rep.Sites) >= o.MaxRows {
-			break
-		}
-		rep.Sites = append(rep.Sites, BottomUpSite{
-			Func: site.Func, File: site.File, Line: site.Line, Allocator: site.Allocator,
-			Variables: site.Variables, Value: site.Value, Share: site.Share,
-		})
-	}
-	return rep
-}
-
-// DiffReport is the JSON form of the per-variable profile comparison.
-type DiffReport struct {
-	Metric      string `json:"metric"`
-	BeforeTotal uint64 `json:"before_total"`
-	AfterTotal  uint64 `json:"after_total"`
-	// Rows is sorted by |share change| descending, bounded by MaxRows;
-	// always an array, never null.
-	Rows []DiffRow `json:"rows"`
-}
-
-// DiffRow is one variable's movement between the two profiles.
-type DiffRow struct {
-	Variable    string  `json:"variable"`
-	Class       string  `json:"class"`
-	BeforeValue uint64  `json:"before_value"`
-	AfterValue  uint64  `json:"after_value"`
-	BeforeShare float64 `json:"before_share"`
-	AfterShare  float64 `json:"after_share"`
-	DeltaShare  float64 `json:"delta_share"`
-}
-
-// DiffJSON builds the diff report (before -> after), bounded by maxRows
-// (0 = unlimited).
-func DiffJSON(before, after *cct.Profile, m metric.ID, maxRows int) *DiffReport {
-	return Freeze(before).DiffJSON(Freeze(after), m, maxRows)
-}
-
-// DiffJSON is DiffJSON of the frozen profile (before) and after.
-func (s *Snapshot) DiffJSON(after *Snapshot, m metric.ID, maxRows int) *DiffReport {
-	rep := &DiffReport{
-		Metric:      m.Name(),
-		BeforeTotal: s.MetricTotal(m),
-		AfterTotal:  after.MetricTotal(m),
-		Rows:        []DiffRow{},
-	}
-	for _, d := range s.DiffVariables(after, m) {
-		if maxRows > 0 && len(rep.Rows) >= maxRows {
-			break
-		}
-		rep.Rows = append(rep.Rows, DiffRow{
-			Variable:    d.Variable,
-			Class:       d.Class.String(),
-			BeforeValue: d.BeforeValue,
-			AfterValue:  d.AfterValue,
-			BeforeShare: d.BeforeShare,
-			AfterShare:  d.AfterShare,
-			DeltaShare:  d.DeltaShare(),
-		})
-	}
-	return rep
-}
-
-// WriteTopDownJSON writes the top-down report as indented JSON.
+// WriteTopDownJSON writes the top-down view as indented JSON: the event,
+// metric and profile-wide total, then each storage class with a non-zero
+// total, in class order, with its context tree beneath, pruned by the same
+// MaxDepth and MinShare rules RenderTopDown applies. Node order is the
+// deterministic frame order of cct.Children, so two merges of the same
+// inputs — in any arrival order — serialize identically. A node's value is
+// inclusive and its share is that value over the profile-wide total; a
+// class's "children" is always an array, a node's is left out when empty.
 func WriteTopDownJSON(w io.Writer, p *cct.Profile, o Options) error {
 	return Freeze(p).WriteTopDownJSON(w, o)
 }
 
 // WriteTopDownJSON is WriteTopDownJSON of the frozen profile.
 func (s *Snapshot) WriteTopDownJSON(w io.Writer, o Options) error {
-	return writeJSON(w, s.TopDownJSON(o))
+	t := topDown{column: s.column(o.Metric), o: o}
+	grand := t.total()
+	j := newJSONWriter(w)
+	j.str("event", s.event)
+	j.str("metric", o.Metric.Name())
+	j.uint("total", grand)
+	j.open("classes", '[')
+	for c, root := range s.root {
+		if t.inc(root) == 0 {
+			continue
+		}
+		j.open("", '{')
+		j.str("class", cct.Class(c).String())
+		j.uint("value", t.inc(root))
+		j.float("share", t.share(root))
+		j.open("children", '[')
+		t.writeNodes(j, t.push(root, 1), 1)
+		j.close(']')
+		j.close('}')
+	}
+	j.close(']')
+	return j.end()
 }
 
-// WriteBottomUpJSON writes the bottom-up report as indented JSON.
+// writeNodes writes a sibling run at the given depth, each node with its
+// surviving subtree, and pops the run.
+func (t *topDown) writeNodes(j *jsonWriter, run []int32, depth int) {
+	for _, i := range run {
+		f := t.nodes[i].Frame()
+		j.open("", '{')
+		j.str("kind", f.Kind.String())
+		if f.Name != "" {
+			j.str("name", f.Name)
+		}
+		if f.Module != "" {
+			j.str("module", f.Module)
+		}
+		if f.File != "" {
+			j.str("file", f.File)
+		}
+		if f.Line != 0 {
+			j.int("line", f.Line)
+		}
+		j.uint("value", t.inc(i))
+		j.float("share", t.share(i))
+		if sub := t.push(i, depth+1); len(sub) > 0 {
+			j.open("children", '[')
+			t.writeNodes(j, sub, depth+1)
+			j.close(']')
+		}
+		j.close('}')
+	}
+	t.pop(run)
+}
+
+// WriteBottomUpJSON writes the bottom-up (allocation-site) view as indented
+// JSON: the aggregation BottomUp computes, skipping zero-valued sites like
+// the text renderer does and bounded by Options.MaxRows (0 = unlimited);
+// "sites" is always an array.
 func WriteBottomUpJSON(w io.Writer, p *cct.Profile, o Options) error {
 	return Freeze(p).WriteBottomUpJSON(w, o)
 }
 
 // WriteBottomUpJSON is WriteBottomUpJSON of the frozen profile.
 func (s *Snapshot) WriteBottomUpJSON(w io.Writer, o Options) error {
-	return writeJSON(w, s.BottomUpJSON(o))
+	j := newJSONWriter(w)
+	j.str("event", s.event)
+	j.str("metric", o.Metric.Name())
+	j.uint("total", s.MetricTotal(o.Metric))
+	j.open("sites", '[')
+	rows := 0
+	for _, site := range s.BottomUp(o.Metric) {
+		if site.Value == 0 {
+			continue
+		}
+		if o.MaxRows > 0 && rows >= o.MaxRows {
+			break
+		}
+		rows++
+		j.open("", '{')
+		if site.Func != "" {
+			j.str("func", site.Func)
+		}
+		if site.File != "" {
+			j.str("file", site.File)
+		}
+		if site.Line != 0 {
+			j.int("line", site.Line)
+		}
+		j.str("allocator", site.Allocator)
+		j.int("variables", site.Variables)
+		j.uint("value", site.Value)
+		j.float("share", site.Share)
+		j.close('}')
+	}
+	j.close(']')
+	return j.end()
 }
 
-// WriteDiffJSON writes the diff report as indented JSON.
+// WriteDiffJSON writes the per-variable comparison (before -> after) as
+// indented JSON: both totals, then DiffVariables' rows bounded by maxRows
+// (0 = unlimited); "rows" is always an array.
 func WriteDiffJSON(w io.Writer, before, after *cct.Profile, m metric.ID, maxRows int) error {
 	return Freeze(before).WriteDiffJSON(w, Freeze(after), m, maxRows)
 }
 
 // WriteDiffJSON is WriteDiffJSON of the frozen profile (before) and after.
 func (s *Snapshot) WriteDiffJSON(w io.Writer, after *Snapshot, m metric.ID, maxRows int) error {
-	return writeJSON(w, s.DiffJSON(after, m, maxRows))
+	j := newJSONWriter(w)
+	j.str("metric", m.Name())
+	j.uint("before_total", s.MetricTotal(m))
+	j.uint("after_total", after.MetricTotal(m))
+	j.open("rows", '[')
+	for k, d := range s.DiffVariables(after, m) {
+		if maxRows > 0 && k >= maxRows {
+			break
+		}
+		j.open("", '{')
+		j.str("variable", d.Variable)
+		j.str("class", d.Class.String())
+		j.uint("before_value", d.BeforeValue)
+		j.uint("after_value", d.AfterValue)
+		j.float("before_share", d.BeforeShare)
+		j.float("after_share", d.AfterShare)
+		j.float("delta_share", d.DeltaShare())
+		j.close('}')
+	}
+	j.close(']')
+	return j.end()
 }
 
-func writeJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+const (
+	// jsonStartBuf is a writer's first buffer: most served bodies fit.
+	jsonStartBuf = 1 << 10
+	// jsonFlushAt is the size past which a writer hands its buffer on.
+	jsonFlushAt = 8 << 10
+)
+
+// jsonWriter appends one top-level JSON object in encoding/json's indented
+// form — two-space indent, ": " after a key, [] or {} for an empty
+// container — and hands the bytes on in pieces of about jsonFlushAt. The
+// first write error sticks; later writes are dropped.
+type jsonWriter struct {
+	w     io.Writer
+	buf   []byte
+	err   error
+	depth int
+	// empty says the innermost open container has no member yet.
+	empty bool
+}
+
+// newJSONWriter opens the top-level object.
+func newJSONWriter(w io.Writer) *jsonWriter {
+	j := &jsonWriter{w: w, buf: make([]byte, 0, jsonStartBuf)}
+	j.buf = append(j.buf, '{')
+	j.depth, j.empty = 1, true
+	return j
+}
+
+const jsonIndent = "                                "
+
+// member starts the next member of the open container: the separator, a
+// new indented line, and the key when there is one (objects only).
+func (j *jsonWriter) member(key string) {
+	if !j.empty {
+		j.buf = append(j.buf, ',')
+	}
+	j.empty = false
+	j.newline()
+	if key != "" {
+		j.buf = append(j.buf, '"')
+		j.buf = append(j.buf, key...)
+		j.buf = append(j.buf, '"', ':', ' ')
+	}
+}
+
+func (j *jsonWriter) newline() {
+	j.buf = append(j.buf, '\n')
+	for n := 2 * j.depth; n > 0; n -= len(jsonIndent) {
+		j.buf = append(j.buf, jsonIndent[:min(n, len(jsonIndent))]...)
+	}
+}
+
+// open starts a container member: c is '{' or '['; key is "" for an array
+// element.
+func (j *jsonWriter) open(key string, c byte) {
+	j.member(key)
+	j.buf = append(j.buf, c)
+	j.depth++
+	j.empty = true
+}
+
+// close ends the innermost container with c, '}' or ']'.
+func (j *jsonWriter) close(c byte) {
+	j.depth--
+	if !j.empty {
+		j.newline()
+	}
+	j.buf = append(j.buf, c)
+	j.empty = false
+	if len(j.buf) >= jsonFlushAt {
+		j.flush()
+	}
+}
+
+func (j *jsonWriter) flush() {
+	if j.err == nil {
+		_, j.err = j.w.Write(j.buf)
+	}
+	j.buf = j.buf[:0]
+}
+
+// end closes the top-level object, ends the line as Encoder.Encode does,
+// and writes what is left.
+func (j *jsonWriter) end() error {
+	j.close('}')
+	j.buf = append(j.buf, '\n')
+	j.flush()
+	return j.err
+}
+
+func (j *jsonWriter) str(key, v string) {
+	j.member(key)
+	j.buf = appendJSONString(j.buf, v)
+}
+
+func (j *jsonWriter) uint(key string, v uint64) {
+	j.member(key)
+	j.buf = strconv.AppendUint(j.buf, v, 10)
+}
+
+func (j *jsonWriter) int(key string, v int) {
+	j.member(key)
+	j.buf = strconv.AppendInt(j.buf, int64(v), 10)
+}
+
+func (j *jsonWriter) float(key string, v float64) {
+	j.member(key)
+	var err error
+	if j.buf, err = appendJSONFloat(j.buf, v); err != nil && j.err == nil {
+		j.err = err
+	}
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it, HTML
+// escaping included (the Encoder default). Printable ASCII with nothing to
+// escape is copied; anything else is quoted by encoding/json itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest form that reads back exactly, in exponent form below 1e-6 and
+// from 1e21 up, with a one-digit negative exponent not zero-padded.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-07 -> e-7
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }

@@ -7,15 +7,119 @@ package view
 // bottom-up sort carries the final (func, allocator) tie-break the
 // implementation has now; the old one left rows that tie on value, file and
 // line in map-iteration order, which no test can pin.
+//
+// The JSON views are held to report structs marshalled by encoding/json:
+// the shape the writers in json.go once built before encoding, kept here as
+// the independent oracle of their bytes.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
+	"testing"
 
 	"dcprof/internal/cct"
 	"dcprof/internal/metric"
+	"dcprof/internal/temporal"
 )
+
+// TopDownReport is the JSON form of the top-down contextual view.
+type TopDownReport struct {
+	Event   string         `json:"event"`
+	Metric  string         `json:"metric"`
+	Total   uint64         `json:"total"`
+	Classes []TopDownClass `json:"classes"`
+}
+
+// TopDownClass is one storage class's subtree in the report.
+type TopDownClass struct {
+	Class    string         `json:"class"`
+	Value    uint64         `json:"value"`
+	Share    float64        `json:"share"`
+	Children []*TopDownNode `json:"children"`
+}
+
+// TopDownNode is one CCT node in the report.
+type TopDownNode struct {
+	Kind     string         `json:"kind"`
+	Name     string         `json:"name,omitempty"`
+	Module   string         `json:"module,omitempty"`
+	File     string         `json:"file,omitempty"`
+	Line     int            `json:"line,omitempty"`
+	Value    uint64         `json:"value"`
+	Share    float64        `json:"share"`
+	Children []*TopDownNode `json:"children,omitempty"`
+}
+
+// BottomUpReport is the JSON form of the bottom-up (allocation-site) view.
+type BottomUpReport struct {
+	Event  string         `json:"event"`
+	Metric string         `json:"metric"`
+	Total  uint64         `json:"total"`
+	Sites  []BottomUpSite `json:"sites"`
+}
+
+// BottomUpSite is one allocation call site in the report.
+type BottomUpSite struct {
+	Func      string  `json:"func,omitempty"`
+	File      string  `json:"file,omitempty"`
+	Line      int     `json:"line,omitempty"`
+	Allocator string  `json:"allocator"`
+	Variables int     `json:"variables"`
+	Value     uint64  `json:"value"`
+	Share     float64 `json:"share"`
+}
+
+// DiffReport is the JSON form of the per-variable profile comparison.
+type DiffReport struct {
+	Metric      string    `json:"metric"`
+	BeforeTotal uint64    `json:"before_total"`
+	AfterTotal  uint64    `json:"after_total"`
+	Rows        []DiffRow `json:"rows"`
+}
+
+// DiffRow is one variable's movement between the two profiles.
+type DiffRow struct {
+	Variable    string  `json:"variable"`
+	Class       string  `json:"class"`
+	BeforeValue uint64  `json:"before_value"`
+	AfterValue  uint64  `json:"after_value"`
+	BeforeShare float64 `json:"before_share"`
+	AfterShare  float64 `json:"after_share"`
+	DeltaShare  float64 `json:"delta_share"`
+}
+
+// PhasesReport is the JSON form of the detected-phase view.
+type PhasesReport struct {
+	Event  string           `json:"event"`
+	Width  uint64           `json:"window_width"`
+	Phases []temporal.Phase `json:"phases"`
+}
+
+// jsonBytes is v as the writers must render it: encoding/json's Encoder
+// with a two-space indent.
+func jsonBytes(t testing.TB, v any) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// decode parses a written body into a report struct.
+func decode[T any](t testing.TB, body []byte) *T {
+	t.Helper()
+	var v T
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("%v\n%s", err, body)
+	}
+	return &v
+}
 
 func refMetricTotal(p *cct.Profile, m metric.ID) uint64 {
 	var grand uint64

@@ -113,10 +113,11 @@ func bare(t *cct.Tree) *cct.Tree {
 	return out
 }
 
-func jsonBytes(t *testing.T, v any) []byte {
+// written is what a writer puts out.
+func written(t *testing.T, write func(io.Writer) error) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := writeJSON(&b, v); err != nil {
+	if err := write(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -124,7 +125,8 @@ func jsonBytes(t *testing.T, v any) []byte {
 
 // TestSnapshotMatchesReference is the oracle: over random profiles and the
 // whole option grid, the six rendered outputs are byte-identical to the
-// recursive reference, and the ranked variables name the same anchor nodes
+// recursive reference (the JSON ones to its report structs marshalled by
+// encoding/json), and the ranked variables name the same anchor nodes
 // with the same allocation sites and top accesses.
 func TestSnapshotMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
@@ -143,7 +145,8 @@ func TestSnapshotMatchesReference(t *testing.T) {
 			for _, min := range mins {
 				for _, depth := range depths {
 					o := Options{Metric: m, MinShare: min, MaxDepth: depth}
-					if got, want := jsonBytes(t, s.TopDownJSON(o)), jsonBytes(t, refTopDownJSON(p, o)); !bytes.Equal(got, want) {
+					got := written(t, func(w io.Writer) error { return s.WriteTopDownJSON(w, o) })
+					if want := jsonBytes(t, refTopDownJSON(p, o)); !bytes.Equal(got, want) {
 						t.Fatalf("profile %d %+v: top-down JSON differs\ngot:\n%s\nwant:\n%s", pi, o, got, want)
 					}
 					if got, want := s.RenderTopDown(o), refRenderTopDown(p, o); got != want {
@@ -153,10 +156,12 @@ func TestSnapshotMatchesReference(t *testing.T) {
 			}
 			for _, rows := range rowses {
 				o := Options{Metric: m, MaxRows: rows}
-				if got, want := jsonBytes(t, s.BottomUpJSON(o)), jsonBytes(t, refBottomUpJSON(p, o)); !bytes.Equal(got, want) {
+				got := written(t, func(w io.Writer) error { return s.WriteBottomUpJSON(w, o) })
+				if want := jsonBytes(t, refBottomUpJSON(p, o)); !bytes.Equal(got, want) {
 					t.Fatalf("profile %d %+v: bottom-up JSON differs\ngot:\n%s\nwant:\n%s", pi, o, got, want)
 				}
-				if got, want := jsonBytes(t, sb.DiffJSON(s, m, rows)), jsonBytes(t, refDiffJSON(before, p, m, rows)); !bytes.Equal(got, want) {
+				got = written(t, func(w io.Writer) error { return sb.WriteDiffJSON(w, s, m, rows) })
+				if want := jsonBytes(t, refDiffJSON(before, p, m, rows)); !bytes.Equal(got, want) {
 					t.Fatalf("profile %d %+v: diff JSON differs\ngot:\n%s\nwant:\n%s", pi, o, got, want)
 				}
 				if got, want := s.RenderBottomUp(o), refRenderBottomUp(p, o); got != want {
@@ -279,8 +284,10 @@ func allocated(fn func()) uint64 {
 
 // TestSnapshotAllocGates pins what the snapshot costs, by count: freezing
 // allocates a fixed number of objects whatever the tree's size, 24 bytes a
-// node with its first metric and 8 with each further one, and a warm query
-// at the default options allocates for the rows it emits.
+// node with its first metric and 8 with each further one, a warm query at
+// the default options allocates for the rows it emits, and a warm full
+// top-down render, which streams every node, allocates a fixed number of
+// objects whatever the tree's size (no report tree).
 func TestSnapshotAllocGates(t *testing.T) {
 	small, large := denseProfile(10_000), denseProfile(40_000)
 	freezeAllocs := func(p *cct.Profile) float64 { return testing.AllocsPerRun(5, func() { Freeze(p) }) }
@@ -310,5 +317,28 @@ func TestSnapshotAllocGates(t *testing.T) {
 	}) / renders
 	if perRender > 16<<10 {
 		t.Errorf("warm default top-down render allocates %d B, want at most 16 KiB", perRender)
+	}
+
+	full := Options{Metric: metric.Latency}
+	fullAllocs := func(p *cct.Profile) float64 {
+		s := Freeze(p)
+		s.MetricTotal(full.Metric)
+		return testing.AllocsPerRun(5, func() {
+			if err := s.WriteTopDownJSON(io.Discard, full); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := fullAllocs(small), fullAllocs(large); a != b {
+		t.Errorf("warm full top-down render allocates %.0f objects at %d nodes and %.0f at %d; want the same count",
+			a, small.NumNodes(), b, large.NumNodes())
+	} else {
+		t.Logf("warm full top-down render: %.0f objects at %d and %d nodes", a, small.NumNodes(), large.NumNodes())
+	}
+	// That body passes the flush bound many times over: it is still the
+	// reference's.
+	got := written(t, func(w io.Writer) error { return WriteTopDownJSON(w, large, full) })
+	if want := jsonBytes(t, refTopDownJSON(large, full)); !bytes.Equal(got, want) {
+		t.Errorf("full top-down JSON of %d nodes differs from the reference", large.NumNodes())
 	}
 }

@@ -16,28 +16,27 @@ import (
 	"dcprof/internal/temporal"
 )
 
-// PhasesReport is the JSON form of the detected-phase view.
-type PhasesReport struct {
-	Event string `json:"event"`
-	// Width is the window width in sim cycles — phase boundaries are
-	// multiples of it.
-	Width uint64 `json:"window_width"`
-	// Phases tile the sampled span in time order; always an array,
-	// never null.
-	Phases []temporal.Phase `json:"phases"`
-}
-
-// PhasesJSON builds the phase report.
-func PhasesJSON(event string, width uint64, phases []temporal.Phase) *PhasesReport {
-	if phases == nil {
-		phases = []temporal.Phase{}
-	}
-	return &PhasesReport{Event: event, Width: width, Phases: phases}
-}
-
-// WritePhasesJSON writes the phase report as indented JSON.
+// WritePhasesJSON writes the detected phases as indented JSON: the event,
+// the window width in sim cycles (phase boundaries are multiples of it),
+// and the phases in time order, which tile the sampled span; "phases" is
+// always an array.
 func WritePhasesJSON(w io.Writer, event string, width uint64, phases []temporal.Phase) error {
-	return writeJSON(w, PhasesJSON(event, width, phases))
+	j := newJSONWriter(w)
+	j.str("event", event)
+	j.uint("window_width", width)
+	j.open("phases", '[')
+	for _, ph := range phases {
+		j.open("", '{')
+		j.uint("start", ph.Start)
+		j.uint("end", ph.End)
+		j.uint("start_window", ph.StartWindow)
+		j.uint("end_window", ph.EndWindow)
+		j.str("label", ph.Label)
+		j.uint("samples", ph.Samples)
+		j.close('}')
+	}
+	j.close(']')
+	return j.end()
 }
 
 // RenderPhases formats the detected phases as a table.
