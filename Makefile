@@ -53,9 +53,11 @@ chaos-smoke:
 # against a full one, the in-memory merges against a file load, the
 # daemon's upload ingest, the heap interval map against its model, the
 # temporal recorder against the dense one it replaced, the CCT child lists
-# against a map-of-maps tree, and the view JSON writers against
-# encoding/json (the fuzz engine accepts one target per run), on top of the
-# always-run corpus regression pass.
+# against a map-of-maps tree, the view JSON writers against
+# encoding/json, and the daemon's view cache under interleaved uploads,
+# held readers and cancelled and cold queries against an offline merge
+# (the fuzz engine accepts one target per run), on top of the always-run
+# corpus regression pass.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadProfile -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzSalvageProfile -fuzztime=10s ./internal/profio
@@ -68,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMergeMatchesLoad -fuzztime=10s ./internal/analysis
 	$(GO) test -run='^$$' -fuzz=FuzzHandleUpload -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzUploadIdempotency -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzViewHandoff -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzMapMatchesModel -fuzztime=10s ./internal/heapmap
 	$(GO) test -run='^$$' -fuzz=FuzzRecorderMatchesReference -fuzztime=10s ./internal/temporal
 	$(GO) test -run='^$$' -fuzz=FuzzChildListMatchesReference -fuzztime=10s ./internal/cct

@@ -384,12 +384,18 @@ func (w *loadWorker) stage(path string) (*profio.Staged, error) {
 // are folded on top of it, and the result is the database a load of the
 // base's files plus these would have produced. The merge is associative
 // and commutative, so an earlier load's result is a valid partial sum to
-// continue from. base itself is never modified — worker 0's accumulator
-// starts as a copy of its trees and the temporal index as a clone of its
-// index — so readers may keep using it. The returned MergeStats are then
-// cumulative in Inputs, InputNodes, BytesRead, MergedNodes and Quarantined;
-// the walls, residency and decode quantiles describe this call alone, as
-// does what it publishes to LoadOptions.Telemetry.
+// continue from. The call takes ownership of base: worker 0 folds straight
+// into base.Merged, and the result's Merged is that same tree, so nothing
+// proportional to the base is copied. The caller must own base — no other
+// goroutine may read its tree once the call starts — and must treat it as
+// consumed whether the call succeeds or fails: a failed or cancelled load
+// leaves the tree partly folded. A caller whose readers still need the base
+// passes a copy. The temporal index is the exception: the load folds into a
+// clone of base.Temporal, so base.Temporal stays as it was and readers of
+// it are undisturbed. The returned MergeStats are then cumulative in
+// Inputs, InputNodes, BytesRead, MergedNodes and Quarantined; the walls,
+// residency and decode quantiles describe this call alone, as does what
+// it publishes to LoadOptions.Telemetry.
 func LoadFilesStreamingCtx(ctx context.Context, label string, base *Database, files []string, opt LoadOptions) (*Database, MergeStats, error) {
 	// The workers that run: never more than there are files to claim.
 	workers := max(1, min(opt.EffectiveWorkers(), len(files)))
@@ -447,8 +453,7 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, base *Database, fi
 		go func() {
 			defer wg.Done()
 			if i == 0 && base != nil {
-				// Copying the base overlaps the other workers' first files.
-				w.acc = base.Merged.Clone()
+				w.acc = base.Merged
 			} else {
 				w.acc = cct.NewProfile(0, 0, "")
 			}

@@ -11,6 +11,17 @@ package server
 // is still worth having: the miss that replaces it continues from its
 // database and reads only the files added since (Server.view).
 //
+// Every entry a query renders from is held: entry returns it held and the
+// handler releases it when the response is written. The holds are counted
+// under the cache mutex, and they are what lets a build hand the cached
+// tree forward instead of copying it: a build continuing from an entry
+// nobody holds takes that entry's database — folds the new files straight
+// into its tree — and marks the entry taken; a held entry is copied, as a
+// reader is still using it; a taken entry is neither served nor continued
+// from again, since its tree may be half folded. So an entry never changes
+// while it is held, and the common case (one upload, then queries) copies
+// nothing.
+//
 // Misses are deduplicated singleflight-style: when N queries race on a
 // cold (collection, generation), one merge runs and the rest block on its
 // result — a query storm after an upload costs one merge, not N. The
@@ -41,27 +52,39 @@ import (
 // maps it to 503 + Retry-After.
 var errMergeSaturated = errors.New("server: merge capacity saturated")
 
-// viewEntry is one cached merged view. It is immutable once built: snap is
-// db.Merged frozen when the merge (or window clip) completed, so the
+// viewEntry is one cached merged view. It never changes while it is held:
+// snap is the view frozen when the merge (or window clip) completed, so the
 // render-ready form lives and dies with the entry and every hit renders
-// from it. The next generation's build may continue from db, which it
-// only reads.
+// from it. A collection entry also keeps db, which the next generation's
+// build continues from — taking it when no request holds the entry (taken
+// is then set, and the entry is served no more), copying it otherwise. A
+// ?window= entry keeps only its clipped snapshot and the event: db and
+// files are nil, so it pins nothing of the database it was clipped from.
 type viewEntry struct {
 	name  string   // collection name — the LRU/map key
 	gen   uint64   // content generation the merged file list belongs to
+	event string   // the merged profiles' event: what metric defaults follow
 	files []string // the sorted file list db was merged from
 	db    *analysis.Database
 	stats analysis.MergeStats
 	snap  *view.Snapshot
+
+	// holds counts the requests rendering from the entry, and taken marks
+	// a database handed to a later build; both are guarded by the cache
+	// mutex.
+	holds int
+	taken bool
 }
 
 func newViewEntry(name string, gen uint64, files []string, db *analysis.Database, stats analysis.MergeStats) *viewEntry {
-	return &viewEntry{name: name, gen: gen, files: files, db: db, stats: stats, snap: view.Freeze(db.Merged)}
+	return &viewEntry{name: name, gen: gen, event: db.Event, files: files, db: db, stats: stats, snap: view.Freeze(db.Merged)}
 }
 
 // mergeCall is one in-flight merge queries wait on. refs counts the
 // waiting requests (guarded by the cache mutex); cancel stops the merge
-// and fires when refs drops to zero.
+// and fires when refs drops to zero. done is closed under the cache mutex
+// once entry and err are set, with one hold on entry for each waiter
+// still counted in refs.
 type mergeCall struct {
 	done   chan struct{}
 	cancel context.CancelFunc
@@ -103,9 +126,10 @@ func newViewCache(max int, reg *telemetry.Registry) *viewCache {
 }
 
 // entry returns the merged view for the collection at generation gen,
-// building it (once, however many queries race here) when the cache has
-// no current entry. A needed build takes a token from adm (when non-nil)
-// or fails fast with errMergeSaturated — joining an already-running build
+// held: the caller must release it once done reading it. It builds the
+// view (once, however many queries race here) when the cache has no
+// current entry. A needed build takes a token from adm (when non-nil) or
+// fails fast with errMergeSaturated — joining an already-running build
 // never requires a token. The build runs detached from any single
 // request's context; ctx only governs how long this caller waits. The
 // entry is cached under the generation build stamps on it — the one its
@@ -116,7 +140,8 @@ func (c *viewCache) entry(ctx context.Context, name string, gen uint64, adm *sem
 	c.mu.Lock()
 	if elem, ok := c.byName[name]; ok {
 		e := elem.Value.(*viewEntry)
-		if e.gen == gen {
+		if e.gen == gen && !e.taken {
+			e.holds++
 			c.lru.MoveToFront(elem)
 			c.hits.Inc()
 			c.mu.Unlock()
@@ -127,7 +152,10 @@ func (c *viewCache) entry(ctx context.Context, name string, gen uint64, adm *sem
 		}
 		// Stale generation: leave the entry in place — an in-flight query
 		// against the old snapshot may still legitimately use it — and fall
-		// through to the miss path; insert() will replace it.
+		// through to the miss path; insert() will replace it. A taken entry
+		// at this generation is a miss too: a build for a newer generation
+		// owns its tree, and the build this miss joins or starts pins the
+		// current generation.
 	}
 	c.misses.Inc()
 	if info := infoFrom(ctx); info != nil {
@@ -154,12 +182,13 @@ func (c *viewCache) entry(ctx context.Context, name string, gen uint64, adm *sem
 			delete(c.inflight, key)
 			call.entry, call.err = e, err
 			if err == nil {
+				e.holds += call.refs
 				c.insert(e)
 			} else if errors.Is(err, context.Canceled) {
 				c.canceled.Inc()
 			}
-			c.mu.Unlock()
 			close(call.done)
+			c.mu.Unlock()
 		}()
 	}
 	call.refs++
@@ -167,22 +196,71 @@ func (c *viewCache) entry(ctx context.Context, name string, gen uint64, adm *sem
 
 	select {
 	case <-call.done:
-		c.mu.Lock()
-		call.refs--
-		c.mu.Unlock()
 		return call.entry, call.err
 	case <-ctx.Done():
 		// This waiter is gone; the merge keeps running for the others and
-		// is canceled only when the last one detaches. (A cancel racing
-		// merge completion is harmless — the result still caches.)
+		// is canceled only when the last one detaches. A build that
+		// finished first already counted this waiter's hold: give it back.
 		c.mu.Lock()
-		call.refs--
-		if call.refs == 0 {
-			call.cancel()
+		defer c.mu.Unlock()
+		select {
+		case <-call.done:
+			if call.entry != nil {
+				call.entry.holds--
+			}
+		default:
+			call.refs--
+			if call.refs == 0 {
+				call.cancel()
+			}
 		}
-		c.mu.Unlock()
 		return nil, ctx.Err()
 	}
+}
+
+// release ends one request's hold on an entry entry returned.
+func (c *viewCache) release(e *viewEntry) {
+	c.mu.Lock()
+	e.holds--
+	c.mu.Unlock()
+}
+
+// base picks what a build of the collection over files (sorted) starts
+// from, and returns it with the files still to read. It continues from the
+// collection's cached entry when that entry was built from a subset of
+// files: the merge is a sum, so only the files added since need reading.
+// An entry no request holds is taken — its database goes to the build
+// whole, and the entry is served no more; a held one is copied, its
+// readers undisturbed. Otherwise — nothing cached (first query, restart,
+// eviction), files gone, or the entry already taken by another build,
+// whose tree may be half folded — every file is read.
+func (c *viewCache) base(name string, files []string) (*analysis.Database, []string) {
+	c.mu.Lock()
+	elem, ok := c.byName[name]
+	if !ok {
+		c.mu.Unlock()
+		return nil, files
+	}
+	prev := elem.Value.(*viewEntry)
+	added, ok := addedFiles(prev.files, files)
+	if !ok || prev.taken {
+		c.mu.Unlock()
+		return nil, files
+	}
+	c.extended.Inc()
+	if prev.holds == 0 {
+		prev.taken = true
+		c.mu.Unlock()
+		return prev.db, added
+	}
+	// Copy under a hold of the build's own, so no other build takes the
+	// tree while it is being read.
+	prev.holds++
+	c.mu.Unlock()
+	db := *prev.db
+	db.Merged = prev.db.Merged.Clone()
+	c.release(prev)
+	return &db, added
 }
 
 // insert stores the entry, replacing any entry for the same collection
@@ -216,9 +294,9 @@ func (c *viewCache) invalidate(name string) {
 }
 
 // peek returns the cached entry for the collection if one exists at any
-// generation, without touching recency — metadata reporting uses it to
-// attach the last merge's quarantine report, and a starting merge to find
-// the generation it can continue from.
+// generation, without touching recency or holding it — metadata reporting
+// uses it to attach the last merge's quarantine report, which a build
+// taking the entry's database leaves as it was.
 func (c *viewCache) peek(name string) *viewEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()

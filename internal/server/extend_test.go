@@ -145,9 +145,11 @@ func checkServed(t *testing.T, srv *Server, ts *httptest.Server, name string, ac
 // TestExtendedBuildMatchesRebuild uploads random sequences — new profiles
 // and re-sent duplicates, with and without sidecars — and after every
 // upload compares every query route with a fresh full merge of the
-// accepted set. It ends with uploads racing queries (run under -race): each
-// answer must be the render of some whole prefix of the upload sequence,
-// and once the uploads are done the routes must match again.
+// accepted set. It ends with uploads racing queries of every route (run
+// under -race: a request reading a tree a build is folding into is a data
+// race): each answer must be the render of some whole prefix of the upload
+// sequence, once the uploads are done the routes must match again, and no
+// entry may still be held.
 func TestExtendedBuildMatchesRebuild(t *testing.T) {
 	for _, sidecars := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sidecars=%v", sidecars), func(t *testing.T) {
@@ -199,9 +201,20 @@ func TestExtendedBuildMatchesRebuild(t *testing.T) {
 			for i := range racing {
 				racing[i] = variedProfile(rng, len(payloads)+i, sidecars)
 			}
-			prefixes := map[string]bool{}
+			// Every route's render of each upload prefix; /stats is checked
+			// for its status alone.
+			prefixes := map[string]map[string]bool{"/collections/live/stats": nil}
 			for k := 0; k <= len(racing); k++ {
-				prefixes[string(renders(t, "live", append(accepted[:len(accepted):len(accepted)], racing[:k]...), ref)["/collections/live/topdown"])] = true
+				for path, body := range renders(t, "live", append(accepted[:len(accepted):len(accepted)], racing[:k]...), ref) {
+					if prefixes[path] == nil {
+						prefixes[path] = map[string]bool{}
+					}
+					prefixes[path][string(body)] = true
+				}
+			}
+			var paths []string
+			for path := range prefixes {
+				paths = append(paths, path)
 			}
 			fetch := func(path string) (int, []byte, error) {
 				resp, err := http.Get(ts.URL + path)
@@ -218,14 +231,11 @@ func TestExtendedBuildMatchesRebuild(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for !done.Load() {
-						status, body, err := fetch("/collections/live/topdown")
-						if err != nil || status != http.StatusOK || !prefixes[string(body)] {
-							t.Errorf("racing query: status %d, err %v; the body is the render of no upload prefix", status, err)
-							return
-						}
-						if status, _, err := fetch("/collections/live/bottomup"); err != nil || status != http.StatusOK {
-							t.Errorf("racing bottomup: status %d, err %v", status, err)
+					for i := c; !done.Load(); i++ {
+						path := paths[i%len(paths)]
+						status, body, err := fetch(path)
+						if want := prefixes[path]; err != nil || status != http.StatusOK || want != nil && !want[string(body)] {
+							t.Errorf("racing GET %s: status %d, err %v; the body is the render of no upload prefix", path, status, err)
 							return
 						}
 					}
@@ -238,6 +248,7 @@ func TestExtendedBuildMatchesRebuild(t *testing.T) {
 			wg.Wait()
 			accepted = append(accepted, racing...)
 			checkServed(t, srv, ts, "live", accepted, ref, "after the race")
+			checkNoHolds(t, srv.cache)
 		})
 	}
 }
@@ -276,10 +287,10 @@ func TestExtendedBuildOpensOnlyNewFiles(t *testing.T) {
 	}
 }
 
-// TestHeldEntryUnchangedByExtension holds a cached entry, lets the next
-// generation's build continue from it, and requires the held entry to
-// render the same bytes afterwards: its snapshot, its tree, its window
-// clip, its phases and its statistics.
+// TestHeldEntryUnchangedByExtension holds a cached entry the way a request
+// does, lets the next generation's build continue from it, and requires
+// the held entry to render the same bytes afterwards: its snapshot, its
+// tree, its window clip, its phases and its statistics.
 func TestHeldEntryUnchangedByExtension(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
 	rng := rand.New(rand.NewSource(5))
@@ -287,7 +298,11 @@ func TestHeldEntryUnchangedByExtension(t *testing.T) {
 		mustUpload(t, ts, "held", encodeProfile(t, variedProfile(rng, i, true)))
 	}
 	mustGet(t, ts, "/collections/held/topdown")
-	held := srv.cache.peek("held")
+	held, _, err := srv.view(context.Background(), "held")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.cache.release(held)
 	render := func(e *viewEntry) string {
 		var b bytes.Buffer
 		o := defaultOptions(e.db.Event)

@@ -2,13 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"dcprof/internal/cct"
 	"dcprof/internal/profio"
+	"dcprof/internal/view"
 )
 
 // FuzzHandleUpload throws arbitrary bodies at the ingest path. The
@@ -138,5 +142,111 @@ func FuzzUploadIdempotency(f *testing.F) {
 		default:
 			t.Fatalf("status %d for fuzzed upload: %s", first.Code, first.Body.String())
 		}
+	})
+}
+
+// FuzzViewHandoff drives the merged-view cache through a fuzz-chosen
+// interleaving of five steps: upload a new profile, hold the current view
+// as a request does, release a held view, a query whose client is already
+// gone (it may start a build, take the cached tree, and be cancelled), and
+// a cold query of every view route. Every body served is compared with
+// view.Write*JSON over an offline merge of the accepted set, and after
+// every step each held view must still render what it rendered when it
+// was taken: an entry never changes while held.
+func FuzzViewHandoff(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 1, 0, 4, 2, 0, 4})       // held across a build, then released
+	f.Add([]byte{0, 0, 4, 0, 3, 4, 0, 4})          // a cancelled build after an upload
+	f.Add([]byte{0, 1, 0, 1, 0, 3, 1, 4, 2, 7, 4}) // several holds across cancelled and cold builds
+	f.Add([]byte{0, 4, 0, 4, 0, 4, 0, 3, 3, 4})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 16 {
+			ops = ops[:16]
+		}
+		srv, ts := newTestServer(t, nil)
+		h := srv.Handler()
+		refSet := []*cct.Profile{synthProfile(9, 0, 300)}
+		mustUpload(t, ts, "ref", encodeProfile(t, refSet[0]))
+		ref := offlineMerge(t, refSet)
+		rng := rand.New(rand.NewSource(int64(len(ops))))
+
+		type heldView struct {
+			e    *viewEntry
+			body []byte
+		}
+		var (
+			accepted []*cct.Profile
+			held     []heldView
+		)
+		// topDown renders the entry's tree afresh: its snapshot caches the
+		// columns it has built, so only the tree shows a fold into it.
+		topDown := func(e *viewEntry) []byte {
+			var b bytes.Buffer
+			if err := view.WriteTopDownJSON(&b, e.db.Merged, defaultOptions(e.event)); err != nil {
+				t.Fatal(err)
+			}
+			return b.Bytes()
+		}
+		for step, op := range ops {
+			switch op % 5 {
+			case 0:
+				p := variedProfile(rng, len(accepted), true)
+				accepted = append(accepted, p)
+				mustUpload(t, ts, "live", encodeProfile(t, p))
+			case 1:
+				if len(accepted) == 0 {
+					continue
+				}
+				e, _, err := srv.view(context.Background(), "live")
+				if err != nil {
+					t.Fatalf("step %d: hold: %v", step, err)
+				}
+				v := heldView{e, topDown(e)}
+				if want := renders(t, "live", accepted, ref)["/collections/live/topdown"]; !bytes.Equal(v.body, want) {
+					t.Fatalf("step %d: a held view renders other than the offline merge of the %d accepted uploads", step, len(accepted))
+				}
+				held = append(held, v)
+			case 2:
+				if len(held) == 0 {
+					continue
+				}
+				k := int(op/5) % len(held)
+				srv.cache.release(held[k].e)
+				held = append(held[:k], held[k+1:]...)
+			case 3:
+				if len(accepted) == 0 {
+					continue
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				if e, _, err := srv.view(ctx, "live"); err == nil {
+					srv.cache.release(e) // a hit: the entry was already built
+				}
+				waitFor(t, func() bool {
+					srv.cache.mu.Lock()
+					defer srv.cache.mu.Unlock()
+					return len(srv.cache.inflight) == 0
+				})
+			case 4:
+				if len(accepted) == 0 {
+					continue
+				}
+				for path, want := range renders(t, "live", accepted, ref) {
+					rr := httptest.NewRecorder()
+					h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+					if rr.Code != http.StatusOK || !bytes.Equal(rr.Body.Bytes(), want) {
+						t.Fatalf("step %d: GET %s (status %d) differs from the offline merge of the %d accepted uploads", step, path, rr.Code, len(accepted))
+					}
+				}
+			}
+			for _, v := range held {
+				if !bytes.Equal(topDown(v.e), v.body) {
+					t.Fatalf("step %d: a held view changed", step)
+				}
+			}
+		}
+		for _, v := range held {
+			srv.cache.release(v.e)
+		}
+		checkNoHolds(t, srv.cache)
 	})
 }

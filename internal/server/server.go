@@ -445,10 +445,12 @@ func (s *Server) handleMetadata(w http.ResponseWriter, r *http.Request) {
 }
 
 // view resolves the collection and returns its merged view at the
-// current content generation, through the cache (singleflight on miss,
-// admission on fresh merges, cancellation via the request context). A hit
-// reads the generation and profile count and touches no disk; the
-// directory is listed only by a merge that actually starts.
+// current content generation, held — the caller releases it through
+// s.cache.release once the response is written — through the cache
+// (singleflight on miss, admission on fresh merges, cancellation via the
+// request context). A hit reads the generation and profile count and
+// touches no disk; the directory is listed only by a merge that actually
+// starts.
 func (s *Server) view(ctx context.Context, name string) (*viewEntry, int, error) {
 	col := s.store.get(name)
 	if col == nil {
@@ -466,19 +468,9 @@ func (s *Server) view(ctx context.Context, name string) (*viewEntry, int, error)
 		if err != nil {
 			return nil, err
 		}
-		// Continue from the collection's cached entry when it was built from
-		// a subset of these files: the merge is a sum, so only the files
-		// added since need reading. Otherwise — nothing cached (first
-		// query, restart, eviction) or files gone — read them all. The old
-		// entry is only read, so hits still rendering from it stay valid.
-		var base *analysis.Database
-		todo := files
-		if prev := s.cache.peek(name); prev != nil {
-			if added, ok := addedFiles(prev.files, files); ok {
-				base, todo = prev.db, added
-				s.cache.extended.Inc()
-			}
-		}
+		// Continue from the collection's cached entry where it is a partial
+		// sum of these files (viewCache.base); the load owns base.
+		base, todo := s.cache.base(name, files)
 		// Quarantine policy: ingest validation means on-disk damage is
 		// at-rest corruption after acceptance; one rotten file must degrade
 		// that file's contribution, not the collection's availability. The
@@ -590,7 +582,8 @@ func (s *Server) handleView(render func(*view.Snapshot, io.Writer, view.Options)
 		if e == nil {
 			return
 		}
-		o, err := queryOptions(q, e.db.Event)
+		defer s.cache.release(e)
+		o, err := queryOptions(q, e.event)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -614,12 +607,14 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		s.viewError(w, r, status, err)
 		return
 	}
+	defer s.cache.release(before)
 	after, status, err := s.view(r.Context(), r.PathValue("name"))
 	if err != nil {
 		s.viewError(w, r, status, err)
 		return
 	}
-	o, err := queryOptions(q, after.db.Event)
+	defer s.cache.release(after)
+	o, err := queryOptions(q, after.event)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -637,6 +632,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.viewError(w, r, status, err)
 		return
 	}
+	defer s.cache.release(e)
 	w.Header().Set("Content-Type", "application/json")
 	analysis.WriteStatsReport(w, e.stats)
 }

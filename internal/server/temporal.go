@@ -21,13 +21,13 @@ import (
 	"dcprof/internal/view"
 )
 
-// temporalEntry resolves the cache entry a view query should render: the
-// collection's merged view, window-restricted when spec — the request's
-// ?window=t0:t1 — is not empty. On failure the error response is already
-// written and nil is returned. Malformed specs are 400s diagnosed before
-// any merge starts; a window query against a collection without temporal
-// sidecars is a 400 as well — the parameter asks for data the collection
-// cannot answer.
+// temporalEntry resolves the cache entry a view query should render, held
+// (the caller releases it): the collection's merged view, window-restricted
+// when spec — the request's ?window=t0:t1 — is not empty. On failure the
+// error response is already written and nil is returned. Malformed specs
+// are 400s diagnosed before any merge starts; a window query against a
+// collection without temporal sidecars is a 400 as well — the parameter
+// asks for data the collection cannot answer.
 func (s *Server) temporalEntry(w http.ResponseWriter, r *http.Request, spec string) *viewEntry {
 	var t0, t1 uint64
 	if spec != "" {
@@ -47,6 +47,7 @@ func (s *Server) temporalEntry(w http.ResponseWriter, r *http.Request, spec stri
 		return e
 	}
 	we, err := s.windowView(r.Context(), e, t0, t1)
+	s.cache.release(e)
 	if err != nil {
 		switch {
 		case errors.Is(err, analysis.ErrNoTemporal):
@@ -64,11 +65,12 @@ func (s *Server) temporalEntry(w http.ResponseWriter, r *http.Request, spec stri
 }
 
 // windowView returns the window-restricted view derived from the base
-// entry, through the cache. The derived key cannot collide with a
-// collection name: ValidateName rejects '|', ':' and '='. The derived
-// database shares everything with the base except Merged, which is the
-// freshly clipped profile with a snapshot of its own — the base entry is
-// never mutated.
+// entry, held, through the cache. The derived key cannot collide with a
+// collection name: ValidateName rejects '|', ':' and '='. The clip reads
+// only the base's temporal index, which no later build modifies (a
+// continued load folds into a clone of it). The derived entry keeps the
+// clipped profile's snapshot and the event, and nothing of the base: an
+// evicted base's database, index included, is not pinned by its windows.
 func (s *Server) windowView(ctx context.Context, base *viewEntry, t0, t1 uint64) (*viewEntry, error) {
 	key := base.name + "|window=" + temporal.FormatWindowSpec(t0, t1)
 	return s.cache.entry(ctx, key, base.gen, nil, func(context.Context) (*viewEntry, error) {
@@ -76,9 +78,7 @@ func (s *Server) windowView(ctx context.Context, base *viewEntry, t0, t1 uint64)
 		if err != nil {
 			return nil, err
 		}
-		db := *base.db
-		db.Merged = clipped
-		return newViewEntry(key, base.gen, base.files, &db, base.stats), nil
+		return &viewEntry{name: key, gen: base.gen, event: base.event, snap: view.Freeze(clipped)}, nil
 	})
 }
 
@@ -92,6 +92,7 @@ func (s *Server) handlePhases(w http.ResponseWriter, r *http.Request) {
 		s.viewError(w, r, status, err)
 		return
 	}
+	defer s.cache.release(e)
 	ph, err := analysis.Phases(e.db)
 	if err != nil {
 		if errors.Is(err, analysis.ErrNoTemporal) {

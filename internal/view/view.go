@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dcprof/internal/cct"
@@ -67,29 +68,44 @@ func RankVariables(p *cct.Profile, m metric.ID) []VarStat { return Freeze(p).Ran
 func (s *Snapshot) RankVariables(m metric.ID) []VarStat {
 	col := s.column(m)
 	grand := col.total()
-	// Heap, static, then stack variables, each in Walk order: the order
-	// the stable sort below keeps among equal (value, name) pairs.
-	var out []VarStat
-	for _, c := range [...]cct.Class{cct.ClassHeap, cct.ClassStatic, cct.ClassUnknown} {
-		out = slices.Grow(out, len(s.vars[c]))
-		for _, i := range s.vars[c] {
-			n := s.nodes[i]
-			st := VarStat{Name: n.Frame().Name, Class: c, Value: col.inc(i), Node: n}
-			if c == cct.ClassHeap {
-				st.AllocSite = allocSiteOf(n)
-				if st.Name == "" {
-					st.Name = st.AllocSite
-				}
+	// Heap, static, then stack variables, each in Walk order: a position in
+	// this order breaks ties between equal (value, name) pairs, which makes
+	// the sort of positions below as stable as one of the rows. Sorting
+	// 4-byte positions, not 80-byte rows, keeps its swaps cheap.
+	heap, static := len(s.vars[cct.ClassHeap]), len(s.vars[cct.ClassStatic])
+	anchors := slices.Concat(s.vars[cct.ClassHeap], s.vars[cct.ClassStatic], s.vars[cct.ClassUnknown])
+	values := make([]uint64, len(anchors))
+	names := make([]string, len(anchors))
+	sites := make([]string, heap)
+	pos := make([]int32, len(anchors))
+	for p, i := range anchors {
+		values[p], names[p], pos[p] = col.inc(i), s.nodes[i].Frame().Name, int32(p)
+		if p < heap {
+			sites[p] = allocSiteOf(s.nodes[i])
+			if names[p] == "" {
+				names[p] = sites[p]
 			}
-			if grand > 0 {
-				st.Share = float64(st.Value) / float64(grand)
-			}
-			out = append(out, st)
 		}
 	}
-	slices.SortStableFunc(out, func(a, b VarStat) int {
-		return cmp.Or(cmp.Compare(b.Value, a.Value), cmp.Compare(a.Name, b.Name))
+	slices.SortFunc(pos, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(values[b], values[a]), strings.Compare(names[a], names[b]), cmp.Compare(a, b))
 	})
+	out := make([]VarStat, len(pos))
+	for k, p := range pos {
+		st := &out[k]
+		st.Name, st.Value, st.Node = names[p], values[p], s.nodes[anchors[p]]
+		switch {
+		case int(p) < heap:
+			st.Class, st.AllocSite = cct.ClassHeap, sites[p]
+		case int(p) < heap+static:
+			st.Class = cct.ClassStatic
+		default:
+			st.Class = cct.ClassUnknown
+		}
+		if grand > 0 {
+			st.Share = float64(st.Value) / float64(grand)
+		}
+	}
 	return out
 }
 
@@ -105,7 +121,7 @@ func allocSiteOf(mark *cct.Node) string {
 		return alloc.Frame().Name
 	}
 	sf := stmt.Frame()
-	return fmt.Sprintf("%s@%s:%d (%s)", sf.Name, sf.File, sf.Line, alloc.Frame().Name)
+	return sf.Name + "@" + sf.File + ":" + strconv.Itoa(sf.Line) + " (" + alloc.Frame().Name + ")"
 }
 
 // AccessStat is one statement accessing a variable.
