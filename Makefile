@@ -1,8 +1,9 @@
 GO ?= go
 
-.PHONY: check lint vet build test test-benchmark race chaos-smoke fuzz-smoke bench-smoke bench-merge-scale
+.PHONY: check lint vet build cross test test-benchmark race chaos-smoke fuzz-smoke bench-smoke bench-merge-scale
 
-# check is the full pre-merge gate: static checks, the whole test suite
+# check is the full pre-merge gate: static checks, a build for two
+# non-Linux targets, the whole test suite
 # (including the fault-injection suite), the race detector over the
 # goroutine-heavy packages (the simulator's thread fan-out and memory
 # hierarchy, the analyzer's streaming merge pipeline, the fault-tolerant
@@ -10,7 +11,7 @@ GO ?= go
 # and the statement-IP table), a short
 # fuzz of the profile reader, salvager, and the daemon's upload ingest,
 # and a one-iteration merge benchmark smoke to catch gross regressions.
-check: lint build test test-benchmark race chaos-smoke fuzz-smoke bench-smoke bench-merge-scale
+check: lint build cross test test-benchmark race chaos-smoke fuzz-smoke bench-smoke bench-merge-scale
 
 # lint: formatting drift is an error, then go vet.
 lint:
@@ -25,6 +26,12 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# cross: the program builds for macOS and Windows too. The profile opener
+# and the CPU-time report call syscall directly, behind build tags.
+cross:
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -49,15 +56,15 @@ chaos-smoke:
 
 # Short fuzz of the reader, the salvage path, the sidecar decoder and its
 # round trip, the encoder against its reference, the v1/v2 staging against
-# the row reader it replaced, a load continued from an earlier load
-# against a full one, the in-memory merges against a file load, the
-# daemon's upload ingest, the heap interval map against its model, the
-# temporal recorder against the dense one it replaced, the CCT child lists
-# against a map-of-maps tree, the view JSON writers against
-# encoding/json, and the daemon's view cache under interleaved uploads,
-# held readers and cancelled and cold queries against an offline merge
-# (the fuzz engine accepts one target per run), on top of the always-run
-# corpus regression pass.
+# the row reader it replaced, the decoder's frame memo against a Go map, a
+# load continued from an earlier load against a full one, the in-memory
+# merges against a file load, the daemon's upload ingest, the heap
+# interval map against its model, the temporal recorder against the dense
+# one it replaced, the CCT child lists against a map-of-maps tree, the
+# view JSON writers against encoding/json, and the daemon's view cache
+# under interleaved uploads, held readers and cancelled and cold queries
+# against an offline merge (the fuzz engine accepts one target per run),
+# on top of the always-run corpus regression pass.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadProfile -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzSalvageProfile -fuzztime=10s ./internal/profio
@@ -66,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadV3Profile -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeMatchesReference -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzRowStageMatchesReference -fuzztime=10s ./internal/profio
+	$(GO) test -run='^$$' -fuzz=FuzzFrameMemoMatchesMap -fuzztime=10s ./internal/profio
 	$(GO) test -run='^$$' -fuzz=FuzzLoadContinuesFromBase -fuzztime=10s ./internal/analysis
 	$(GO) test -run='^$$' -fuzz=FuzzMergeMatchesLoad -fuzztime=10s ./internal/analysis
 	$(GO) test -run='^$$' -fuzz=FuzzHandleUpload -fuzztime=10s ./internal/server
@@ -76,7 +84,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzChildListMatchesReference -fuzztime=10s ./internal/cct
 	$(GO) test -run='^$$' -fuzz=FuzzJSONWriterMatchesEncodingJSON -fuzztime=10s ./internal/view
 
-# One-iteration merge benchmarks, then the three opt-in wall-clock gates:
+# One-iteration merge benchmarks and the per-file stage-and-apply
+# benchmark, then the three opt-in wall-clock gates:
 # merge throughput with instruments and spans attached within 5% of
 # uninstrumented; steady-state attribution allocation-free and >= 1.5x over
 # the string-keyed replica (within 10% of the committed speedup); a cached
@@ -85,6 +94,7 @@ fuzz-smoke:
 # BENCH_telemetry.json).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Merge -benchtime=1x ./internal/analysis .
+	$(GO) test -run='^$$' -bench=StageApplyWarm -benchtime=1x ./internal/profio
 	DCPROF_BENCH_TELEMETRY="$(CURDIR)/BENCH_telemetry.json" \
 		$(GO) test -run='^TestTelemetryOverheadGate$$' -count=1 ./internal/analysis
 	DCPROF_BENCH_HOTPATH="$(CURDIR)/BENCH_hotpath.json" \

@@ -1,0 +1,17 @@
+//go:build unix
+
+package main
+
+import "syscall"
+
+// cpuSeconds returns user+system CPU time of this process.
+func cpuSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	sec := func(tv syscall.Timeval) float64 {
+		return float64(tv.Sec) + float64(tv.Usec)/1e6
+	}
+	return sec(ru.Utime) + sec(ru.Stime)
+}

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"syscall"
 	"time"
 
 	"dcprof/internal/analysis"
@@ -44,18 +43,6 @@ type telemetryReport struct {
 	Event       string             `json:"event"`
 	Self        selfReport         `json:"self"`
 	Instruments telemetry.Snapshot `json:"instruments"`
-}
-
-// cpuSeconds returns user+system CPU time of this process.
-func cpuSeconds() float64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
-	}
-	sec := func(tv syscall.Timeval) float64 {
-		return float64(tv.Sec) + float64(tv.Usec)/1e6
-	}
-	return sec(ru.Utime) + sec(ru.Stime)
 }
 
 // writeTelemetry verifies the written measurement directory by reloading

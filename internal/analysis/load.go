@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -81,9 +80,10 @@ type LoadOptions struct {
 	Shards int
 	// Policy selects strict, quarantine, or salvage error handling.
 	Policy ErrorPolicy
-	// Open overrides how profile files are opened (nil uses os.Open) —
-	// the seam the fault-injection test suite hooks to script read
-	// errors, slow media, and decoder panics.
+	// Open overrides how profile files are opened (nil uses
+	// profio.OpenFile, which opens a regular file without the runtime
+	// poller) — the seam the fault-injection test suite hooks to script
+	// read errors, slow media, and decoder panics.
 	Open func(path string) (io.ReadCloser, error)
 	// Telemetry, when non-nil, receives the load's instrument totals
 	// (names under "analysis.") absorbed once at completion. The load
@@ -361,6 +361,15 @@ func (w *loadWorker) ingest(path string) (merged bool, err error) {
 	return true, nil
 }
 
+// openProfile is LoadOptions.Open's default.
+func openProfile(path string) (io.ReadCloser, error) {
+	f, err := profio.OpenFile(path)
+	if err != nil {
+		return nil, err // a nil interface, not a nil *os.File in one
+	}
+	return f, nil
+}
+
 // stage opens path and stages its image in the worker's decoder.
 func (w *loadWorker) stage(path string) (*profio.Staged, error) {
 	f, err := w.l.open(path)
@@ -434,7 +443,7 @@ func LoadFilesStreamingCtx(ctx context.Context, label string, base *Database, fi
 		tix:    tix,
 	}
 	if l.open == nil {
-		l.open = func(path string) (io.ReadCloser, error) { return os.Open(path) }
+		l.open = openProfile
 	}
 
 	start := time.Now()

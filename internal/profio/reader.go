@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -82,7 +83,7 @@ func ReadProfileInterned(r io.Reader, in *Intern) (*cct.Profile, error) {
 // section fan-out; a staged file decodes faster than the goroutines it
 // took to fan its sections out, so it is ignored.
 func ReadFileParallel(path string, in *Intern, _ int) (*cct.Profile, int, error) {
-	f, err := os.Open(path)
+	f, err := OpenFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -108,9 +109,15 @@ func readCounted(r io.Reader, in *Intern) (*cct.Profile, int, error) {
 // Files returns the profile file paths in dir sorted by name (the canonical
 // zero-padded names sort by rank, then thread). In-flight temp files from a
 // killed writer carry TmpSuffix as their extension, so they are never
-// listed.
+// listed. The entries are read unsorted and the joined paths sorted once:
+// a path is its directory plus its name, so they sort as the names would.
 func Files(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	entries, err := d.ReadDir(-1)
+	d.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +128,7 @@ func Files(dir string) ([]string, error) {
 		}
 		out = append(out, filepath.Join(dir, e.Name()))
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -136,7 +143,7 @@ func ReadDir(dir string) ([]*cct.Profile, error) {
 	in := NewIntern()
 	var out []*cct.Profile
 	for _, path := range files {
-		f, err := os.Open(path)
+		f, err := OpenFile(path)
 		if err != nil {
 			return nil, err
 		}

@@ -104,11 +104,12 @@ type Decoder struct {
 	// Decoder-local caches. Thread files of one execution repeat the same
 	// strings and frames, so after the first few files every header
 	// resolves here without touching the shared, synchronized interners.
-	// Both maps are nil in a decoder that will stage a single image: a
-	// header never repeats itself, so there is nothing to remember.
+	// Both are off (a nil map, a zero memo) in a decoder that will stage
+	// a single image: a header never repeats itself, so there is nothing
+	// to remember.
 	strIDs map[string]uint32
 	strTab []string
-	frames map[frameKey]cct.FrameID
+	frames frameMemo
 
 	buf     []byte
 	readErr error // non-EOF error that ended the read of buf
@@ -139,7 +140,7 @@ func NewDecoder(in *Intern) *Decoder {
 	return &Decoder{
 		in:     in,
 		strIDs: make(map[string]uint32),
-		frames: make(map[frameKey]cct.FrameID),
+		frames: newFrameMemo(),
 	}
 }
 
@@ -269,6 +270,13 @@ func asTruncated(err error) error {
 }
 
 // uvarint decodes one varint at b[off:], returning the offset past it.
+// Its call does not inline (the slow path is over the inliner's budget),
+// so the hot loops of staging test the one-byte case — nearly every
+// varint in a profile — themselves and call uvarint only past it:
+//
+//	if off < len(b) && b[off] < 0x80 {
+//		v, off = uint64(b[off]), off+1
+//	} else if v, off, err = uvarint(b, off); err != nil {
 func uvarint(b []byte, off int) (uint64, int, error) {
 	if off < len(b) && b[off] < 0x80 {
 		return uint64(b[off]), off + 1, nil
@@ -464,7 +472,9 @@ func (d *Decoder) parseIdent(b []byte, off int) (int, error) {
 	d.strs = d.strs[:0]
 	for i := uint64(0); i < nStrs; i++ {
 		var n uint64
-		if n, off, err = uvarint(b, off); err != nil {
+		if off < len(b) && b[off] < 0x80 {
+			n, off = uint64(b[off]), off+1
+		} else if n, off, err = uvarint(b, off); err != nil {
 			return off, err
 		}
 		if n > 1<<16 {
@@ -531,7 +541,9 @@ func (d *Decoder) parseFrames(b []byte, off int, n uint64, intern bool) (int, er
 		// Module, name and file string indices, then the line.
 		var ref [4]uint64
 		for k := range ref {
-			if ref[k], off, err = uvarint(b, off); err != nil {
+			if off < len(b) && b[off] < 0x80 {
+				ref[k], off = uint64(b[off]), off+1
+			} else if ref[k], off, err = uvarint(b, off); err != nil {
 				return off, fmt.Errorf("frame table entry %d: %w", i, err)
 			}
 		}
@@ -541,7 +553,7 @@ func (d *Decoder) parseFrames(b []byte, off int, n uint64, intern bool) (int, er
 			}
 		}
 		key.mod, key.name, key.file, key.line = d.strs[ref[0]], d.strs[ref[1]], d.strs[ref[2]], ref[3]
-		id, ok := d.frames[key]
+		id, ok := d.frames.get(&key)
 		switch {
 		case ok:
 		case intern:
@@ -552,9 +564,7 @@ func (d *Decoder) parseFrames(b []byte, off int, n uint64, intern bool) (int, er
 				File:   d.strTab[key.file],
 				Line:   int(int64(key.line)),
 			})
-			if d.frames != nil {
-				d.frames[key] = id
-			}
+			d.frames.put(&key, id)
 		default:
 			d.missed++
 		}
@@ -595,7 +605,9 @@ func (d *Decoder) stageTree(c int, b []byte) (err error) {
 	d.parent = append(d.parent, 0)
 	for i := uint64(1); i < count; i++ {
 		var gap uint64
-		if gap, off, err = uvarint(b, off); err != nil {
+		if off < len(b) && b[off] < 0x80 {
+			gap, off = uint64(b[off]), off+1
+		} else if gap, off, err = uvarint(b, off); err != nil {
 			return err
 		}
 		if gap == 0 || gap > i {
@@ -610,7 +622,9 @@ func (d *Decoder) stageTree(c int, b []byte) (err error) {
 	fi := int64(0)
 	for i := uint64(0); i < count; i++ {
 		var u uint64
-		if u, off, err = uvarint(b, off); err != nil {
+		if off < len(b) && b[off] < 0x80 {
+			u, off = uint64(b[off]), off+1
+		} else if u, off, err = uvarint(b, off); err != nil {
 			return err
 		}
 		fi += unzigzag(u)
@@ -652,7 +666,9 @@ func (d *Decoder) stageTree(c int, b []byte) (err error) {
 		idx := uint64(0)
 		for e := uint64(0); e < n; e++ {
 			var delta, v uint64
-			if delta, off, err = uvarint(b, off); err != nil {
+			if off < len(b) && b[off] < 0x80 {
+				delta, off = uint64(b[off]), off+1
+			} else if delta, off, err = uvarint(b, off); err != nil {
 				return err
 			}
 			switch {
@@ -666,7 +682,9 @@ func (d *Decoder) stageTree(c int, b []byte) (err error) {
 			if idx >= count {
 				return fmt.Errorf("metric column %d: node index %d out of range", id, idx)
 			}
-			if v, off, err = uvarint(b, off); err != nil {
+			if off < len(b) && b[off] < 0x80 {
+				v, off = uint64(b[off]), off+1
+			} else if v, off, err = uvarint(b, off); err != nil {
 				return err
 			}
 			d.ents = append(d.ents, metricEnt{v: v, node: uint32(idx), id: id})

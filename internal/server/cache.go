@@ -28,10 +28,11 @@ package server
 // merge runs on its own goroutine under its own context, reference-
 // counted by the waiting requests: a waiter whose request context ends
 // (client disconnect, per-request deadline) detaches immediately, and
-// only when the LAST waiter detaches is the merge itself canceled. A
-// canceled or failed merge is never cached and its in-flight slot is
-// removed, so the next query starts a fresh merge — cancellation can
-// neither poison the cache nor wedge the key. This is the schedviz
+// only when the LAST waiter detaches is the merge itself canceled — and
+// its in-flight slot removed there and then, so a query arriving while the
+// canceled merge winds down starts a fresh one rather than joining it. A
+// canceled or failed merge is never cached, so cancellation can neither
+// poison the cache nor wedge the key. This is the schedviz
 // storage-service shape (LRU-cached fs storage behind a thin request
 // layer) applied to CCT merges, hardened for hostile clients.
 
@@ -179,7 +180,11 @@ func (c *viewCache) entry(ctx context.Context, name string, gen uint64, adm *sem
 			}
 			cancel()
 			c.mu.Lock()
-			delete(c.inflight, key)
+			if c.inflight[key] == call {
+				// Not yet removed by its last waiter detaching, after
+				// which a newer build may hold the key.
+				delete(c.inflight, key)
+			}
 			call.entry, call.err = e, err
 			if err == nil {
 				e.holds += call.refs
@@ -211,7 +216,12 @@ func (c *viewCache) entry(ctx context.Context, name string, gen uint64, adm *sem
 		default:
 			call.refs--
 			if call.refs == 0 {
+				// Nobody waits on the build any more: cancel it, and take
+				// it out of the in-flight slot now, so a query arriving
+				// before the build notices starts a fresh one instead of
+				// joining a cancelled one.
 				call.cancel()
+				delete(c.inflight, key)
 			}
 		}
 		return nil, ctx.Err()

@@ -159,15 +159,13 @@ func TestCancelledBuildAfterTake(t *testing.T) {
 			if status := <-answered; how == "deadline" && status != http.StatusGatewayTimeout {
 				t.Fatalf("deadline query answered %d, want 504", status)
 			}
-			// Once the server has seen its last waiter go, the blocked read
-			// may proceed: it finds the build cancelled.
+			// Once the server has seen its last waiter go — the build leaves
+			// the in-flight slot then — the blocked read may proceed: it
+			// finds the build cancelled.
 			waitFor(t, func() bool {
 				srv.cache.mu.Lock()
 				defer srv.cache.mu.Unlock()
-				for _, call := range srv.cache.inflight {
-					return call.refs == 0
-				}
-				return false
+				return len(srv.cache.inflight) == 0
 			})
 			gated.Store(false)
 			close(gate.release)
@@ -194,6 +192,95 @@ func TestCancelledBuildAfterTake(t *testing.T) {
 			checkNoHolds(t, srv.cache)
 		})
 	}
+}
+
+// TestQueryAfterLastWaiterLeftStartsFreshBuild: once the last client
+// waiting on a build disconnects, that build is cancelled, and a query
+// arriving before the cancelled build has wound down must not join it. It
+// starts a build of its own and is answered 200 with the bytes of an
+// offline merge.
+func TestQueryAfterLastWaiterLeftStartsFreshBuild(t *testing.T) {
+	gate := &gatedOpen{started: make(chan struct{}, 1), release: make(chan struct{})}
+	var gated atomic.Bool
+	srv, ts := newTestServer(t, func(cfg *Config) {
+		cfg.OpenProfile = func(path string) (io.ReadCloser, error) {
+			if gated.Load() {
+				return gate.open(path)
+			}
+			return os.Open(path)
+		}
+	})
+	rng := rand.New(rand.NewSource(17))
+	var accepted []*cct.Profile
+	for i := 0; i < 4; i++ {
+		p := variedProfile(rng, i, true)
+		accepted = append(accepted, p)
+		mustUpload(t, ts, "c", encodeProfile(t, p))
+	}
+	// waited reports whether a client waits on any in-flight build.
+	waited := func() bool {
+		srv.cache.mu.Lock()
+		defer srv.cache.mu.Unlock()
+		for _, call := range srv.cache.inflight {
+			if call.refs > 0 {
+				return true
+			}
+		}
+		return false
+	}
+
+	gated.Store(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/collections/c/topdown", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-gate.started // the first build is blocked reading a file
+	cancel()
+	<-first
+	waitFor(t, func() bool { return !waited() }) // the server saw the client go
+
+	type answer struct {
+		status int
+		body   []byte
+	}
+	second := make(chan answer, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/collections/c/topdown")
+		if err != nil {
+			second <- answer{body: []byte(err.Error())}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			body = []byte(err.Error())
+		}
+		second <- answer{resp.StatusCode, body}
+	}()
+	// The second query is waiting: on a build of its own (which blocks at
+	// the gate too), or on the cancelled one if it joined that.
+	waitFor(t, func() bool { return counter(srv, "server.merges") == 2 || waited() })
+	close(gate.release)
+	a := <-second
+	if got := counter(srv, "server.merges"); got != 2 {
+		t.Errorf("server.merges = %d, want 2: the second query joined the cancelled build", got)
+	}
+	if a.status != http.StatusOK {
+		t.Fatalf("the query after the last waiter left answered %d: %s", a.status, a.body)
+	}
+	if want := topDownOf(t, accepted); !bytes.Equal(a.body, want) {
+		t.Error("the query after the last waiter left differs from an offline merge")
+	}
+	waitFor(t, func() bool { return counter(srv, "server.merges.canceled") == 1 })
+	checkNoHolds(t, srv.cache)
 }
 
 // blockingWriter is a ResponseWriter whose first Write signals and then

@@ -100,7 +100,7 @@ type Config struct {
 	// uses the real one) — the seam fault-injection tests crash or fill.
 	FS profio.FS
 	// OpenProfile overrides how merge reads profile files (nil uses
-	// os.Open) — the seam chaos tests slow down or fail.
+	// profio.OpenFile) — the seam chaos tests slow down or fail.
 	OpenProfile func(path string) (io.ReadCloser, error)
 	// Registry receives the server's instruments and every merge's
 	// analysis accounting (nil creates a private registry). /debug/telemetry
